@@ -29,10 +29,14 @@
 #   make allocgate - fail if any steady-state benchmark in BENCH_9.json
 #                  reports a nonzero allocs/op (the whole-window drivers
 #                  are exempt; everything else must be allocation-free).
+#   make benchtest - vet and test the end-to-end benchmark module (bench/,
+#                  a nested module the root ./... skips): its traced
+#                  mirrors must match the sim entry points bit for bit and
+#                  every output must match the per-seed goldens.
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench perfbench perfdiff allocgate
+.PHONY: check vet lint build test race bench perfbench perfdiff allocgate benchtest
 
 check: vet lint build
 	$(GO) test -race -short ./...
@@ -63,3 +67,6 @@ perfdiff:
 
 allocgate:
 	$(GO) run ./cmd/zrbench -allocgate BENCH_9.json
+
+benchtest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -4,11 +4,14 @@
 //
 //	zrsim -exp fig14                # normalized refresh, 4 scenarios
 //	zrsim -exp fig17 -capacity 8    # IPC study on an 8 MB scaled rank
+//	zrsim -exp longhorizon          # 8192 windows on the event-driven core
 //	zrsim -exp all                  # everything (slow)
 //
 // Capacities are in MB of simulated rank standing in for GB of the paper's
 // machine (1/1024 scale); all reported metrics are ratios, so the scale
-// cancels out.
+// cancels out. The figure experiments write in every measured window and
+// step windows one at a time; longhorizon schedules sparse write bursts on
+// the event queue and fast-forwards the idle windows between them in bulk.
 package main
 
 import (
@@ -36,7 +39,6 @@ func main() {
 		exp      = flag.String("exp", "fig14", "experiment: table1,table2,fig4,fig5,fig6,fig14,fig15,fig16,fig17,fig18,fig19,compare,cmdlevel,power,metrics,smoke,timeline,longhorizon,violation,all")
 		capacity = flag.Int64("capacity", 32, "simulated rank capacity in MB")
 		windows  = flag.Int("windows", 8, "measured retention windows")
-		engineID = flag.String("engine", "dense", "simulation core: dense (per-window loop) or events (event queue with idle-window skipping); results are identical")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 23)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
@@ -75,13 +77,6 @@ func main() {
 		Capacity: *capacity << 20,
 		Windows:  *windows,
 		Seed:     *seed,
-	}
-	switch *engineID {
-	case "dense":
-	case "events":
-		o.Events = true
-	default:
-		fail(fmt.Errorf("unknown engine %q (want dense or events)", *engineID))
 	}
 	if *traceTo != "" {
 		o.Trace = trace.New(*traceCap)

@@ -40,11 +40,10 @@ type EventStats struct {
 // eventState is the per-system event-loop state.
 type eventState struct {
 	q *engine.EventQueue
-	// limit is the active RunUntil horizon bounding bulk replay
-	// (0 = none).
+	// limit is the active RunUntil horizon bounding bulk replay, and
+	// accum receives every window's CycleStats during that call. Events
+	// only run inside RunUntil, so both are always set when they do.
 	limit dram.Time
-	// accum, when non-nil, receives every window's CycleStats during the
-	// active RunUntil/RunEvents call.
 	accum *refresh.CycleStats
 	stats EventStats
 }
@@ -61,7 +60,7 @@ func (s *System) ensureEvents() {
 }
 
 // Schedule arms fn to run at simulation time t with the given ordering
-// key. It implements engine.Scheduler.
+// key.
 func (s *System) Schedule(t dram.Time, kind engine.EventKind, rank int32, fn func(now dram.Time)) {
 	s.ensureEvents()
 	s.ev.q.Schedule(t, kind, rank, fn)
@@ -118,23 +117,6 @@ func (s *System) RunUntil(horizon dram.Time) refresh.CycleStats {
 	return acc
 }
 
-// RunEvents pops and executes at most n events (fewer if the queue
-// drains, which cannot happen while the window event keeps re-arming) and
-// returns the accumulated statistics of the retention windows run. With
-// no horizon to bound them, idle gaps are fast-forwarded only up to the
-// next scheduled event.
-func (s *System) RunEvents(n int) refresh.CycleStats {
-	s.ensureEvents()
-	var acc refresh.CycleStats
-	prevLimit, prevAccum := s.ev.limit, s.ev.accum
-	s.ev.limit, s.ev.accum = 0, &acc
-	for i := 0; i < n && s.ev.q.Len() > 0; i++ {
-		s.popEvent()
-	}
-	s.ev.limit, s.ev.accum = prevLimit, prevAccum
-	return acc
-}
-
 // popEvent executes the earliest pending event, advancing the clock to
 // its time when it lies ahead and delivering it at the current clock when
 // the atomic window that covered it has already run.
@@ -175,15 +157,11 @@ func (s *System) windowEvent(now dram.Time) {
 			// deltas a per-window cadence would see land in this one call.
 			s.watch(s.windows.Load(), s.Clock)
 		}
-		if s.ev.accum != nil {
-			s.ev.accum.Add(total)
-		}
+		s.ev.accum.Add(total)
 	} else {
 		st := s.RunWindow()
 		s.ev.stats.Windows++
-		if s.ev.accum != nil {
-			s.ev.accum.Add(st)
-		}
+		s.ev.accum.Add(st)
 	}
 	s.ev.q.Schedule(s.Clock, engine.KindWindow, -1, s.windowEvent)
 }
@@ -191,14 +169,15 @@ func (s *System) windowEvent(now dram.Time) {
 // idleWindows returns how many consecutive windows starting at the
 // current clock may run as one bulk idle replay: the span to the next
 // scheduled event or the run horizon, provided every rank can replay
-// (idle access bits, no tracer, replay-capable backend) and per-window
-// epoch capture is off. At least 1 — the window due now always runs.
+// (idle access bits, no active tracer, rank-synchronous status) and
+// per-window epoch capture is off. At least 1 — the window due now always
+// runs.
 func (s *System) idleWindows() int64 {
 	if s.Config.Timeline {
 		return 1
 	}
 	deadline := s.ev.limit
-	if next, ok := s.ev.q.Peek(); ok && (deadline == 0 || next.Time < deadline) {
+	if next, ok := s.ev.q.Peek(); ok && next.Time < deadline {
 		deadline = next.Time
 	}
 	if deadline <= s.Clock {

@@ -14,7 +14,7 @@ import (
 // leaves 99% idle. The dense driver steps every window; the event driver
 // schedules the bursts and jumps the idle gaps through the bulk replay.
 // The BenchmarkWindowsDense/BenchmarkWindowsEvent ratio at each ratio is
-// the tracked speedup in BENCH_6.json.
+// the tracked speedup in BENCH_9.json.
 
 const benchWindowsPerOp = 200
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"zerorefresh/internal/dram"
@@ -262,9 +263,10 @@ func TestEventCoreMatchesDenseTraced(t *testing.T) {
 	}
 }
 
-// TestRunEventsAndScheduledProbes covers the count-driven loop and the
-// auxiliary event kinds: RunEvents pops in deterministic order, retention
-// probes see a healthy system, and the clock lands on window boundaries.
+// TestRunEventsAndScheduledProbes covers the auxiliary event kinds beside
+// windows and bursts: self-re-arming retention probes pop in deterministic
+// order between windows, see a healthy system, and leave the clock on a
+// window boundary.
 func TestRunEventsAndScheduledProbes(t *testing.T) {
 	cfg := DefaultConfig(2 << 20)
 	cfg.CellGroupRows = 8
@@ -286,18 +288,17 @@ func TestRunEventsAndScheduledProbes(t *testing.T) {
 		}
 		probes = append(probes, now)
 	})
-	st := sys.RunEvents(8)
+	st := sys.RunUntil(4 * tret)
 	if st.Steps == 0 {
-		t.Fatal("RunEvents ran no refresh work")
+		t.Fatal("RunUntil ran no refresh work")
 	}
-	if sys.Clock%tret != 0 {
-		t.Fatalf("clock %d not on a window boundary", sys.Clock)
+	if sys.Clock != 4*tret {
+		t.Fatalf("clock %d, want the window boundary %d", sys.Clock, 4*tret)
 	}
-	if len(probes) == 0 {
-		t.Fatal("no retention probes fired")
-	}
-	if got := sys.EventStats().Popped; got != 8 {
-		t.Fatalf("popped %d events, want 8", got)
+	// Windows are atomic: the probe due at tret/2 is delivered when
+	// window 0 ends, and re-arms 2·tret after its delivery.
+	if want := []dram.Time{tret, 3 * tret}; !reflect.DeepEqual(probes, want) {
+		t.Fatalf("probes fired at %v, want %v", probes, want)
 	}
 	// A deadline exists while rows hold charge, and lies within TRET of
 	// the last recharge.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"zerorefresh/internal/refresh"
 	"zerorefresh/internal/workload"
 )
 
@@ -44,10 +45,21 @@ func driveGolden(t *testing.T, sys *System, step func() int64) {
 	}
 }
 
+// runWindowSequential is the reference for RunWindow: every rank's window
+// executed in rank order on the calling goroutine, folded by the same
+// mergeWindow.
+func (s *System) runWindowSequential() refresh.CycleStats {
+	perRank := make([]refresh.CycleStats, len(s.Ranks))
+	for i := range s.Ranks {
+		perRank[i] = s.Ranks[i].Engine.RunCycle(s.Clock)
+	}
+	return s.mergeWindow(perRank)
+}
+
 // TestRunWindowGoldenStats is the golden-stats test for the rank-sharded
 // execution path: two identically configured and identically driven
 // systems, one running its retention windows concurrently across ranks
-// (RunWindow) and one sequentially (RunWindowSequential), must end with
+// (RunWindow) and one sequentially (runWindowSequential), must end with
 // bit-identical metrics in every layer — every counter of every rank's
 // DRAM, refresh engine and controller, and the shared pipeline.
 func TestRunWindowGoldenStats(t *testing.T) {
@@ -67,7 +79,7 @@ func TestRunWindowGoldenStats(t *testing.T) {
 		return st.Refreshed
 	})
 	driveGolden(t, seq, func() int64 {
-		st := seq.RunWindowSequential()
+		st := seq.runWindowSequential()
 		seqWindows = append(seqWindows, st.Steps, st.Refreshed, st.Skipped, st.TableRows, int64(st.Start), int64(st.End))
 		return st.Refreshed
 	})

@@ -113,16 +113,10 @@ func DefaultConfig(capacity int64) Config {
 
 // RankUnit is one rank's hardware: module, refresh engine and controller
 // datapath. The value-transformation pipeline is CPU-side and shared.
-// Backend and Policy are the narrow engine-interface views of DRAM and
-// Engine; sharded execution and policy-swapping experiments go through
-// them rather than the concrete types.
 type RankUnit struct {
 	DRAM       *dram.Module
 	Engine     *refresh.Engine
 	Controller *memctrl.Controller
-
-	Backend engine.MemoryBackend
-	Policy  engine.RefreshPolicy
 }
 
 // System is one fully wired simulated machine. The DRAM, Engine and
@@ -166,7 +160,7 @@ type System struct {
 	watch func(window int64, now dram.Time)
 
 	// ev holds the event-driven execution state (see events.go); it is
-	// armed lazily by the first Schedule/RunUntil/RunEvents call, so
+	// armed lazily by the first Schedule/RunUntil call, so
 	// dense-only systems pay nothing for it.
 	ev eventState
 }
@@ -195,6 +189,9 @@ func NewSystem(cfg Config) (*System, error) {
 		dcfg.Timing.TRET = dram.TRETNormal
 	}
 	if err := dcfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if _, err := cfg.Refresh.Resolve(dcfg.RowsPerBank); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
@@ -252,10 +249,7 @@ func NewSystem(cfg Config) (*System, error) {
 			eng.SetTracer(s)
 			ctrl.SetTracer(s)
 		}
-		sys.Ranks = append(sys.Ranks, RankUnit{
-			DRAM: mod, Engine: eng, Controller: ctrl,
-			Backend: mod, Policy: eng,
-		})
+		sys.Ranks = append(sys.Ranks, RankUnit{DRAM: mod, Engine: eng, Controller: ctrl})
 		label := fmt.Sprintf("rank%d", rank)
 		reg.Attach(label, mod.Metrics())
 		reg.Attach(label, eng.Metrics())
@@ -367,32 +361,12 @@ func (s *System) CleansePage(page int) error {
 // this). A panic in a rank shard is recovered by engine.ForEach and
 // re-raised here with the rank index attached.
 func (s *System) RunWindow() refresh.CycleStats {
-	return s.runWindow(len(s.Ranks) > 1)
-}
-
-// RunWindowSequential is the reference implementation of RunWindow: every
-// rank's window executed in rank order on the calling goroutine. The
-// golden-stats test checks RunWindow against it bit for bit.
-func (s *System) RunWindowSequential() refresh.CycleStats {
-	return s.runWindow(false)
-}
-
-// runWindow is the one canonical window implementation behind both entry
-// points: collect each rank's cycle into a rank-indexed slice — on up to
-// GOMAXPROCS workers when parallel — and fold it deterministically.
-func (s *System) runWindow(parallel bool) refresh.CycleStats {
 	perRank := make([]refresh.CycleStats, len(s.Ranks))
-	if parallel {
-		if err := engine.ForEach(len(s.Ranks), func(i int) error {
-			perRank[i] = s.Ranks[i].Engine.RunCycle(s.Clock)
-			return nil
-		}); err != nil {
-			panic(err) // only a *engine.PanicError from a rank shard can land here
-		}
-	} else {
-		for i := range s.Ranks {
-			perRank[i] = s.Ranks[i].Engine.RunCycle(s.Clock)
-		}
+	if err := engine.ForEach(len(s.Ranks), func(i int) error {
+		perRank[i] = s.Ranks[i].Engine.RunCycle(s.Clock)
+		return nil
+	}); err != nil {
+		panic(err) // only a *engine.PanicError from a rank shard can land here
 	}
 	return s.mergeWindow(perRank)
 }

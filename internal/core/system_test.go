@@ -30,16 +30,36 @@ func TestNewSystemDefaults(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsBadGeometry pins that configurations built from user
+// input fail with an error, never a panic, whichever layer's rule they
+// break.
 func TestNewSystemRejectsBadGeometry(t *testing.T) {
-	cfg := smallConfig()
-	cfg.RowBytes = 1000 // not divisible by chips/lines
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("invalid geometry accepted")
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"rows not divisible by RowsPerAR", func() Config { return DefaultConfig(1<<20 + 256<<10) }},
+		{"RowsPerAR 3", func() Config { c := smallConfig(); c.Refresh.RowsPerAR = 3; return c }},
+		{"negative ranks", func() Config { c := smallConfig(); c.Ranks = -1; return c }},
+		{"three ranks", func() Config { c := smallConfig(); c.Ranks = 3; return c }},
+		{"zero capacity", func() Config { return DefaultConfig(0) }},
+		{"negative capacity", func() Config { return DefaultConfig(-4 << 20) }},
+		{"RowBytes 1000", func() Config { c := smallConfig(); c.RowBytes = 1000; return c }},
+		{"RowBytes 1 MB", func() Config { c := smallConfig(); c.RowBytes = 1 << 20; return c }},
+		{"negative CellGroupRows", func() Config { c := smallConfig(); c.CellGroupRows = -1; return c }},
+		{"unknown cell types", func() Config { c := smallConfig(); c.CellTypes = 9; return c }},
 	}
-	cfg = smallConfig()
-	cfg.CellTypes = CellTypeSource(99)
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("invalid cell-type source accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewSystem panicked: %v", r)
+				}
+			}()
+			if _, err := NewSystem(tc.cfg()); err == nil {
+				t.Fatal("invalid configuration accepted")
+			}
+		})
 	}
 }
 

@@ -21,19 +21,10 @@ import "fmt"
 // FillRowWords serves a whole-row fill with one uniform word by aliasing a
 // shared sentinel row instead of storing WordsPerChipRow words.
 
-// LineChips is the rank width the line-granular operations assume: one
-// 8-byte word of the 64-byte cacheline per chip, matching
-// transform.MappingChips. Geometries with a different chip count must use
-// the scalar contract.
-const LineChips = WordsPerLine
-
 // checkLine bounds-checks one line-granular access. It is the single guard
 // a batched call performs, replacing the per-chip checkAddr/word checks of
 // the scalar path.
 func (m *Module) checkLine(bank, rowIdx, slot int) {
-	if m.cfg.Chips != LineChips {
-		panic(fmt.Sprintf("dram: line-granular access needs %d chips, rank has %d", LineChips, m.cfg.Chips))
-	}
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
 	}
@@ -195,9 +186,6 @@ func (m *Module) ReadLineWords(bank, rowIdx, slot int, now Time) [LineChips]uint
 //
 //zr:hotpath
 func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
-	if m.cfg.Chips != LineChips {
-		panic(fmt.Sprintf("dram: group refresh needs %d chips, rank has %d", LineChips, m.cfg.Chips))
-	}
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
 	}
@@ -249,7 +237,7 @@ func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
 
 // RefreshSpanDischarged attempts the span-level refresh fast path: if no
 // chip of the rank ever materialized a row struct in rows [lo, hi) of the
-// bank, it accounts the `groups` diagonal-group refreshes (Chips chip-rows
+// bank, it accounts the `groups` diagonal-group refreshes (LineChips chip-rows
 // each) the caller's step-by-step sweep over the span would perform —
 // never-touched rows mutate nothing and record no histogram age, so the
 // counter is the sweep's entire effect — and reports true. Otherwise it
@@ -282,7 +270,7 @@ func (m *Module) RefreshSpanDischarged(bank, lo, hi, groups int) bool {
 			}
 		}
 	}
-	m.refreshes.Add(int64(groups) * int64(m.cfg.Chips))
+	m.refreshes.Add(int64(groups) * LineChips)
 	return true
 }
 

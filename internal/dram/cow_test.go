@@ -57,7 +57,7 @@ func checkStorageInvariants(t *testing.T, m *Module) {
 	if got, want := m.storage.reservedBytes, chunks*int64(m.slabs[0].chunkRows)*wordBytes; got != want {
 		t.Fatalf("reservedBytes shadow = %d, chunks say %d", got, want)
 	}
-	for chip := 0; chip < cfg.Chips; chip++ {
+	for chip := 0; chip < LineChips; chip++ {
 		for bank := 0; bank < cfg.Banks; bank++ {
 			a := &m.arenas[chip*cfg.Banks+bank]
 			rows := m.bankOf(chip, bank)
@@ -76,7 +76,7 @@ func checkStorageInvariants(t *testing.T, m *Module) {
 		var cnt int32
 		for row := 0; row < cfg.RowsPerBank; row++ {
 			var any bool
-			for chip := 0; chip < cfg.Chips; chip++ {
+			for chip := 0; chip < LineChips; chip++ {
 				if m.bankOf(chip, bank)[row] != nil {
 					any = true
 					break
@@ -130,14 +130,14 @@ func TestCoWWriteAfterZeroFill(t *testing.T) {
 				scalarWriteLine(b, 2, row, row%cfg.WordsPerChipRow(), line, now+1)
 			}
 			for row := 0; row < 6; row++ {
-				for chip := 0; chip < cfg.Chips; chip++ {
+				for chip := 0; chip < LineChips; chip++ {
 					if r := a.bankOf(chip, 2)[row]; r.cow {
 						t.Fatalf("row (%d,2,%d) still aliased after dirty write", chip, row)
 					}
 				}
 			}
 			for row := 6; row < 12; row++ {
-				for chip := 0; chip < cfg.Chips; chip++ {
+				for chip := 0; chip < LineChips; chip++ {
 					if r := a.bankOf(chip, 2)[row]; !r.cow {
 						t.Fatalf("untouched row (%d,2,%d) lost its sentinel alias", chip, row)
 					}
@@ -163,7 +163,7 @@ func TestCoWSparedRemap(t *testing.T) {
 			}
 			a.MarkSpared(22)
 			b.MarkSpared(22)
-			for chip := 0; chip < cfg.Chips; chip++ {
+			for chip := 0; chip < LineChips; chip++ {
 				if r := a.bankOf(chip, 1)[22]; r.cow {
 					t.Fatalf("spared row (%d,1,22) still aliases the shared sentinel", chip)
 				}
@@ -205,12 +205,12 @@ func TestCoWSentinelDecay(t *testing.T) {
 				t.Fatalf("post-decay read diverged: %x vs %x", got, want)
 			}
 			d := cfg.CellTypeOf(40).DischargedWord()
-			for chip := 0; chip < cfg.Chips; chip++ {
+			for chip := 0; chip < LineChips; chip++ {
 				if got[chip] != d {
 					t.Fatalf("chip %d read %#x after decay, want discharged %#x", chip, got[chip], d)
 				}
 			}
-			for chip := 0; chip < cfg.Chips; chip++ {
+			for chip := 0; chip < LineChips; chip++ {
 				r := a.bankOf(chip, 3)[40]
 				if r.words != nil || r.cow || !r.everDecayed {
 					t.Fatalf("decayed row (%d,3,40) kept storage: words=%v cow=%v everDecayed=%v",

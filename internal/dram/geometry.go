@@ -12,15 +12,19 @@ const (
 	WordsPerLine = LineBytes / WordBytes
 )
 
+// LineChips is the rank width: the number of DRAM devices operated in
+// unison, one 8-byte word of every 64-byte cacheline per chip (Table II's
+// 8 chips). The staggered refresh counters (Section IV-C) and the rotated
+// chip mapping (Section V-D) are both defined on this shape.
+const LineChips = WordsPerLine
+
 // Config describes the geometry of one simulated DRAM rank.
 //
 // The paper's base configuration (Table II) is 32 GB, 8 chips, 8 banks and a
 // 4 KB row buffer. A row here is a *rank-level* row: the unit brought into
-// the sense amplifiers by one activation across all chips of the rank. Each
-// chip contributes RowBytes/Chips bytes of it.
+// the sense amplifiers by one activation across all LineChips chips of the
+// rank. Each chip contributes RowBytes/LineChips bytes of it.
 type Config struct {
-	// Chips is the number of DRAM devices operated in unison in the rank.
-	Chips int
 	// Banks is the number of banks per chip.
 	Banks int
 	// RowsPerBank is the number of rank-level rows per bank.
@@ -40,7 +44,6 @@ type Config struct {
 // capacity in bytes. Capacity must be divisible by Banks*RowBytes.
 func DefaultConfig(capacity int64) Config {
 	cfg := Config{
-		Chips:         8,
 		Banks:         8,
 		RowBytes:      4096,
 		CellGroupRows: 512,
@@ -53,8 +56,6 @@ func DefaultConfig(capacity int64) Config {
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	switch {
-	case c.Chips <= 0:
-		return errors.New("dram: Chips must be positive")
 	case c.Banks <= 0:
 		return errors.New("dram: Banks must be positive")
 	case c.RowsPerBank <= 0:
@@ -64,20 +65,15 @@ func (c Config) Validate() error {
 	case c.CellGroupRows <= 0:
 		return errors.New("dram: CellGroupRows must be positive")
 	}
-	if c.RowBytes%c.Chips != 0 {
-		return fmt.Errorf("dram: RowBytes (%d) must be divisible by Chips (%d)", c.RowBytes, c.Chips)
-	}
-	if c.ChipRowBytes()%WordBytes != 0 {
-		return fmt.Errorf("dram: per-chip row size (%d) must be a multiple of the %d-byte word", c.ChipRowBytes(), WordBytes)
-	}
 	if c.RowBytes%LineBytes != 0 {
+		// Whole cachelines also give every chip a whole number of words.
 		return fmt.Errorf("dram: RowBytes (%d) must hold whole %d-byte cachelines", c.RowBytes, LineBytes)
 	}
-	if c.RowsPerBank%c.Chips != 0 {
+	if c.RowsPerBank%LineChips != 0 {
 		// The staggered refresh-counter scheme (Section IV-C) walks rows
-		// in blocks of Chips rows; requiring divisibility keeps every
+		// in blocks of LineChips rows; requiring divisibility keeps every
 		// block complete.
-		return fmt.Errorf("dram: RowsPerBank (%d) must be divisible by Chips (%d)", c.RowsPerBank, c.Chips)
+		return fmt.Errorf("dram: RowsPerBank (%d) must be a multiple of the %d-row stagger block", c.RowsPerBank, LineChips)
 	}
 	if c.Timing.TRET <= 0 {
 		return errors.New("dram: Timing.TRET must be positive")
@@ -89,7 +85,7 @@ func (c Config) Validate() error {
 }
 
 // ChipRowBytes is the number of bytes each chip stores per rank-level row.
-func (c Config) ChipRowBytes() int { return c.RowBytes / c.Chips }
+func (c Config) ChipRowBytes() int { return c.RowBytes / LineChips }
 
 // WordsPerChipRow is the number of 8-byte word slots per chip row.
 func (c Config) WordsPerChipRow() int { return c.ChipRowBytes() / WordBytes }

@@ -25,7 +25,7 @@ type Stats struct {
 	DecayEvents int64
 }
 
-// Module simulates one DRAM rank: Chips devices, each with Banks banks of
+// Module simulates one DRAM rank: LineChips devices, each with Banks banks of
 // RowsPerBank rows. Storage is sparse; rows that have never held a charged
 // cell consume no memory.
 //
@@ -92,7 +92,7 @@ func New(cfg Config) *Module {
 	reg := metrics.NewRegistry()
 	m := &Module{
 		cfg:          cfg,
-		banks:        make([][]*row, cfg.Chips*cfg.Banks),
+		banks:        make([][]*row, LineChips*cfg.Banks),
 		reg:          reg,
 		activations:  reg.Counter("dram.activations"),
 		refreshes:    reg.Counter("dram.refreshes"),
@@ -111,9 +111,9 @@ func New(cfg Config) *Module {
 	}
 	m.slabs = make([]bankSlab, cfg.Banks)
 	for b := range m.slabs {
-		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), cfg.Chips*cfg.RowsPerBank)
+		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
 	}
-	m.arenas = make([]bankArena, cfg.Chips*cfg.Banks)
+	m.arenas = make([]bankArena, LineChips*cfg.Banks)
 	for i := range m.banks {
 		m.banks[i] = make([]*row, cfg.RowsPerBank)
 		m.arenas[i].init(&m.storage, cfg.WordsPerChipRow(), cfg.RowsPerBank,
@@ -182,8 +182,8 @@ func (m *Module) IsSpared(rowIdx int) bool {
 }
 
 func (m *Module) checkAddr(chip, bank, rowIdx int) {
-	if chip < 0 || chip >= m.cfg.Chips {
-		panic(fmt.Sprintf("dram: chip %d out of range [0,%d)", chip, m.cfg.Chips))
+	if chip < 0 || chip >= LineChips {
+		panic(fmt.Sprintf("dram: chip %d out of range [0,%d)", chip, LineChips))
 	}
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
@@ -319,7 +319,7 @@ func (m *Module) SenseDischarged(chip, bank, rowIdx int) bool {
 // every chip) is discharged in all chips — the condition for skipping one
 // refresh step under the rank-synchronous skip design.
 func (m *Module) RowDischargedAllChips(bank, rowIdx int) bool {
-	for chip := 0; chip < m.cfg.Chips; chip++ {
+	for chip := 0; chip < LineChips; chip++ {
 		if !m.SenseDischarged(chip, bank, rowIdx) {
 			return false
 		}

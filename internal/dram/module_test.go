@@ -226,7 +226,7 @@ func TestQuickWriteReadConsistency(t *testing.T) {
 		now := Time(0)
 		for i := 0; i < int(ops)+1; i++ {
 			s := slot{
-				rng.Intn(cfg.Chips), rng.Intn(cfg.Banks),
+				rng.Intn(LineChips), rng.Intn(cfg.Banks),
 				rng.Intn(cfg.RowsPerBank), rng.Intn(cfg.WordsPerChipRow()),
 			}
 			v := rng.Uint64()

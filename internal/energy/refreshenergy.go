@@ -32,7 +32,7 @@ type Model struct {
 func NewModel(cfg dram.Config, eng *refresh.Engine) Model {
 	return Model{
 		Params:    TableII(),
-		Devices:   cfg.Chips,
+		Devices:   dram.LineChips,
 		TRFCns:    DensityTRFC(32), // Table II implies 32 Gb devices
 		RowsPerAR: eng.Config().RowsPerAR,
 		TRCns:     50,

@@ -22,26 +22,17 @@ import (
 type Tracer = trace.Sink
 
 // MemoryBackend is the hardware contract a refresh engine and a
-// memory-controller datapath need from a DRAM rank: word reads and
-// writes (which activate, and therefore recharge, the row), explicit
-// refresh with discharged-row sensing, and the row-sparing predicate that
-// gates skip eligibility. *dram.Module is the canonical implementation.
-//
-// The contract comes at two granularities. The scalar word/row methods are
-// the fully general model; the line/group-granular batched methods perform
-// the identical state transitions for a whole cacheline or refresh diagonal
-// in one call — same cell state, counters and trace events, one interface
-// dispatch and one bounds check instead of eight — and are what the hot
-// paths use on the standard LineChips-wide rank.
+// memory-controller datapath need from a DRAM rank: line-granular reads and
+// writes (which activate, and therefore recharge, the rows), refresh of one
+// staggered diagonal group with discharged-row sensing, the span and
+// idle-window bulk refreshes, and the row-sparing predicate that gates skip
+// eligibility. Every method acts on all dram.LineChips chips of the rank at
+// once, except Refresh, which the per-chip-status design variant issues
+// chip by chip. *dram.Module is the one production implementation; the
+// differential tests put a per-chip scalar twin behind the same contract.
 type MemoryBackend interface {
 	// Config returns the rank geometry.
 	Config() dram.Config
-	// ReadWord returns word slot wordIdx of the chip-row, applying the
-	// retention model as the hardware would.
-	ReadWord(chip, bank, rowIdx, wordIdx int, now dram.Time) uint64
-	// WriteWord stores v into word slot wordIdx of the chip-row; the
-	// activation recharges the whole row.
-	WriteWord(chip, bank, rowIdx, wordIdx int, v uint64, now dram.Time)
 	// Refresh recharges one chip-row and reports whether it was fully
 	// discharged.
 	Refresh(chip, bank, rowIdx int, now dram.Time) (discharged bool)
@@ -52,21 +43,28 @@ type MemoryBackend interface {
 	// WriteLineWords stores words[c] into word slot `slot` of (bank, row)
 	// in chip c for all chips at once — one scattered cacheline — and
 	// reports whether every touched chip-row is fully discharged
-	// afterwards. Equivalent to LineChips WriteWord calls.
+	// afterwards.
 	WriteLineWords(bank, rowIdx, slot int, words [dram.LineChips]uint64, now dram.Time) bool
 	// ReadLineWords returns word slot `slot` of (bank, row) in every
-	// chip. Equivalent to LineChips ReadWord calls.
+	// chip, applying the retention model as the hardware would.
 	ReadLineWords(bank, rowIdx, slot int, now dram.Time) [dram.LineChips]uint64
 	// RefreshGroup refreshes rows[c] in chip c — one staggered refresh
 	// diagonal — and returns the status mask: bit c set iff chip c's row
 	// was fully discharged and not remapped by row sparing. Equivalent to
-	// the scalar Refresh + IsSpared loop.
+	// a Refresh + IsSpared loop over the chips.
 	RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16
 	// RefreshSpanDischarged attempts the span-level refresh fast path:
 	// if no chip ever materialized a row in [lo, hi) of the bank, it
 	// accounts `groups` diagonal-group refreshes and reports true;
 	// otherwise it does nothing and the caller runs its per-step loop.
 	RefreshSpanDischarged(bank, lo, hi, groups int) bool
+	// ReplayRefreshGroup fast-forwards refresh across idle windows: one
+	// call applies `windows` evenly spaced RefreshGroup calls of a
+	// diagonal group — first at time `first`, then every `period` — with
+	// exactly the cell state, counters, histogram observations and
+	// (absent) trace events they would produce, provided nothing else
+	// touches the rows in between.
+	ReplayRefreshGroup(bank int, rows [dram.LineChips]int, first, period dram.Time, windows int64)
 	// FillRowWords stores words into every word slot of (bank, row)
 	// across all chips — the bulk page-cleansing fill. Equivalent to
 	// WriteLineWords for every slot of the row.

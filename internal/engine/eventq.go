@@ -180,43 +180,3 @@ func (q *EventQueue) down(i int) {
 		i = least
 	}
 }
-
-// Scheduler is the narrow scheduling view of an event loop: layers that
-// only need to arm future events (a refresh engine re-arming its next
-// deadline, a workload scheduling trace arrivals) depend on this rather
-// than on the queue or the owning system.
-type Scheduler interface {
-	// Schedule arms fn to run at simulation time t with the given
-	// ordering key.
-	Schedule(t dram.Time, kind EventKind, rank int32, fn func(now dram.Time))
-}
-
-// Clock is a simulated clock an event loop advances. It only moves
-// forward; an attempt to move it backwards is a scheduling bug and
-// panics.
-type Clock struct {
-	now dram.Time
-}
-
-// Now returns the current simulation time.
-func (c *Clock) Now() dram.Time { return c.now }
-
-// AdvanceTo moves the clock forward to t.
-func (c *Clock) AdvanceTo(t dram.Time) {
-	if t < c.now {
-		panic(fmt.Sprintf("engine: clock moved backwards: %d -> %d", c.now, t))
-	}
-	c.now = t
-}
-
-// IdleReplayer is the optional bulk extension of MemoryBackend the
-// event-driven core uses to fast-forward refresh across idle windows: one
-// call applies `windows` evenly spaced refreshes of a diagonal group —
-// first at time `first`, then every `period` — with exactly the cell
-// state, counters, histogram observations and (absent) trace events that
-// many RefreshGroup calls would produce, provided nothing else touches
-// the rows in between. *dram.Module implements it; a backend without it
-// simply never takes the fast path.
-type IdleReplayer interface {
-	ReplayRefreshGroup(bank int, rows [dram.LineChips]int, first, period dram.Time, windows int64)
-}

@@ -141,23 +141,6 @@ func TestEventQueueKindOrder(t *testing.T) {
 	}
 }
 
-// TestClockMonotonic pins the clock contract: forward and same-instant
-// moves succeed, a backwards move panics.
-func TestClockMonotonic(t *testing.T) {
-	var c Clock
-	c.AdvanceTo(10)
-	c.AdvanceTo(10)
-	if c.Now() != 10 {
-		t.Fatalf("Now = %d, want 10", c.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("backwards AdvanceTo did not panic")
-		}
-	}()
-	c.AdvanceTo(9)
-}
-
 // BenchmarkEventQueuePushPop measures the queue's steady-state cost: each
 // op pushes one event into and pops one event out of a queue holding 1024
 // pending events with colliding keys.

@@ -23,8 +23,8 @@ type Location struct {
 }
 
 // AddressMap translates physical addresses to DRAM locations. Banks are
-// interleaved at *stagger-block* granularity (Chips consecutive rows,
-// 32 KB in the base configuration): the Chips rows that one staggered
+// interleaved at *stagger-block* granularity (LineChips consecutive rows,
+// 32 KB in the base configuration): the LineChips rows that one staggered
 // refresh diagonal sweeps (Section IV-C) hold contiguous physical memory,
 // so the word classes gathered by the data-rotation stage come from one
 // contiguous content region. Interleaving at finer (row/page) granularity
@@ -48,7 +48,7 @@ func (a AddressMap) Locate(addr uint64) (Location, error) {
 	lineIdx := addr / dram.LineBytes
 	linesPerRow := uint64(a.cfg.LinesPerRow())
 	rankRow := lineIdx / linesPerRow
-	block := uint64(a.cfg.Chips)
+	block := uint64(dram.LineChips)
 	banks := uint64(a.cfg.Banks)
 	blockIdx := rankRow / block
 	return Location{
@@ -60,7 +60,7 @@ func (a AddressMap) Locate(addr uint64) (Location, error) {
 
 // Address inverts Locate.
 func (a AddressMap) Address(loc Location) uint64 {
-	block := uint64(a.cfg.Chips)
+	block := uint64(dram.LineChips)
 	banks := uint64(a.cfg.Banks)
 	blockIdx := (uint64(loc.Row)/block)*banks + uint64(loc.Bank)
 	rankRow := blockIdx*block + uint64(loc.Row)%block

@@ -10,7 +10,7 @@ import (
 // addrMapGeometries covers the mapping's corner cases: the default
 // power-of-two layout plus non-power-of-two row counts, which arise when a
 // capacity is split over 3, 5 or 7 ranks. RowsPerBank stays a multiple of
-// Chips (8) as the geometry validator requires, but is deliberately not a
+// LineChips (8) as the geometry validator requires, but is deliberately not a
 // power of two, so the div/mod arithmetic in Locate/Address cannot be
 // silently replaced by shifts and masks.
 func addrMapGeometries(t *testing.T) []dram.Config {
@@ -111,9 +111,9 @@ func TestAddressMapBoundaries(t *testing.T) {
 		t.Fatalf("last line mapped to %+v", loc)
 	}
 
-	// One stagger block (Chips rows) of one bank holds contiguous memory;
+	// One stagger block (LineChips rows) of one bank holds contiguous memory;
 	// the next block lands in the next bank at the same rows.
-	blockBytes := uint64(cfg.Chips) * uint64(cfg.RowBytes)
+	blockBytes := uint64(dram.LineChips) * uint64(cfg.RowBytes)
 	locA, _ := a.Locate(blockBytes - dram.LineBytes)
 	locB, _ := a.Locate(blockBytes)
 	if locA.Bank != 0 || locB.Bank != 1 || locB.Row != 0 || locB.Slot != 0 {

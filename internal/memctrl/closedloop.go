@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/rng"
 )
 
 // Closed-loop bank-queue simulation. The open-loop simulator replays a
@@ -96,20 +97,6 @@ func refreshWindows(cfg PerfConfig, sched RefreshSchedule, horizon dram.Time) []
 
 type window struct{ start, end dram.Time }
 
-// splitmix for the closed-loop draws (kept local so memctrl does not
-// depend on the workload package).
-type clRand struct{ state uint64 }
-
-func (r *clRand) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *clRand) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // SimulateClosedLoop runs the closed-loop model until the horizon.
 func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time) ClosedLoopResult {
 	slots := cfg.Cores * cfg.MLP
@@ -131,7 +118,7 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		// Stagger slot starts across one think period.
 		nextIssue[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
 	}
-	rng := clRand{state: cfg.Seed ^ 0xc105ed100b}
+	rnd := rng.NewSplitMix(cfg.Seed ^ 0xc105ed100b)
 	res := ClosedLoopResult{Horizon: horizon}
 
 	for {
@@ -146,8 +133,8 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		if arrive >= horizon {
 			break
 		}
-		bank := int(rng.next() % uint64(cfg.Perf.Banks))
-		rowHit := rng.float() < cfg.RowHitRate
+		bank := rnd.Intn(cfg.Perf.Banks)
+		rowHit := rnd.Float64() < cfg.RowHitRate
 		start := arrive
 		if bankFree[bank] > start {
 			start = bankFree[bank]
@@ -199,14 +186,14 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		// Piggyback a writeback with probability wf/(1-wf) (write
 		// traffic share of total); it occupies the bank but does not
 		// stall the core.
-		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rng.float() < wf/(1-wf) {
+		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rnd.Float64() < wf/(1-wf) {
 			bankFree[bank] += cfg.Perf.HitService
 			res.Writebacks++
 		}
 		// Jitter the think time +/-25%: instruction counts between
 		// misses vary, and a deterministic gap can phase-lock with the
 		// refresh cadence and overstate (or hide) interference.
-		think := cfg.ThinkNs * (0.75 + 0.5*rng.float())
+		think := cfg.ThinkNs * (0.75 + 0.5*rnd.Float64())
 		nextIssue[s] = complete + dram.Time(think)
 	}
 	return res

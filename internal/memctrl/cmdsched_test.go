@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/rng"
 )
 
 func cmdConfig() CmdConfig {
@@ -168,15 +169,15 @@ func TestCmdZeroRefreshBeatsConventional(t *testing.T) {
 		cfg.Sched = sched
 		s := NewCmdScheduler(cfg)
 		var reqs []CmdRequest
-		rng := clRand{state: 42}
+		rnd := rng.NewSplitMix(42)
 		t := dram.Time(0)
 		row := 0
 		for t < 2_000_000 {
-			t += dram.Time(20 + rng.next()%60)
-			if rng.float() < 0.4 {
-				row = int(rng.next() % 512)
+			t += dram.Time(20 + rnd.Uint64()%60)
+			if rnd.Float64() < 0.4 {
+				row = rnd.Intn(512)
 			}
-			reqs = append(reqs, CmdRequest{Arrive: t, Bank: int(rng.next() % 8), Row: row})
+			reqs = append(reqs, CmdRequest{Arrive: t, Bank: rnd.Intn(8), Row: row})
 		}
 		return s.Run(reqs)
 	}

@@ -35,9 +35,6 @@ type Controller struct {
 // NewController wires the datapath together. eng may be nil for a
 // conventional system with no refresh policy to notify.
 func NewController(mod engine.MemoryBackend, eng engine.WriteNotifier, pipe engine.LineCodec, mapping transform.ChipMapping) *Controller {
-	if mod.Config().Chips != transform.MappingChips {
-		panic("memctrl: chip mappings require an 8-chip rank")
-	}
 	reg := metrics.NewRegistry()
 	return &Controller{
 		mod:          mod,
@@ -74,10 +71,8 @@ func (c *Controller) LinesWritten() int64 { return c.linesWritten.Load() }
 
 // WriteLine stores a 64-byte cacheline at the line-aligned physical
 // address, transforming and rotating it on the way. The scattered words
-// reach the rank through one batched backend call rather than eight scalar
-// WriteWord dispatches; writeLineScalar retains the scalar loop and the
-// differential tests prove the two leave bit-identical state, counters and
-// trace streams behind.
+// reach the rank through one batched backend call; the differential tests
+// pin it against a scalar twin that issues one WriteWord per chip.
 //
 //zr:hotpath
 func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error {
@@ -91,25 +86,9 @@ func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error 
 	return nil
 }
 
-// writeLineScalar is the retained scalar datapath: one WriteWord per chip.
-// It is the differential-test and benchmark reference for WriteLine.
-func (c *Controller) writeLineScalar(addr uint64, data [64]byte, now dram.Time) error {
-	loc, err := c.amap.Locate(addr)
-	if err != nil {
-		return err
-	}
-	enc := c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
-	words := c.mapping.Scatter(enc, loc.Row)
-	for chip, w := range words {
-		c.mod.WriteWord(chip, loc.Bank, loc.Row, loc.Slot, w, now)
-	}
-	c.noteLineWritten(loc, now)
-	return nil
-}
-
-// noteLineWritten performs the per-line bookkeeping shared by the batched
-// and scalar write paths: refresh-policy notification, the written-lines
-// counter and the writeback trace event.
+// noteLineWritten performs the per-line bookkeeping of a write: the
+// refresh-policy notification, the written-lines counter and the writeback
+// trace event.
 func (c *Controller) noteLineWritten(loc Location, now dram.Time) {
 	if c.eng != nil {
 		c.eng.NoteWrite(loc.Bank, loc.Row)
@@ -125,8 +104,7 @@ func (c *Controller) noteLineWritten(loc Location, now dram.Time) {
 }
 
 // ReadLine fetches and inverse-transforms the cacheline at addr. Like
-// WriteLine it issues one batched backend call per line; readLineScalar
-// retains the scalar loop.
+// WriteLine it issues one batched backend call per line.
 //
 //zr:hotpath
 func (c *Controller) ReadLine(addr uint64, now dram.Time) ([64]byte, error) {
@@ -135,22 +113,6 @@ func (c *Controller) ReadLine(addr uint64, now dram.Time) ([64]byte, error) {
 		return [64]byte{}, err
 	}
 	words := c.mod.ReadLineWords(loc.Bank, loc.Row, loc.Slot, now)
-	line := c.pipe.Decode(c.mapping.Gather(words, loc.Row), loc.Row)
-	c.linesRead.Inc()
-	return line.Bytes(), nil
-}
-
-// readLineScalar is the retained scalar read path: one ReadWord per chip.
-// It is the differential-test and benchmark reference for ReadLine.
-func (c *Controller) readLineScalar(addr uint64, now dram.Time) ([64]byte, error) {
-	loc, err := c.amap.Locate(addr)
-	if err != nil {
-		return [64]byte{}, err
-	}
-	var words [8]uint64
-	for chip := range words {
-		words[chip] = c.mod.ReadWord(chip, loc.Bank, loc.Row, loc.Slot, now)
-	}
 	line := c.pipe.Decode(c.mapping.Gather(words, loc.Row), loc.Row)
 	c.linesRead.Inc()
 	return line.Bytes(), nil
@@ -183,19 +145,6 @@ func (c *Controller) WriteZeroRow(addr uint64, now dram.Time) error {
 				Chip: -1, Bank: int32(loc.Bank), Row: int32(loc.Row),
 				A: int64(slot),
 			})
-		}
-	}
-	return nil
-}
-
-// writeZeroRowScalar is the retained slot-by-slot page-cleansing loop, the
-// differential-test reference for WriteZeroRow.
-func (c *Controller) writeZeroRowScalar(addr uint64, now dram.Time) error {
-	base := c.amap.RowBase(addr)
-	var zero [64]byte
-	for off := uint64(0); off < uint64(c.mod.Config().RowBytes); off += dram.LineBytes {
-		if err := c.writeLineScalar(base+off, zero, now); err != nil {
-			return err
 		}
 	}
 	return nil

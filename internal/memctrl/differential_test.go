@@ -98,7 +98,7 @@ func compareStacks(t *testing.T, opts transform.Options, batched, scalar *diffSt
 	}
 	attr.MustMatch(t, fmt.Sprintf("opts=%+v: batched vs scalar", opts), batched.tr.Events(), scalar.tr.Events())
 	cfg := batched.mod.Config()
-	for chip := 0; chip < cfg.Chips; chip++ {
+	for chip := 0; chip < dram.LineChips; chip++ {
 		for bank := 0; bank < cfg.Banks; bank++ {
 			for row := 0; row < cfg.RowsPerBank; row++ {
 				a := batched.mod.ChargedCellCount(chip, bank, row)

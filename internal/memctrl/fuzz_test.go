@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/rng"
 )
 
 // Native fuzz targets for the controller-side bijections and the command
@@ -41,16 +42,16 @@ func FuzzCmdSchedulerNeverRegresses(f *testing.F) {
 			ARInterval: 500,
 			TRFCpb:     200,
 		}
-		rng := clRand{state: seed}
+		rnd := rng.NewSplitMix(seed)
 		var reqs []CmdRequest
 		at := dram.Time(0)
 		for i := 0; i < int(n)+1; i++ {
-			at += dram.Time(rng.next() % 200)
+			at += dram.Time(rnd.Uint64() % 200)
 			reqs = append(reqs, CmdRequest{
 				Arrive: at,
-				Bank:   int(rng.next() % 4),
-				Row:    int(rng.next() % 64),
-				Write:  rng.float() < 0.3,
+				Bank:   rnd.Intn(4),
+				Row:    rnd.Intn(64),
+				Write:  rnd.Float64() < 0.3,
 			})
 		}
 		st := NewCmdScheduler(cfg).Run(reqs)

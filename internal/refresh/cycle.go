@@ -16,7 +16,7 @@ type CycleStats struct {
 	Skipped   int64
 	// ChipRefreshed and ChipSkipped count chip-row refreshes — the
 	// common currency between the rank-synchronous and per-chip-status
-	// designs (a step is Chips chip-rows).
+	// designs (a step is LineChips chip-rows).
 	ChipRefreshed int64
 	ChipSkipped   int64
 	// TableRows is the extra refresh work for the DRAM-resident
@@ -52,8 +52,7 @@ func (c CycleStats) NormalizedChipRefresh() float64 {
 	if total == 0 {
 		return c.NormalizedRefresh()
 	}
-	chips := total / c.Steps
-	return float64(c.ChipRefreshed+c.TableRows*chips) / float64(total)
+	return float64(c.ChipRefreshed+c.TableRows*dram.LineChips) / float64(total)
 }
 
 // Reduction returns 1 - NormalizedRefresh.

@@ -10,11 +10,30 @@ import (
 	"zerorefresh/internal/trace"
 )
 
-// Differential test for the batched refresh step: an engine routing
-// refreshStep through the backend's RefreshGroup call is driven against a
-// twin forced onto the per-chip scalar loop (scalarStep), under identical
-// write traffic with spared rows, per-chip-status and all-bank variants.
-// Every AR result, counter, trace event and module state must match.
+// Differential test for the batched refresh step: an engine on a
+// *dram.Module, whose RefreshGroup and span calls serve a diagonal group or
+// a whole command at once, is driven against a twin on scalarBackend, the
+// per-chip oracle, under identical write traffic with spared rows,
+// per-chip-status and all-bank variants. Every AR result, counter, trace
+// event and module state must match.
+
+// scalarBackend is the per-chip oracle behind the backend contract: it
+// wraps a *dram.Module, refreshes a diagonal group with one Refresh +
+// IsSpared call per chip, and never takes the span fast path, so an engine
+// on it runs the per-step sweep the batched calls must reproduce.
+type scalarBackend struct{ *dram.Module }
+
+func (b scalarBackend) RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16 {
+	var mask uint16
+	for chip, row := range rows {
+		if b.Refresh(chip, bank, row, now) && !b.IsSpared(row) {
+			mask |= 1 << chip
+		}
+	}
+	return mask
+}
+
+func (scalarBackend) RefreshSpanDischarged(bank, lo, hi, groups int) bool { return false }
 
 func diffEngines(t *testing.T, cfg Config, sparedEvery int) (batched, scalar *Engine, mods [2]*dram.Module, trs [2]*trace.Tracer) {
 	t.Helper()
@@ -28,10 +47,9 @@ func diffEngines(t *testing.T, cfg Config, sparedEvery int) (batched, scalar *En
 			}
 		}
 	}
-	batched, scalar = NewEngine(mods[0], cfg), NewEngine(mods[1], cfg)
+	batched, scalar = NewEngine(mods[0], cfg), NewEngine(scalarBackend{mods[1]}, cfg)
 	batched.SetTracer(trs[0].NewShard("refresh"))
 	scalar.SetTracer(trs[1].NewShard("refresh"))
-	scalar.scalarStep = true
 	return batched, scalar, mods, trs
 }
 
@@ -56,7 +74,7 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)
 					word := rng.Intn(dcfg.WordsPerChipRow())
-					chip := rng.Intn(dcfg.Chips)
+					chip := rng.Intn(dram.LineChips)
 					v := rng.Uint64()
 					if rng.Intn(3) == 0 {
 						v = dcfg.CellTypeOf(row).DischargedWord()
@@ -90,7 +108,7 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 				t.Fatalf("module metrics diverged:\nbatched %+v\nscalar  %+v", a, b)
 			}
 			attr.MustMatch(t, "batched vs scalar", trs[0].Events(), trs[1].Events())
-			for chip := 0; chip < dcfg.Chips; chip++ {
+			for chip := 0; chip < dram.LineChips; chip++ {
 				for bank := 0; bank < dcfg.Banks; bank++ {
 					for row := 0; row < dcfg.RowsPerBank; row++ {
 						if a, b := mods[0].ChargedCellCount(chip, bank, row), mods[1].ChargedCellCount(chip, bank, row); a != b {
@@ -121,8 +139,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					mods[i].MarkSpared(r)
 				}
 			}
-			batched, scalar := NewEngine(mods[0], cfg), NewEngine(mods[1], cfg)
-			scalar.scalarStep = true
+			batched, scalar := NewEngine(mods[0], cfg), NewEngine(scalarBackend{mods[1]}, cfg)
 			dcfg := mods[0].Config()
 			tret := dcfg.Timing.TRET
 			rng := rand.New(rand.NewSource(71))
@@ -134,7 +151,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)
 					word := rng.Intn(dcfg.WordsPerChipRow())
-					chip := rng.Intn(dcfg.Chips)
+					chip := rng.Intn(dram.LineChips)
 					v := rng.Uint64()
 					mods[0].WriteWord(chip, bank, row, word, v, now)
 					mods[1].WriteWord(chip, bank, row, word, v, now)
@@ -164,7 +181,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					t.Fatalf("skip runs diverged in bank %d", bank)
 				}
 			}
-			for chip := 0; chip < dcfg.Chips; chip++ {
+			for chip := 0; chip < dram.LineChips; chip++ {
 				for bank := 0; bank < dcfg.Banks; bank++ {
 					for row := 0; row < dcfg.RowsPerBank; row++ {
 						if a, b := mods[0].ChargedCellCount(chip, bank, row), mods[1].ChargedCellCount(chip, bank, row); a != b {
@@ -174,24 +191,5 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestScalarFallbackOnNarrowRank pins that a rank with a non-standard chip
-// count transparently uses the scalar loop (the batched group call requires
-// dram.LineChips chips).
-func TestScalarFallbackOnNarrowRank(t *testing.T) {
-	cfg := dram.DefaultConfig(8 << 20)
-	cfg.Chips = 4
-	cfg.CellGroupRows = 64
-	m := dram.New(cfg)
-	e := NewEngine(m, Config{Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true})
-	st := e.RunCycle(0)
-	if st.Refreshed != st.Steps {
-		t.Fatalf("learning cycle on narrow rank refreshed %d of %d steps", st.Refreshed, st.Steps)
-	}
-	st = e.RunCycle(cfg.Timing.TRET)
-	if st.Skipped != st.Steps {
-		t.Fatalf("idle narrow rank skipped %d of %d steps", st.Skipped, st.Steps)
 	}
 }

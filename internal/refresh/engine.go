@@ -47,16 +47,36 @@ type Config struct {
 	// PerChipStatus is a design-space alternative to the paper's
 	// rank-synchronous skipping: each chip's refresh logic skips its
 	// own row independently, tracked with one status bit per chip-row
-	// (Chips x the storage of the paper's 1-bit-per-rank-row table).
+	// (LineChips x the storage of the paper's 1-bit-per-rank-row table).
 	// It captures skips the step-granular design misses — e.g. a
 	// zero word class pinned to one chip under the unrotated mapping —
-	// at Chips times the table cost. Compare via NormalizedChipRefresh.
+	// at LineChips times the table cost. Compare via NormalizedChipRefresh.
 	PerChipStatus bool
 }
 
 // DefaultConfig returns the paper's base engine configuration.
 func DefaultConfig() Config {
 	return Config{Skip: true, RowsPerAR: 128, Stagger: true, StatusInDRAM: true}
+}
+
+// Resolve completes the configuration for banks of rowsPerBank rows: an
+// unset RowsPerAR selects the paper's 128, and one larger than the bank is
+// clamped to it. It reports an error when the bank does not divide into
+// whole auto-refresh commands.
+func (c Config) Resolve(rowsPerBank int) (Config, error) {
+	if rowsPerBank <= 0 {
+		return c, fmt.Errorf("refresh: RowsPerBank (%d) must be positive", rowsPerBank)
+	}
+	if c.RowsPerAR <= 0 {
+		c.RowsPerAR = 128
+	}
+	if c.RowsPerAR > rowsPerBank {
+		c.RowsPerAR = rowsPerBank
+	}
+	if rowsPerBank%c.RowsPerAR != 0 {
+		return c, fmt.Errorf("refresh: RowsPerBank (%d) not divisible by RowsPerAR (%d)", rowsPerBank, c.RowsPerAR)
+	}
+	return c, nil
 }
 
 // ARResult reports what one auto-refresh command did in one bank.
@@ -87,7 +107,6 @@ type Engine struct {
 	mod engine.MemoryBackend
 	cfg Config
 
-	chips       int
 	banks       int
 	rowsPerBank int
 	numARs      int // AR commands per bank per retention window
@@ -106,8 +125,7 @@ type Engine struct {
 	// the PerChipStatus variant skips each set bit independently.
 	// Stored in DRAM in the optimized design; kept here as the
 	// functional model either way.
-	status   [][]uint16
-	fullMask uint16
+	status [][]uint16
 	// arCursor is the next AR set index per bank.
 	arCursor []int
 	// lastSetRefreshed records, per (bank, set), how many steps the most
@@ -135,12 +153,11 @@ type Engine struct {
 	// tr receives typed refresh events when tracing is enabled; nil
 	// otherwise.
 	tr engine.Tracer
-
-	// scalarStep forces refreshStep onto the per-chip scalar loop even on
-	// a LineChips-wide rank; the differential tests and benchmarks use it
-	// to pit the two paths against each other.
-	scalarStep bool
 }
+
+// fullMask is the status mask of a diagonal group whose every chip-row
+// was discharged and not spared: the rank-synchronous skip condition.
+const fullMask = 1<<dram.LineChips - 1
 
 // Stats accumulates engine activity across cycles. It is a point-in-time
 // snapshot of the engine's metrics registry (see Engine.Metrics).
@@ -157,25 +174,19 @@ type Stats struct {
 	TableRowRefreshes int64
 }
 
-// NewEngine builds an engine for the backend. It panics on geometry/config
-// mismatches, which are programming errors.
+// NewEngine builds an engine for the backend. It panics when cfg.Resolve
+// rejects the geometry: callers building from user input (core.NewSystem)
+// resolve first and report the error.
 func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 	dcfg := m.Config()
-	if cfg.RowsPerAR <= 0 {
-		cfg.RowsPerAR = 128
-	}
-	if cfg.RowsPerAR > dcfg.RowsPerBank {
-		cfg.RowsPerAR = dcfg.RowsPerBank
-	}
-	if dcfg.RowsPerBank%cfg.RowsPerAR != 0 {
-		panic(fmt.Sprintf("refresh: RowsPerBank (%d) not divisible by RowsPerAR (%d)",
-			dcfg.RowsPerBank, cfg.RowsPerAR))
+	cfg, err := cfg.Resolve(dcfg.RowsPerBank)
+	if err != nil {
+		panic(err)
 	}
 	reg := metrics.NewRegistry()
 	e := &Engine{
 		mod:         m,
 		cfg:         cfg,
-		chips:       dcfg.Chips,
 		banks:       dcfg.Banks,
 		rowsPerBank: dcfg.RowsPerBank,
 		numARs:      dcfg.RowsPerBank / cfg.RowsPerAR,
@@ -192,10 +203,6 @@ func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 		tableRowRefreshes: reg.Counter("refresh.table_row_refreshes"),
 		dischargedRunLen:  reg.Histogram("refresh.discharged_run_len"),
 	}
-	if dcfg.Chips > 16 {
-		panic("refresh: at most 16 chips supported by the status mask")
-	}
-	e.fullMask = uint16(1)<<dcfg.Chips - 1
 	e.accessBits = make([][]uint64, e.banks)
 	e.status = make([][]uint16, e.banks)
 	e.lastSetRefreshed = make([][]int, e.banks)
@@ -257,14 +264,22 @@ func (e *Engine) Stats() Stats {
 
 // StepRow returns the rank-level row index chip refreshes at refresh step
 // n. With staggered counters (Figure 8) the rows form wrapped diagonals:
-// within each block of `chips` rows, chip c starts offset by its chip
-// number, so step n refreshes row block*chips + (c+n) mod chips in chip c.
+// within each block of LineChips rows, chip c starts offset by its chip
+// number, so step n refreshes row block*LineChips + (c+n) mod LineChips in
+// chip c.
 func (e *Engine) StepRow(chip, n int) int {
 	if !e.cfg.Stagger {
 		return n
 	}
-	block := n / e.chips
-	return block*e.chips + (chip+n)%e.chips
+	return n/dram.LineChips*dram.LineChips + (chip+n)%dram.LineChips
+}
+
+// stepRows returns the diagonal group of step n: rows[c] is StepRow(c, n).
+func (e *Engine) stepRows(n int) (rows [dram.LineChips]int) {
+	for chip := range rows {
+		rows[chip] = e.StepRow(chip, n)
+	}
+	return rows
 }
 
 // stepsOfRow returns the inclusive range of steps [lo,hi] whose diagonal
@@ -274,8 +289,8 @@ func (e *Engine) stepsOfRow(row int) (lo, hi int) {
 	if !e.cfg.Stagger {
 		return row, row
 	}
-	block := row / e.chips
-	return block * e.chips, block*e.chips + e.chips - 1
+	lo = row / dram.LineChips * dram.LineChips
+	return lo, lo + dram.LineChips - 1
 }
 
 // accessBit, setAccessBit and clearAccessBit are the packed probes of the
@@ -303,40 +318,11 @@ func (e *Engine) NoteWrite(bank, row int) {
 	e.setAccessBit(bank, hi/e.cfg.RowsPerAR)
 }
 
-// refreshStep refreshes the diagonal group of step n in a bank and returns
-// the renewed status mask: bit c set iff chip c's row was discharged and
-// not backed by a spare row. On the standard LineChips-wide rank the whole
-// diagonal goes to the backend in one RefreshGroup call; other geometries
-// (and the differential tests, via scalarStep) use the per-chip loop.
+// refreshStep refreshes the diagonal group of step n in a bank in one
+// RefreshGroup backend call and returns the renewed status mask: bit c set
+// iff chip c's row was discharged and not backed by a spare row.
 func (e *Engine) refreshStep(bank, n int, now dram.Time) uint16 {
-	if e.scalarStep || e.chips != dram.LineChips {
-		return e.refreshStepScalar(bank, n, now)
-	}
-	var rows [dram.LineChips]int
-	if e.cfg.Stagger {
-		block := n / e.chips * e.chips
-		for chip := range rows {
-			rows[chip] = block + (chip+n)%e.chips
-		}
-	} else {
-		for chip := range rows {
-			rows[chip] = n
-		}
-	}
-	return e.mod.RefreshGroup(bank, rows, now)
-}
-
-// refreshStepScalar is the retained per-chip refresh loop, the
-// differential-test and benchmark reference for refreshStep.
-func (e *Engine) refreshStepScalar(bank, n int, now dram.Time) uint16 {
-	var mask uint16
-	for chip := 0; chip < e.chips; chip++ {
-		row := e.StepRow(chip, n)
-		if e.mod.Refresh(chip, bank, row, now) && !e.mod.IsSpared(row) {
-			mask |= 1 << chip
-		}
-	}
-	return mask
+	return e.mod.RefreshGroup(bank, e.stepRows(n), now)
 }
 
 // noteSkip records one skipped step: its consecutive-skip run grows and the
@@ -376,20 +362,20 @@ func (e *Engine) noteRefresh(bank, n, chipRows int, now dram.Time) {
 // never-touched diagonal group, so the per-step sweep reduces to the
 // module's span-level counter accounting plus spare-aware status masks the
 // engine can derive from the sparing bitset alone. Returns false — leaving
-// the caller's per-step loop to run — in scalar mode, on non-standard rank
-// shapes, when tracing is on (the loop owns per-step event emission), or
-// when any row of the span is live.
+// the caller's per-step loop to run — when tracing is on (the loop owns
+// per-step event emission) or when the backend finds a live row in the
+// span.
 func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
-	if e.scalarStep || e.chips != dram.LineChips || e.tr != nil {
+	if e.tr != nil {
 		return false
 	}
 	steps := e.cfg.RowsPerAR
 	lo, hi := first, first+steps
 	if e.cfg.Stagger {
-		// Staggered steps permute rows within blocks of e.chips, so the
+		// Staggered steps permute rows within blocks of LineChips, so the
 		// probe span is the block-aligned hull of the step range.
-		lo = lo / e.chips * e.chips
-		hi = (hi + e.chips - 1) / e.chips * e.chips
+		lo = lo / dram.LineChips * dram.LineChips
+		hi = (hi + dram.LineChips - 1) / dram.LineChips * dram.LineChips
 	}
 	if !e.mod.RefreshSpanDischarged(bank, lo, hi, steps) {
 		return false
@@ -400,19 +386,19 @@ func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
 		curBlock := -1
 		var q uint8
 		for n := first; n < first+steps; n++ {
-			if b := n / e.chips * e.chips; b != curBlock {
+			if b := n / dram.LineChips * dram.LineChips; b != curBlock {
 				curBlock = b
 				q = 0
-				for j := 0; j < e.chips; j++ {
+				for j := 0; j < dram.LineChips; j++ {
 					if !e.mod.IsSpared(b + j) {
 						q |= 1 << j
 					}
 				}
 			}
-			// Step n's chip c refreshes row block+(c+n)%chips, so its
+			// Step n's chip c refreshes row block+(c+n)%LineChips, so its
 			// status mask is the block's non-spared pattern rotated by
 			// the stagger offset.
-			status[n] = uint16(bits.RotateLeft8(q, -(n % e.chips)))
+			status[n] = uint16(bits.RotateLeft8(q, -(n % dram.LineChips)))
 			if runs[n] > 0 {
 				e.dischargedRunLen.Observe(int64(runs[n]))
 				runs[n] = 0
@@ -423,7 +409,7 @@ func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
 			if e.mod.IsSpared(n) {
 				status[n] = 0
 			} else {
-				status[n] = e.fullMask
+				status[n] = fullMask
 			}
 			if runs[n] > 0 {
 				e.dischargedRunLen.Observe(int64(runs[n]))
@@ -432,7 +418,7 @@ func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
 		}
 	}
 	res.Refreshed = steps
-	res.ChipRefreshed = steps * e.chips
+	res.ChipRefreshed = steps * dram.LineChips
 	return true
 }
 
@@ -460,9 +446,9 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 		} else {
 			for n := first; n < first+e.cfg.RowsPerAR; n++ {
 				e.status[bank][n] = e.refreshStep(bank, n, now)
-				e.noteRefresh(bank, n, e.chips, now)
+				e.noteRefresh(bank, n, dram.LineChips, now)
 				res.Refreshed++
-				res.ChipRefreshed += e.chips
+				res.ChipRefreshed += dram.LineChips
 			}
 		}
 		e.clearAccessBit(bank, set)
@@ -482,7 +468,7 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 				// Each chip's internal refresh logic consults its
 				// own status bit.
 				refreshed := 0
-				for chip := 0; chip < e.chips; chip++ {
+				for chip := 0; chip < dram.LineChips; chip++ {
 					if mask&(1<<chip) != 0 {
 						res.ChipSkipped++
 						continue
@@ -498,18 +484,18 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 					res.Refreshed++
 					e.noteRefresh(bank, n, refreshed, now)
 				}
-			case e.cfg.Skip && mask == e.fullMask:
+			case e.cfg.Skip && mask == fullMask:
 				// Rank-synchronous skip: the whole diagonal group.
 				res.Skipped++
-				res.ChipSkipped += e.chips
+				res.ChipSkipped += dram.LineChips
 				e.noteSkip(bank, n, now)
 			default:
 				// Refresh normally; the status cannot have improved
 				// without a write, so no table update is needed.
 				e.refreshStep(bank, n, now)
-				e.noteRefresh(bank, n, e.chips, now)
+				e.noteRefresh(bank, n, dram.LineChips, now)
 				res.Refreshed++
-				res.ChipRefreshed += e.chips
+				res.ChipRefreshed += dram.LineChips
 			}
 		}
 	}
@@ -545,7 +531,7 @@ func (e *Engine) StatusTableRows() int {
 	}
 	bits := e.banks * e.rowsPerBank
 	if e.cfg.PerChipStatus {
-		bits *= e.chips
+		bits *= dram.LineChips
 	}
 	bytes := (bits + 7) / 8
 	rowBytes := e.mod.Config().RowBytes

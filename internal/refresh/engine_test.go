@@ -144,11 +144,11 @@ func TestSparedRowsNeverSkip(t *testing.T) {
 	e.RunCycle(0)
 	st := e.RunCycle(m.Config().Timing.TRET)
 	// Sparing is a rank-level row property, so the spared row keeps its
-	// whole diagonal block (Chips steps) from skipping in every bank.
+	// whole diagonal block (LineChips steps) from skipping in every bank.
 	if st.Refreshed == 0 {
 		t.Fatal("spared row was skipped")
 	}
-	if max := int64(m.Config().Chips * m.Config().Banks); st.Refreshed > max {
+	if max := int64(dram.LineChips * m.Config().Banks); st.Refreshed > max {
 		t.Fatalf("Refreshed = %d, want <= %d", st.Refreshed, max)
 	}
 }
@@ -157,7 +157,7 @@ func TestStaggeredCountersCoverEveryRowOncePerCycle(t *testing.T) {
 	m := testModule()
 	e := testEngine(m)
 	rows := m.Config().RowsPerBank
-	for chip := 0; chip < m.Config().Chips; chip++ {
+	for chip := 0; chip < dram.LineChips; chip++ {
 		seen := make([]int, rows)
 		for n := 0; n < rows; n++ {
 			seen[e.StepRow(chip, n)]++
@@ -177,7 +177,7 @@ func TestStepRowMatchesPaperFormula(t *testing.T) {
 	// (c+n) mod 4 of block n/4 are refreshed together.
 	m := testModule()
 	e := testEngine(m)
-	chips := m.Config().Chips
+	chips := dram.LineChips
 	for n := 0; n < 64; n++ {
 		for c := 0; c < chips; c++ {
 			want := (n/chips)*chips + (c+n)%chips
@@ -192,7 +192,7 @@ func TestUnstaggeredStepRowIsIdentity(t *testing.T) {
 	m := testModule()
 	e := NewEngine(m, Config{Skip: true, RowsPerAR: 32, Stagger: false})
 	for n := 0; n < m.Config().RowsPerBank; n += 17 {
-		for c := 0; c < m.Config().Chips; c++ {
+		for c := 0; c < dram.LineChips; c++ {
 			if e.StepRow(c, n) != n {
 				t.Fatal("unstaggered engine must refresh row n at step n")
 			}
@@ -302,7 +302,7 @@ func TestQuickEngineIntegrity(t *testing.T) {
 			// (b) status truthfulness.
 			for bank := 0; bank < cfg.Banks; bank++ {
 				for n := 0; n < cfg.RowsPerBank; n++ {
-					for chip := 0; chip < cfg.Chips; chip++ {
+					for chip := 0; chip < dram.LineChips; chip++ {
 						if e.status[bank][n]&(1<<chip) == 0 {
 							continue
 						}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/trace"
 )
 
 // Differential test for the bulk idle replay: ReplayIdleCycles(start, k)
@@ -58,7 +59,7 @@ func compareTwins(t *testing.T, replay, dense *Engine, mods [2]*dram.Module) {
 		t.Fatalf("module metrics diverged:\nreplay %+v\ndense  %+v", a, b)
 	}
 	dcfg := mods[0].Config()
-	for chip := 0; chip < dcfg.Chips; chip++ {
+	for chip := 0; chip < dram.LineChips; chip++ {
 		for bank := 0; bank < dcfg.Banks; bank++ {
 			for row := 0; row < dcfg.RowsPerBank; row++ {
 				if a, b := mods[0].ChargedCellCount(chip, bank, row), mods[1].ChargedCellCount(chip, bank, row); a != b {
@@ -93,7 +94,7 @@ func TestReplayIdleCyclesMatchesDense(t *testing.T) {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)
 					word := rng.Intn(dcfg.WordsPerChipRow())
-					chip := rng.Intn(dcfg.Chips)
+					chip := rng.Intn(dram.LineChips)
 					v := rng.Uint64()
 					if rng.Intn(2) == 0 {
 						v = dcfg.CellTypeOf(row).DischargedWord()
@@ -134,10 +135,10 @@ func TestReplayIdleCyclesMatchesDense(t *testing.T) {
 }
 
 // TestReplayIdleFallbacks pins when the bulk path must not engage: traced
-// engines, per-chip status, scalar-step twins and non-LineChips ranks all
-// report CanReplayIdle false (and ReplayIdleCycles still produces dense
-// results through its fallback), while a quiet default engine reports true
-// only once its access bits have cleared.
+// engines and per-chip status report CanReplayIdle false (and
+// ReplayIdleCycles still produces dense results through its fallback),
+// while a quiet default engine reports true only once its access bits have
+// cleared.
 func TestReplayIdleFallbacks(t *testing.T) {
 	cfg := Config{Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true}
 
@@ -161,23 +162,15 @@ func TestReplayIdleFallbacks(t *testing.T) {
 	if e.CanReplayIdle() {
 		t.Fatal("per-chip-status engine replayable")
 	}
+	st := e.ReplayIdleCycles(e.mod.Config().Timing.TRET, 3)
+	if want := 3 * int64(e.banks) * int64(e.rowsPerBank); st.Steps != want {
+		t.Fatalf("per-chip-status fallback ran %d steps, want %d", st.Steps, want)
+	}
 
 	e = NewEngine(testModule(), cfg)
-	e.scalarStep = true
+	e.SetTracer(trace.New(1 << 16).NewShard("refresh"))
 	e.RunCycle(0)
 	if e.CanReplayIdle() {
-		t.Fatal("scalar-step engine replayable")
-	}
-
-	narrow := dram.DefaultConfig(8 << 20)
-	narrow.Chips = 4
-	narrow.CellGroupRows = 64
-	e = NewEngine(dram.New(narrow), cfg)
-	st := e.ReplayIdleCycles(0, 3)
-	if e.CanReplayIdle() {
-		t.Fatal("narrow-rank engine replayable")
-	}
-	if st.Steps != 3*int64(narrow.Banks)*int64(narrow.RowsPerBank) {
-		t.Fatalf("narrow-rank fallback ran %d steps", st.Steps)
+		t.Fatal("traced engine replayable")
 	}
 }

@@ -29,45 +29,6 @@ func drivePolicy(p engine.RefreshPolicy, windows int, note func(w int, n engine.
 	return norm / float64(windows)
 }
 
-// drivePolicyEvents is drivePolicy on the event core: the same windows
-// and notifications, but scheduled on an engine.EventQueue — each
-// window's note burst fires as a KindWriteBurst event ordering just before
-// its KindWindow cycle at the nominal window cadence — and popped in the
-// queue's deterministic (time, kind, rank, seq) order. Policies that
-// report real cycle bounds advance the clock; policies that ignore time
-// run at the nominal cadence. The returned mean matches drivePolicy
-// exactly (same cycles in the same order).
-func drivePolicyEvents(p engine.RefreshPolicy, windows int, note func(w int, n engine.WriteNotifier)) float64 {
-	q := engine.NewEventQueue()
-	var clk engine.Clock
-	var norm float64
-	for w := 0; w < windows; w++ {
-		w := w
-		t := dram.Time(w) * dram.TRETExtended
-		if note != nil {
-			q.Schedule(t, engine.KindWriteBurst, -1, func(dram.Time) { note(w, p) })
-		}
-		q.Schedule(t, engine.KindWindow, -1, func(now dram.Time) {
-			res := p.RunPolicyCycle(now)
-			norm += res.NormalizedRefresh()
-			if res.End > clk.Now() {
-				clk.AdvanceTo(res.End)
-			}
-		})
-	}
-	for {
-		e, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if e.Time > clk.Now() {
-			clk.AdvanceTo(e.Time)
-		}
-		e.Fn(clk.Now())
-	}
-	return norm / float64(windows)
-}
-
 // RunComparison is an extension experiment beyond the paper's Figure 19:
 // it scales capacity with mcf content against *three* refresh-skipping
 // families — access-aware (Smart Refresh), retention-aware (RAIDR-style)
@@ -86,13 +47,6 @@ func RunComparison(o Options) (*Table, error) {
 		Title:   "Extension: refresh-skipping families vs capacity (mcf, normalized refresh)",
 		Columns: []string{"Smart", "RAIDR", "ZERO-REFRESH", "RAIDR unsafe/1k"},
 	}
-	// All three policy families run on the selected core: the baselines
-	// through the queue-driven policy driver, ZERO-REFRESH through the
-	// full event-driven system (RunScenario sees o.Events).
-	drive := drivePolicy
-	if o.Events {
-		drive = drivePolicyEvents
-	}
 	var totalUnsafe int64
 	for _, cap := range []int64{4 << 20, 8 << 20, 16 << 20, 32 << 20} {
 		oo := o
@@ -103,7 +57,7 @@ func RunComparison(o Options) (*Table, error) {
 		// Access-aware: skip rows touched inside the window. The touch
 		// stream models mcf's per-window footprint.
 		touched := prof.TouchedRowsPerWindow(oo.RowBytes, dram.TRETExtended)
-		smartNorm := drive(baseline.NewSmartRefresh(8, rowsPerBank), oo.Windows,
+		smartNorm := drivePolicy(baseline.NewSmartRefresh(8, rowsPerBank), oo.Windows,
 			func(w int, n engine.WriteNotifier) {
 				for _, r := range workload.PickRows(oo.Seed, w, totalRows, touched) {
 					n.NoteWrite(r%8, r/8)
@@ -118,7 +72,7 @@ func RunComparison(o Options) (*Table, error) {
 		// The multi-rate schedule has period 4 windows; average over
 		// whole periods so phase effects cancel.
 		raidrWindows := ((oo.Windows+3)/4 + 1) * 4
-		raidrNorm := drive(raidr, raidrWindows, nil)
+		raidrNorm := drivePolicy(raidr, raidrWindows, nil)
 		unsafePerK := float64(raidr.UnsafeSkips()) / float64(raidrWindows) / float64(totalRows) * 1000
 		totalUnsafe += raidr.UnsafeSkips()
 

@@ -15,8 +15,7 @@ import (
 func RunPowerBreakdown(o Options) (*Table, error) {
 	o = o.withDefaults()
 	p := energy.TableII()
-	dcfg := dram.DefaultConfig(32 << 30) // paper-scale rank for power
-	devices := dcfg.Chips
+	devices := dram.LineChips
 
 	// Device-level constants at the extended-temperature cadence.
 	tREFIns := float64(dram.TRETExtended) / 8192

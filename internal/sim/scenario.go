@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zerorefresh/internal/core"
-	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/engine"
 	"zerorefresh/internal/metrics"
@@ -60,11 +59,6 @@ type Options struct {
 	// Timeline enables per-window epoch capture; runs report it via
 	// ScenarioResult.Timeline.
 	Timeline bool
-	// Events drives the run through the event-driven core (write bursts
-	// scheduled on the system's event queue, idle windows fast-forwarded
-	// in bulk) instead of the dense per-window loop. Results are
-	// observationally identical; only wall-clock cost differs.
-	Events bool
 }
 
 // withDefaults fills unset fields.
@@ -216,41 +210,18 @@ func runScenario(o Options, prof workload.Profile, allocFrac float64, extended b
 		return res, fillErr
 	}
 
+	// Every measured window receives a write burst, so the dense loop is
+	// the whole schedule: there are no idle windows to fast-forward.
 	allocated := alloc.AllocatedPageIndices()
-	var opsBefore int64
-	if o.Events {
-		// Event-driven run: the warmup and measured windows pop off the
-		// system's event queue, with each measured window's write burst
-		// scheduled at the window boundary the dense loop applies it at.
-		tret := sys.DRAM.Config().Timing.TRET
-		sys.RunUntil(sys.Clock + dram.Time(o.Warmup)*tret)
-		opsBefore = sys.Pipeline.Ops()
-		base := sys.Clock
-		var burstErr error
-		for w := 0; w < o.Windows; w++ {
-			w := w
-			sys.ScheduleWriteBurst(base+dram.Time(w)*tret, func(dram.Time) {
-				if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil && burstErr == nil {
-					burstErr = err
-				}
-			})
+	for w := 0; w < o.Warmup; w++ {
+		sys.RunWindow()
+	}
+	opsBefore := sys.Pipeline.Ops()
+	for w := 0; w < o.Windows; w++ {
+		if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil {
+			return res, err
 		}
-		res.Cycles = sys.RunUntil(base + dram.Time(o.Windows)*tret)
-		if burstErr != nil {
-			return res, burstErr
-		}
-	} else {
-		for w := 0; w < o.Warmup; w++ {
-			sys.RunWindow()
-		}
-		opsBefore = sys.Pipeline.Ops()
-		for w := 0; w < o.Windows; w++ {
-			if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil {
-				return res, err
-			}
-			st := sys.RunWindow()
-			res.Cycles.Add(st)
-		}
+		res.Cycles.Add(sys.RunWindow())
 	}
 
 	// Energy accounting: the EBDI module runs on writes (counted by the

@@ -31,11 +31,11 @@ type ProbedTypes struct {
 // TypeOf implements CellTypeMap.
 func (p *ProbedTypes) TypeOf(rowIdx int) dram.CellType { return p.types[rowIdx] }
 
-// CellProber is the minimal slice of the DRAM rank contract the boot-time
-// identification probe needs: geometry plus raw word access. It is the
-// subset of engine.MemoryBackend that transform may touch (transform sits
-// below engine in the layer graph, so it declares its own view); any
-// MemoryBackend — and in particular *dram.Module — satisfies it.
+// CellProber is the minimal slice of the DRAM rank the boot-time
+// identification probe needs: geometry plus raw word access, the
+// word-granular API of *dram.Module that the line-granular
+// engine.MemoryBackend does not carry. transform sits below engine in the
+// layer graph, so it declares its own view.
 type CellProber interface {
 	// Config returns the rank geometry.
 	Config() dram.Config

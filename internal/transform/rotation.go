@@ -1,6 +1,10 @@
 package transform
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"zerorefresh/internal/dram"
+)
 
 // Data-rotation stage, Section V-D.
 //
@@ -14,7 +18,7 @@ import "encoding/binary"
 //     all-zero. ZERO-REFRESH rearranges byte positions so each chip receives
 //     one whole 8-byte *word* of the transformed line.
 //  2. *Rotation* (Figure 9b): word w of a line stored in rank-level row r is
-//     assigned to chip (w + r) mod numChips, so a given chip-row holds words
+//     assigned to chip (w + r) mod 8, so a given chip-row holds words
 //     of a single "class" (base, delta-head, or zero-tail) from all the
 //     lines of the row. Together with the staggered refresh counters
 //     (Section IV-C) the rows refreshed by one step hold one class across
@@ -32,9 +36,6 @@ type ChipMapping interface {
 	Name() string
 }
 
-// MappingChips is the rank width all mappings assume (one word per chip).
-const MappingChips = 8
-
 // RotatedMapping is the ZERO-REFRESH mapping: whole words per chip, rotated
 // by the row index.
 type RotatedMapping struct{}
@@ -44,13 +45,13 @@ func (RotatedMapping) Name() string { return "rotated" }
 
 // ChipForWord returns the chip storing word w of a line in row rowIdx.
 func (RotatedMapping) ChipForWord(w, rowIdx int) int {
-	return (w + rowIdx) % MappingChips
+	return (w + rowIdx) % dram.LineChips
 }
 
 // WordClassOf returns which word class (0 = base, 1 = first transposed
 // word, ..., 7 = last) chip-row (chip, rowIdx) holds under rotation.
 func (RotatedMapping) WordClassOf(chip, rowIdx int) int {
-	return ((chip-rowIdx)%MappingChips + MappingChips) % MappingChips
+	return ((chip-rowIdx)%dram.LineChips + dram.LineChips) % dram.LineChips
 }
 
 // Scatter implements ChipMapping.
@@ -99,7 +100,7 @@ func (ByteScatterMapping) Name() string { return "byte-scatter" }
 func (ByteScatterMapping) Scatter(l Line, _ int) [8]uint64 {
 	b := l.Bytes()
 	var out [8]uint64
-	for chip := 0; chip < MappingChips; chip++ {
+	for chip := 0; chip < dram.LineChips; chip++ {
 		var cw [8]byte
 		for beat := 0; beat < 8; beat++ {
 			cw[beat] = b[beat*8+chip]
@@ -112,7 +113,7 @@ func (ByteScatterMapping) Scatter(l Line, _ int) [8]uint64 {
 // Gather implements ChipMapping.
 func (ByteScatterMapping) Gather(words [8]uint64, _ int) Line {
 	var b [64]byte
-	for chip := 0; chip < MappingChips; chip++ {
+	for chip := 0; chip < dram.LineChips; chip++ {
 		var cw [8]byte
 		binary.LittleEndian.PutUint64(cw[:], words[chip])
 		for beat := 0; beat < 8; beat++ {
