@@ -16,27 +16,20 @@
 #   make bench   - regenerate the paper's evaluation via the benchmark
 #                  harness (slow; minutes).
 #   make race    - just the race-sensitive packages, under -race.
-#   make perfbench - regenerate BENCH_9.json, the tracked hot-path
-#                  microbenchmark baseline (cmd/zrbench): the
-#                  scalar-vs-batched datapath pairs, the arena/CoW storage
-#                  and charged-bitmap scan primitives, transform kernels,
-#                  event-queue primitives, dense-vs-event window drivers,
-#                  the introspection plane's trace tee and the trace-diff
-#                  lockstep loop.
-#   make perfdiff - gate BENCH_9.json against the previous committed
-#                  baseline generation (BENCH_8.json): fail if any shared
-#                  benchmark regressed more than 10%.
-#   make allocgate - fail if any steady-state benchmark in BENCH_9.json
-#                  reports a nonzero allocs/op (the whole-window drivers
-#                  are exempt; everything else must be allocation-free).
 #   make benchtest - vet and test the end-to-end benchmark module (bench/,
 #                  a nested module the root ./... skips): its traced
 #                  mirrors must match the sim entry points bit for bit and
 #                  every output must match the per-seed goldens.
+#
+# The benchmark of record is `bash bench/run.sh`, declared in
+# BENCHMARK.json: whole experiments timed end to end, with a per-layer
+# ledger under --trace 1 (see bench/README.md). Steady-state hot paths are
+# pinned allocation-free by testing.AllocsPerRun tests in each package,
+# which `make check` (under -race) and `make test` run.
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench perfbench perfdiff allocgate benchtest
+.PHONY: check vet lint build test race bench benchtest
 
 check: vet lint build
 	$(GO) test -race -short ./...
@@ -58,15 +51,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-perfbench:
-	$(GO) run ./cmd/zrbench -out BENCH_9.json -benchtime 300ms -count 3
-
-perfdiff:
-	$(GO) run ./cmd/zrbench -diff BENCH_8.json,BENCH_9.json -tolerance 0.10
-
-allocgate:
-	$(GO) run ./cmd/zrbench -allocgate BENCH_9.json
 
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

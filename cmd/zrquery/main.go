@@ -114,35 +114,15 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	pathA, pathB := fs.Arg(0), fs.Arg(1)
-	var d *attr.Divergence
-	if strings.HasSuffix(pathA, ".ndjson") && strings.HasSuffix(pathB, ".ndjson") {
-		// NDJSON pairs stream in lockstep without materialising either
-		// trace.
-		fa, err := os.Open(pathA)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer fa.Close()
-		fb, err := os.Open(pathB)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer fb.Close()
-		d, err = attr.DiffStreams(fa, fb, *context)
-		if err != nil {
-			return fail(stderr, err)
-		}
-	} else {
-		sa, err := attr.Open(pathA)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		sb, err := attr.Open(pathB)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		d = attr.Diff(sa.Events, sb.Events, *context)
+	sa, err := attr.Open(pathA)
+	if err != nil {
+		return fail(stderr, err)
 	}
+	sb, err := attr.Open(pathB)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	d := attr.Diff(sa.Events, sb.Events, *context)
 	fmt.Fprint(stdout, d.Report(pathA, pathB))
 	if d != nil {
 		return 1

@@ -43,7 +43,6 @@ func main() {
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 23)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
 		format   = flag.String("format", "table", "output format: table, csv or json")
-		jsonFlag = flag.Bool("json", false, "emit tables as machine-readable JSON (same as -format json)")
 		traceTo  = flag.String("trace", "", "write the run's event trace to this file: NDJSON for a .ndjson path (the /trace/tail line format, zrquery-ready), Chrome trace-event JSON otherwise")
 		traceCap = flag.Int("trace-cap", 0, "per-shard trace ring capacity in events (default trace.DefaultShardCap; raise it when -trace exports of long runs report drops)")
 		metTo    = flag.String("metrics-out", "", "write the per-window metrics time-series to this file (.json for JSON, CSV otherwise)")
@@ -140,7 +139,7 @@ func main() {
 	}
 
 	csvOut = *format == "csv"
-	jsonOut = *jsonFlag || *format == "json"
+	jsonOut = *format == "json"
 	metricsOut = *metTo
 	ids := []string{*exp}
 	if *exp == "all" {

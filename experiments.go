@@ -83,8 +83,8 @@ func RunPowerBreakdown(o ExperimentOptions) (*Table, error) { return sim.RunPowe
 
 // RunSmoke runs the fixed-seed observability smoke scenario: one benchmark
 // end to end with epoch capture (and, when o.Trace is set, typed events
-// from every layer), plus a bank-queue replay that populates the
-// queue-latency histogram. Returns the unified metrics table and the
+// from every layer), plus a Figure 17 closed-loop run that populates the
+// demand-miss latency histogram. Returns the unified metrics table and the
 // per-window epochs.
 func RunSmoke(o ExperimentOptions) (*Table, []Epoch, error) { return sim.RunSmoke(o) }
 

@@ -18,3 +18,12 @@ func BenchmarkDiffLockstep(b *testing.B) {
 		}
 	}
 }
+
+// TestSteadyStateAllocFree pins the lockstep comparison allocation-free.
+func TestSteadyStateAllocFree(t *testing.T) {
+	a := mkEvents(10_000)
+	c := mkEvents(10_000)
+	if n := testing.AllocsPerRun(100, func() { firstDivergence(a, c) }); n != 0 {
+		t.Errorf("firstDivergence allocated %.1f times per op", n)
+	}
+}

@@ -2,13 +2,12 @@ package attr
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"zerorefresh/internal/trace"
 )
 
-// First-divergence diff: stream two deterministic traces in lockstep and
+// First-divergence diff: walk two deterministic traces in lockstep and
 // pinpoint the first event where they disagree. Because every simulator
 // export is in merged (time, shard, seq) order, two same-seed runs are
 // byte-identical streams, and the first differing event — not a raw
@@ -94,111 +93,6 @@ func tail(ev []trace.Event, from, n int) []trace.Event {
 		hi = len(ev)
 	}
 	return append([]trace.Event(nil), ev[from:hi]...)
-}
-
-// DiffStreams runs the lockstep comparison over two NDJSON readers
-// without materialising either full trace: events decode in batches and
-// only a rolling context window is retained, so arbitrarily long trace
-// files diff in constant memory. Labels from meta.shard lines are
-// ignored for comparison (they name shards, they are not simulated
-// state).
-func DiffStreams(a, b io.Reader, context int) (*Divergence, error) {
-	if context < 0 {
-		context = 0
-	}
-	da, db := newNDJSONDecoder(a), newNDJSONDecoder(b)
-	var common []trace.Event // rolling pre-divergence window
-	index := 0
-	for {
-		ea, okA, err := da.next()
-		if err != nil {
-			return nil, fmt.Errorf("trace A: %v", err)
-		}
-		eb, okB, err := db.next()
-		if err != nil {
-			return nil, fmt.Errorf("trace B: %v", err)
-		}
-		if !okA && !okB {
-			return nil, nil
-		}
-		if okA && okB && ea == eb {
-			common = append(common, ea)
-			if len(common) > context {
-				copy(common, common[len(common)-context:])
-				common = common[:context]
-			}
-			index++
-			continue
-		}
-		d := &Divergence{Index: index, HasA: okA, HasB: okB, A: ea, B: eb}
-		d.Common = append([]trace.Event(nil), common...)
-		d.AfterA = drainContext(da, context)
-		d.AfterB = drainContext(db, context)
-		lenA, lenB := index, index
-		if okA {
-			lenA += 1 + len(d.AfterA) + da.skipRemaining()
-		}
-		if okB {
-			lenB += 1 + len(d.AfterB) + db.skipRemaining()
-		}
-		d.LenA, d.LenB = lenA, lenB
-		return d, nil
-	}
-}
-
-func drainContext(d *ndjsonDecoder, n int) []trace.Event {
-	var out []trace.Event
-	for len(out) < n {
-		e, ok, err := d.next()
-		if err != nil || !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// ndjsonDecoder yields events one at a time from an NDJSON stream,
-// skipping meta.shard lines.
-type ndjsonDecoder struct {
-	events []trace.Event
-	pos    int
-	err    error
-	done   bool
-}
-
-func newNDJSONDecoder(r io.Reader) *ndjsonDecoder {
-	d := &ndjsonDecoder{}
-	// ReadNDJSON already streams line by line with a bounded scanner
-	// buffer; holding the decoded []trace.Event (56 bytes/event) is the
-	// working set that matters here, and for the diff path we cap what
-	// we retain via the rolling window above. Decoding in one pass keeps
-	// exactly one copy live per stream.
-	d.events, _, d.err = trace.ReadNDJSON(r)
-	return d
-}
-
-func (d *ndjsonDecoder) next() (trace.Event, bool, error) {
-	if d.err != nil {
-		return trace.Event{}, false, d.err
-	}
-	if d.pos >= len(d.events) {
-		return trace.Event{}, false, nil
-	}
-	e := d.events[d.pos]
-	d.pos++
-	return e, true, nil
-}
-
-// skipRemaining consumes the rest of the stream and returns how many
-// events it skipped (for total-length reporting).
-func (d *ndjsonDecoder) skipRemaining() int {
-	n := len(d.events) - d.pos
-	if n < 0 {
-		n = 0
-	}
-	d.pos = len(d.events)
-	return n
 }
 
 // Report renders a divergence (or its absence) as a deterministic text

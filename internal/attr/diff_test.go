@@ -105,22 +105,36 @@ func ndjson(ev []trace.Event) string {
 	return string(b)
 }
 
+// readDiff loads two NDJSON traces through Read and diffs their events,
+// the path `zrquery diff` takes.
+func readDiff(a, b string, context int) (*Divergence, error) {
+	sa, err := Read(strings.NewReader(a))
+	if err != nil {
+		return nil, err
+	}
+	sb, err := Read(strings.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return Diff(sa.Events, sb.Events, context), nil
+}
+
 func TestDiffStreams(t *testing.T) {
 	a := mkEvents(50)
 	b := mkEvents(50)
 
-	d, err := DiffStreams(strings.NewReader(ndjson(a)), strings.NewReader(ndjson(b)), 3)
+	d, err := readDiff(ndjson(a), ndjson(b), 3)
 	if err != nil || d != nil {
 		t.Fatalf("identical streams: d=%+v err=%v", d, err)
 	}
 
 	b[30].Bank = 7
-	d, err = DiffStreams(strings.NewReader(ndjson(a)), strings.NewReader(ndjson(b)), 3)
+	d, err = readDiff(ndjson(a), ndjson(b), 3)
 	if err != nil || d == nil || d.Index != 30 {
-		t.Fatalf("DiffStreams: d=%+v err=%v", d, err)
+		t.Fatalf("divergent streams: d=%+v err=%v", d, err)
 	}
 	if len(d.Common) != 3 || d.Common[2] != a[29] {
-		t.Fatalf("rolling context wrong: %+v", d.Common)
+		t.Fatalf("context wrong: %+v", d.Common)
 	}
 	if d.LenA != 50 || d.LenB != 50 {
 		t.Fatalf("stream lengths: %d, %d", d.LenA, d.LenB)
@@ -131,19 +145,19 @@ func TestDiffStreams(t *testing.T) {
 
 	// Meta lines must not count as events.
 	withMeta := "{\"kind\":\"meta.shard\",\"shard\":0,\"name\":\"cpu\"}\n" + ndjson(a)
-	d, err = DiffStreams(strings.NewReader(withMeta), strings.NewReader(ndjson(a)), 2)
+	d, err = readDiff(withMeta, ndjson(a), 2)
 	if err != nil || d != nil {
 		t.Fatalf("meta lines counted as events: d=%+v err=%v", d, err)
 	}
 
 	// Truncated B stream.
-	d, err = DiffStreams(strings.NewReader(ndjson(a)), strings.NewReader(ndjson(a[:20])), 2)
+	d, err = readDiff(ndjson(a), ndjson(a[:20]), 2)
 	if err != nil || d == nil || d.Index != 20 || d.HasB || !d.HasA {
 		t.Fatalf("truncated stream: d=%+v err=%v", d, err)
 	}
 
 	// Malformed input is an error, not a divergence.
-	if _, err := DiffStreams(strings.NewReader("{bad"), strings.NewReader(ndjson(a)), 0); err == nil {
+	if _, err := readDiff("{bad", ndjson(a), 0); err == nil {
 		t.Fatal("malformed stream accepted")
 	}
 }

@@ -95,20 +95,16 @@ func (r *RetentionAware) InjectVRT(fraction float64, seed uint64) int {
 // comparator quantifies — so the notification is a no-op.
 func (r *RetentionAware) NoteWrite(bank, row int) {}
 
-// RunPolicyCycle implements engine.RefreshPolicy (the start time is
-// irrelevant to this window-granular model).
-func (r *RetentionAware) RunPolicyCycle(dram.Time) engine.CycleResult {
-	return r.RunCycle().CycleResult()
-}
-
 // due reports whether the profiled bin schedules a refresh this window.
 func due(bin uint8, window int64) bool {
 	return window%(1<<bin) == 0
 }
 
-// RunCycle executes one base retention window.
-func (r *RetentionAware) RunCycle() CycleStats {
-	st := CycleStats{Steps: int64(r.banks) * int64(r.rowsPerBank)}
+// RunPolicyCycle implements engine.RefreshPolicy: it executes one base
+// retention window (the start time is irrelevant to this window-granular
+// model).
+func (r *RetentionAware) RunPolicyCycle(dram.Time) engine.CycleResult {
+	st := engine.CycleResult{Steps: int64(r.banks) * int64(r.rowsPerBank)}
 	for b := 0; b < r.banks; b++ {
 		for row := 0; row < r.rowsPerBank; row++ {
 			if due(r.bin[b][row], r.window) {

@@ -15,7 +15,7 @@ func TestRetentionAwareSteadyState(t *testing.T) {
 	// Averaged over 4 windows the measured ratio matches the analytic.
 	var sum float64
 	for i := 0; i < 4; i++ {
-		sum += r.RunCycle().NormalizedRefresh()
+		sum += r.RunPolicyCycle(0).NormalizedRefresh()
 	}
 	if got := sum / 4; math.Abs(got-want) > 0.01 {
 		t.Fatalf("measured normalized = %.4f, want ~%.4f", got, want)
@@ -25,12 +25,12 @@ func TestRetentionAwareSteadyState(t *testing.T) {
 func TestRetentionAwareWindowPhases(t *testing.T) {
 	r := NewRetentionAware(1, 1000, 2)
 	// Window 0: everything due.
-	st := r.RunCycle()
+	st := r.RunPolicyCycle(0)
 	if st.Skipped != 0 {
 		t.Fatalf("window 0 skipped %d rows", st.Skipped)
 	}
 	// Window 1: only bin-0 rows due.
-	st = r.RunCycle()
+	st = r.RunPolicyCycle(0)
 	if st.Refreshed >= st.Steps/2 {
 		t.Fatalf("window 1 refreshed %d of %d", st.Refreshed, st.Steps)
 	}
@@ -46,7 +46,7 @@ func TestRetentionAwareVRTHazard(t *testing.T) {
 		t.Fatal("VRT injection demoted nothing")
 	}
 	for i := 0; i < 8; i++ {
-		r.RunCycle()
+		r.RunPolicyCycle(0)
 	}
 	if r.UnsafeSkips() == 0 {
 		t.Fatal("stale profile should produce unsafe skips under VRT")
@@ -73,8 +73,8 @@ func TestRetentionAwareDeterminism(t *testing.T) {
 
 func TestRetentionAwareTotals(t *testing.T) {
 	r := NewRetentionAware(1, 100, 1)
-	r.RunCycle()
-	r.RunCycle()
+	r.RunPolicyCycle(0)
+	r.RunPolicyCycle(0)
 	refreshed, skipped := r.Totals()
 	if refreshed+skipped != 200 {
 		t.Fatalf("totals %d+%d != 200", refreshed, skipped)

@@ -38,9 +38,10 @@ func NewSmartRefresh(banks, rowsPerBank int) *SmartRefresh {
 	return s
 }
 
-// NoteAccess records a read or write to a rank-level row: the activation
-// recharges the row, so its next refresh is unnecessary.
-func (s *SmartRefresh) NoteAccess(bank, row int) {
+// NoteWrite implements engine.WriteNotifier: the activation of any read
+// or write to a rank-level row recharges it, so its next refresh is
+// unnecessary.
+func (s *SmartRefresh) NoteWrite(bank, row int) {
 	if bank < 0 || bank >= s.banks || row < 0 || row >= s.rowsPerBank {
 		panic(fmt.Sprintf("baseline: access (%d,%d) out of range", bank, row))
 	}
@@ -50,37 +51,13 @@ func (s *SmartRefresh) NoteAccess(bank, row int) {
 	}
 }
 
-// NoteWrite implements engine.WriteNotifier: a write recharges the row
-// exactly like any other access.
-func (s *SmartRefresh) NoteWrite(bank, row int) { s.NoteAccess(bank, row) }
-
-// CycleStats reports one retention window of a baseline policy.
-type CycleStats struct {
-	Steps     int64
-	Refreshed int64
-	Skipped   int64
-}
-
-// NormalizedRefresh is Refreshed/Steps, comparable to the charge-aware
-// engine's metric.
-func (c CycleStats) NormalizedRefresh() float64 {
-	if c.Steps == 0 {
-		return 0
-	}
-	return float64(c.Refreshed) / float64(c.Steps)
-}
-
-// CycleResult converts to the policy-agnostic engine currency.
-func (c CycleStats) CycleResult() engine.CycleResult {
-	return engine.CycleResult{Steps: c.Steps, Refreshed: c.Refreshed, Skipped: c.Skipped}
-}
-
-// RunCycle closes the current retention window: rows touched during it
-// skip their refresh, everything else is refreshed, and the touch state
-// resets for the next window.
-func (s *SmartRefresh) RunCycle() CycleStats {
+// RunPolicyCycle implements engine.RefreshPolicy. It closes the current
+// retention window: rows touched during it skip their refresh, everything
+// else is refreshed, and the touch state resets for the next window. The
+// start time is irrelevant to this window-granular model.
+func (s *SmartRefresh) RunPolicyCycle(dram.Time) engine.CycleResult {
 	steps := int64(s.banks) * int64(s.rowsPerBank)
-	st := CycleStats{
+	st := engine.CycleResult{
 		Steps:     steps,
 		Skipped:   s.touchedCount,
 		Refreshed: steps - s.touchedCount,
@@ -95,12 +72,6 @@ func (s *SmartRefresh) RunCycle() CycleStats {
 	s.refreshed += st.Refreshed
 	s.skipped += st.Skipped
 	return st
-}
-
-// RunPolicyCycle implements engine.RefreshPolicy (the start time is
-// irrelevant to this window-granular model).
-func (s *SmartRefresh) RunPolicyCycle(dram.Time) engine.CycleResult {
-	return s.RunCycle().CycleResult()
 }
 
 // Totals returns cumulative refreshed/skipped counts.

@@ -7,15 +7,15 @@ import (
 
 func TestSmartRefreshSkipsTouchedRows(t *testing.T) {
 	s := NewSmartRefresh(2, 100)
-	s.NoteAccess(0, 5)
-	s.NoteAccess(0, 5) // duplicate: counted once
-	s.NoteAccess(1, 99)
-	st := s.RunCycle()
+	s.NoteWrite(0, 5)
+	s.NoteWrite(0, 5) // duplicate: counted once
+	s.NoteWrite(1, 99)
+	st := s.RunPolicyCycle(0)
 	if st.Steps != 200 || st.Skipped != 2 || st.Refreshed != 198 {
 		t.Fatalf("stats %+v", st)
 	}
 	// The window resets: nothing skips next time.
-	st = s.RunCycle()
+	st = s.RunPolicyCycle(0)
 	if st.Skipped != 0 {
 		t.Fatalf("stale touches survived: %+v", st)
 	}
@@ -24,9 +24,9 @@ func TestSmartRefreshSkipsTouchedRows(t *testing.T) {
 func TestSmartRefreshNormalized(t *testing.T) {
 	s := NewSmartRefresh(1, 10)
 	for r := 0; r < 4; r++ {
-		s.NoteAccess(0, r)
+		s.NoteWrite(0, r)
 	}
-	st := s.RunCycle()
+	st := s.RunPolicyCycle(0)
 	if math.Abs(st.NormalizedRefresh()-0.6) > 1e-12 {
 		t.Fatalf("normalized = %v, want 0.6", st.NormalizedRefresh())
 	}
@@ -40,9 +40,9 @@ func TestSmartRefreshCapacityScaling(t *testing.T) {
 	for _, rows := range []int{2000, 4000, 8000, 16000} {
 		s := NewSmartRefresh(1, rows)
 		for r := 0; r < touched; r++ {
-			s.NoteAccess(0, r)
+			s.NoteWrite(0, r)
 		}
-		n := s.RunCycle().NormalizedRefresh()
+		n := s.RunPolicyCycle(0).NormalizedRefresh()
 		if n <= prev {
 			t.Fatalf("normalized refresh should grow with capacity: %v after %v", n, prev)
 		}
@@ -55,9 +55,9 @@ func TestSmartRefreshCapacityScaling(t *testing.T) {
 
 func TestSmartRefreshTotals(t *testing.T) {
 	s := NewSmartRefresh(1, 10)
-	s.NoteAccess(0, 1)
-	s.RunCycle()
-	s.RunCycle()
+	s.NoteWrite(0, 1)
+	s.RunPolicyCycle(0)
+	s.RunPolicyCycle(0)
 	cycles, refreshed, skipped := s.Totals()
 	if cycles != 2 || refreshed != 19 || skipped != 1 {
 		t.Fatalf("totals = %d/%d/%d", cycles, refreshed, skipped)
@@ -67,9 +67,9 @@ func TestSmartRefreshTotals(t *testing.T) {
 func TestSmartRefreshBounds(t *testing.T) {
 	s := NewSmartRefresh(1, 10)
 	for _, fn := range []func(){
-		func() { s.NoteAccess(-1, 0) },
-		func() { s.NoteAccess(0, 10) },
-		func() { s.NoteAccess(1, 0) },
+		func() { s.NoteWrite(-1, 0) },
+		func() { s.NoteWrite(0, 10) },
+		func() { s.NoteWrite(1, 0) },
 	} {
 		func() {
 			defer func() {

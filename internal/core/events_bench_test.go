@@ -13,8 +13,8 @@ import (
 // burstEvery 2 leaves half the windows idle, 10 leaves 90% idle, 100
 // leaves 99% idle. The dense driver steps every window; the event driver
 // schedules the bursts and jumps the idle gaps through the bulk replay.
-// The BenchmarkWindowsDense/BenchmarkWindowsEvent ratio at each ratio is
-// the tracked speedup in BENCH_9.json.
+// The BenchmarkWindowsDense/BenchmarkWindowsEvent ratio at each idle
+// ratio is the event core's speedup over the dense loop.
 
 const benchWindowsPerOp = 200
 

@@ -280,16 +280,24 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	for row := 0; row < cfg.RowsPerBank; row++ {
 		m.FillRowWords(0, row, charged, 0)
 	}
+	// The charged replay advances monotonically, so every replayed window
+	// sees a fresh in-deadline age, never a decay.
+	replayAt := Time(1)
 	checks := map[string]func(){
-		"FillRowWords/cow":        func() { m.FillRowWords(0, 7, charged, 0) },
-		"FillRowWords/discharged": func() { m.FillRowWords(0, 9, dischargedLine(m, 9), 0) },
-		"WriteLineWords":          func() { m.WriteLineWords(0, 11, 3, charged, 0) },
-		"ReadLineWords":           func() { _ = m.ReadLineWords(0, 11, 3, 0) },
-		"RefreshGroup/charged":    func() { m.RefreshGroup(0, diagonalGroup(m, 16), 0) },
-		"RefreshGroup/discharged": func() { m.RefreshGroup(1, diagonalGroup(m, 16), 0) },
-		"ReplayRefreshGroup":      func() { m.ReplayRefreshGroup(1, diagonalGroup(m, 24), 0, 1000, 64) },
-		"RefreshSpanDischarged":   func() { m.RefreshSpanDischarged(1, 0, 32, 32) },
-		"NextRetentionDeadline":   func() { m.NextRetentionDeadline() },
+		"FillRowWords/cow":              func() { m.FillRowWords(0, 7, charged, 0) },
+		"FillRowWords/discharged":       func() { m.FillRowWords(0, 9, dischargedLine(m, 9), 0) },
+		"FillRowWords/dense":            func() { m.fillRowWordsDense(0, 13, charged, 0) },
+		"WriteLineWords":                func() { m.WriteLineWords(0, 11, 3, charged, 0) },
+		"ReadLineWords":                 func() { _ = m.ReadLineWords(0, 11, 3, 0) },
+		"RefreshGroup/charged":          func() { m.RefreshGroup(0, diagonalGroup(m, 16), 0) },
+		"RefreshGroup/discharged":       func() { m.RefreshGroup(1, diagonalGroup(m, 16), 0) },
+		"ReplayRefreshGroup/discharged": func() { m.ReplayRefreshGroup(1, diagonalGroup(m, 24), 0, 1000, 64) },
+		"ReplayRefreshGroup/charged": func() {
+			m.ReplayRefreshGroup(0, diagonalGroup(m, 40), replayAt, 1000, 64)
+			replayAt += 64 * 1000
+		},
+		"RefreshSpanDischarged": func() { m.RefreshSpanDischarged(1, 0, 32, 32) },
+		"NextRetentionDeadline": func() { m.NextRetentionDeadline() },
 	}
 	for name, fn := range checks {
 		fn() // warm any per-path lazy state before measuring

@@ -141,19 +141,40 @@ func TestEventQueueKindOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueuePushPop measures the queue's steady-state cost: each
-// op pushes one event into and pops one event out of a queue holding 1024
-// pending events with colliding keys.
-func BenchmarkEventQueuePushPop(b *testing.B) {
+// pushPopFixture returns the queue's steady-state op: push one event into
+// and pop one event out of a queue holding 1024 pending events with
+// colliding keys. It reports whether the pop found an event.
+func pushPopFixture() func() bool {
 	q := NewEventQueue()
 	for i := 0; i < 1024; i++ {
 		q.Push(Event{Time: dram.Time(i % 64), Kind: KindWindow, Rank: int32(i % 4)})
 	}
+	i := 0
+	return func() bool {
+		q.Push(Event{Time: dram.Time(i % 64), Kind: KindWindow, Rank: int32(i % 4)})
+		i++
+		_, ok := q.Pop()
+		return ok
+	}
+}
+
+// BenchmarkEventQueuePushPop measures the queue's steady-state cost, one
+// push and one pop at depth 1024 per op.
+func BenchmarkEventQueuePushPop(b *testing.B) {
+	op := pushPopFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(Event{Time: dram.Time(i % 64), Kind: KindWindow, Rank: int32(i % 4)})
-		if _, ok := q.Pop(); !ok {
+		if !op() {
 			b.Fatal("empty queue")
 		}
+	}
+}
+
+// TestSteadyStateAllocFree pins push/pop at depth 1024 allocation-free.
+func TestSteadyStateAllocFree(t *testing.T) {
+	op := pushPopFixture()
+	op()
+	if n := testing.AllocsPerRun(1000, func() { op() }); n != 0 {
+		t.Errorf("EventQueue push+pop allocated %.1f times per op", n)
 	}
 }

@@ -126,3 +126,39 @@ func BenchmarkWriteZeroRow(b *testing.B) {
 		})
 	}
 }
+
+// TestSteadyStateAllocFree pins the controller datapath allocation-free on
+// the benchmark fixtures: line writes, line reads and zero-row fills
+// through the raw and pipeline codecs, batched and through the scalar
+// twins, once every address of the working set has been touched.
+func TestSteadyStateAllocFree(t *testing.T) {
+	const working = 64
+	lines := benchLines(working)
+	for _, codec := range []string{"raw", "pipeline"} {
+		ctrl := benchController(codec)
+		addrs := benchAddrs(ctrl, working)
+		k := 0
+		next := func() int { k = (k + 1) % working; return k }
+		checks := map[string]func() error{
+			"WriteLine/batched":    func() error { i := next(); return ctrl.WriteLine(addrs[i], lines[i], 0) },
+			"WriteLine/scalar":     func() error { i := next(); return ctrl.writeLineScalar(addrs[i], lines[i], 0) },
+			"ReadLine/batched":     func() error { _, err := ctrl.ReadLine(addrs[next()], 0); return err },
+			"ReadLine/scalar":      func() error { _, err := ctrl.readLineScalar(addrs[next()], 0); return err },
+			"WriteZeroRow/batched": func() error { return ctrl.WriteZeroRow(addrs[next()], 0) },
+			"WriteZeroRow/scalar":  func() error { return ctrl.writeZeroRowScalar(addrs[next()], 0) },
+		}
+		for name, fn := range checks {
+			op := func() {
+				if err := fn(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < working; i++ {
+				op() // warm: materialize every row of the working set
+			}
+			if n := testing.AllocsPerRun(200, op); n != 0 {
+				t.Errorf("%s/%s allocated %.1f times per op", codec, name, n)
+			}
+		}
+	}
+}

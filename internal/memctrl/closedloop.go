@@ -4,17 +4,80 @@ import (
 	"sort"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/metrics"
 	"zerorefresh/internal/rng"
 )
 
-// Closed-loop bank-queue simulation. The open-loop simulator replays a
-// fixed arrival trace, which diverges once the offered load exceeds bank
-// capacity; real cores self-throttle because each can only sustain a
-// bounded number of outstanding LLC misses. SimulateClosedLoop models that:
-// Cores*MLP request slots each cycle through think -> queue -> service, so
+// The performance model measures how much refresh blocking inflates memory
+// latency. It is a closed-loop simulation of the rank's bank queues: each
+// auto-refresh occupies its bank (per-bank policy) or the whole rank
+// (all-bank policy) for a busy window, and requests overlapping a busy
+// window wait it out. ZERO-REFRESH shortens busy windows in proportion to
+// the refresh steps actually performed, which is what Figure 17's IPC gains
+// come from.
+//
+// Real cores self-throttle because each can only sustain a bounded number
+// of outstanding LLC misses. SimulateClosedLoop models that: Cores*MLP
+// request slots each cycle through think -> queue -> service, so
 // throughput adapts to memory latency exactly as an out-of-order core's
 // retirement does. With a fixed horizon, completed requests are directly
 // proportional to achieved IPC.
+
+// RefreshSchedule yields the bank-busy duration of each AR command. Index k
+// is the k-th command issued to the bank since the simulation start.
+type RefreshSchedule interface {
+	// ARBusy returns how long the k-th AR of the bank occupies it. Zero
+	// means the command was fully skipped and costs nothing.
+	ARBusy(bank, k int) dram.Time
+}
+
+// ConstantSchedule models the conventional controller: every AR costs the
+// full tRFC.
+type ConstantSchedule struct{ Busy dram.Time }
+
+// ARBusy implements RefreshSchedule.
+func (s ConstantSchedule) ARBusy(int, int) dram.Time { return s.Busy }
+
+// SliceSchedule replays recorded per-AR busy times: Busy[bank][k]. Indexes
+// beyond the recorded range repeat cyclically, so one recorded retention
+// window can cover an arbitrarily long performance run.
+type SliceSchedule struct{ Busy [][]dram.Time }
+
+// ARBusy implements RefreshSchedule.
+func (s SliceSchedule) ARBusy(bank, k int) dram.Time {
+	b := s.Busy[bank]
+	if len(b) == 0 {
+		return 0
+	}
+	return b[k%len(b)]
+}
+
+// PerfConfig configures the rank's bank queues.
+type PerfConfig struct {
+	Banks int
+	// ARInterval is the time between consecutive AR commands to one
+	// bank (tREFI for all-bank, tRET/numARs for per-bank).
+	ARInterval dram.Time
+	// AllBank blocks every bank during any bank's refresh window.
+	AllBank bool
+	// HitService and MissService are the request service times.
+	HitService  dram.Time
+	MissService dram.Time
+	// LatencyHist, when non-nil, receives every demand miss's end-to-end
+	// latency (complete - arrive, in nanoseconds) as an observation.
+	LatencyHist *metrics.Histogram
+}
+
+// DefaultPerfConfig derives service times from the DRAM timing parameters.
+func DefaultPerfConfig(cfg dram.Config, numARs int) PerfConfig {
+	t := cfg.Timing
+	return PerfConfig{
+		Banks:       cfg.Banks,
+		ARInterval:  t.TRET / dram.Time(numARs),
+		HitService:  t.TCAS + t.TBurst,
+		MissService: t.TRP + t.TRCD + t.TCAS + t.TBurst,
+	}
+}
 
 // ClosedLoopConfig configures the closed-loop simulation.
 type ClosedLoopConfig struct {
@@ -55,6 +118,18 @@ func (r ClosedLoopResult) AvgLatency() float64 {
 		return 0
 	}
 	return float64(r.TotalLatency) / float64(r.Reads)
+}
+
+// Record publishes the run into a metrics registry under "perf." names:
+// request counts as counters, latency decompositions as gauges
+// (nanoseconds).
+func (r ClosedLoopResult) Record(reg *metrics.Registry) {
+	reg.Counter("perf.reads").Add(r.Reads)
+	reg.Counter("perf.writebacks").Add(r.Writebacks)
+	reg.Counter("perf.refresh_row_misses").Add(r.RefreshRowMisses)
+	reg.Gauge("perf.avg_latency_ns").Set(r.AvgLatency())
+	reg.Gauge("perf.refresh_wait_ns").Set(float64(r.RefreshWait))
+	reg.Gauge("perf.horizon_ns").Set(float64(r.Horizon))
 }
 
 // refreshWindows precomputes each bank's busy windows up to the horizon,
@@ -183,6 +258,9 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		lastServed[bank] = complete
 		res.Reads++
 		res.TotalLatency += complete - arrive
+		if cfg.Perf.LatencyHist != nil {
+			cfg.Perf.LatencyHist.Observe(int64(complete - arrive))
+		}
 		// Piggyback a writeback with probability wf/(1-wf) (write
 		// traffic share of total); it occupies the bank but does not
 		// stall the core.

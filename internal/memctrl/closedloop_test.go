@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/metrics"
 )
 
 func clConfig() ClosedLoopConfig {
@@ -147,5 +148,180 @@ func TestClosedLoopRefreshClosesRows(t *testing.T) {
 	extra := loaded.TotalLatency - loaded.RefreshWait
 	if float64(extra)/float64(loaded.Reads) <= float64(free.TotalLatency)/float64(free.Reads) {
 		t.Fatal("refresh-induced row misses not reflected in latency")
+	}
+}
+
+// oneBankLoop is a closed loop of slots request slots over a single bank
+// where every access misses and nothing is written back, so each request's
+// latency is exactly its queue wait + refresh wait + MissService. Slot i
+// first issues at i*thinkNs/slots.
+func oneBankLoop(slots int, thinkNs float64) ClosedLoopConfig {
+	return ClosedLoopConfig{
+		Perf:  PerfConfig{Banks: 1, ARInterval: 1000, HitService: 10, MissService: 40},
+		Cores: 1, MLP: slots, ThinkNs: thinkNs, Seed: 1,
+	}
+}
+
+func TestPerfNoRefreshNoQueue(t *testing.T) {
+	cfg := oneBankLoop(1, 100)
+	res := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 0}, 10_000)
+	if res.Reads < 10 || res.TotalLatency != 40*dram.Time(res.Reads) {
+		t.Fatalf("misses: %d reads, TotalLatency %d, want 40 each", res.Reads, res.TotalLatency)
+	}
+	if res.RefreshWait != 0 || res.Writebacks != 0 {
+		t.Fatalf("unexpected waits or writebacks: %+v", res)
+	}
+	cfg.RowHitRate = 1
+	res = SimulateClosedLoop(cfg, ConstantSchedule{Busy: 0}, 10_000)
+	if res.Reads == 0 || res.TotalLatency != 10*dram.Time(res.Reads) {
+		t.Fatalf("hits: %d reads, TotalLatency %d, want 10 each", res.Reads, res.TotalLatency)
+	}
+}
+
+func TestPerfQueueingSameBank(t *testing.T) {
+	// Slot 0 issues at 0 (served 0-40), slot 1 at 10: it waits 30 and is
+	// served 40-80. Both slots' next issues fall past the horizon.
+	res := SimulateClosedLoop(oneBankLoop(2, 20), ConstantSchedule{Busy: 0}, 11)
+	if res.Reads != 2 || res.TotalLatency != 40+70 {
+		t.Fatalf("Reads = %d, TotalLatency = %d, want 2 and 110", res.Reads, res.TotalLatency)
+	}
+}
+
+func TestPerfRefreshBlocksBank(t *testing.T) {
+	// AR at t=0 busy 100ns: the request issued at 0 waits until 100.
+	cfg := oneBankLoop(1, 1000)
+	res := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 100}, 1)
+	if res.Reads != 1 || res.RefreshWait != 100 || res.TotalLatency != 100+40 {
+		t.Fatalf("blocked request: %+v", res)
+	}
+	// A zero-busy schedule (ZERO-REFRESH skipping the whole AR) removes
+	// the wait entirely.
+	res = SimulateClosedLoop(cfg, ConstantSchedule{Busy: 0}, 1)
+	if res.RefreshWait != 0 || res.TotalLatency != 40 {
+		t.Fatalf("skip schedule: %+v", res)
+	}
+}
+
+func TestPerfRequestStartedBeforeRefreshFinishes(t *testing.T) {
+	// Slot 1 issues at 990, just before the AR at t=1000 (busy 100). Its
+	// service 990-1030 would overlap the window, and the model does not
+	// preempt, so the start is pushed to 1100.
+	sched := SliceSchedule{Busy: [][]dram.Time{{0, 100}}}
+	res := SimulateClosedLoop(oneBankLoop(2, 1980), sched, 1001)
+	if res.Reads != 2 || res.RefreshWait != 110 || res.TotalLatency != 40+150 {
+		t.Fatalf("overlap not handled: %+v", res)
+	}
+}
+
+func TestPerfHorizonCutsRequests(t *testing.T) {
+	cfg := oneBankLoop(1, 5000)
+	if res := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 0}, 1000); res.Reads != 1 {
+		t.Fatalf("Reads = %d, want 1", res.Reads)
+	}
+	if res := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 0}, 0); res.Reads != 0 {
+		t.Fatalf("zero horizon: Reads = %d, want 0", res.Reads)
+	}
+}
+
+func perfConfig() PerfConfig {
+	return PerfConfig{Banks: 4, ARInterval: 1000, HitService: 10, MissService: 40}
+}
+
+func TestPerfAllBankBlocksEveryBank(t *testing.T) {
+	cfg := perfConfig()
+	// Only banks 0 and 1 have refresh work, and their windows overlap.
+	sched := SliceSchedule{Busy: [][]dram.Time{{100}, {150}, {0}, {0}}}
+	if busy := refreshWindows(cfg, sched, 900); len(busy[3]) != 0 {
+		t.Fatalf("per-bank refresh blocked an idle bank: %v", busy[3])
+	}
+	cfg.AllBank = true
+	busy := refreshWindows(cfg, sched, 900)
+	for b, ws := range busy {
+		if len(ws) != 1 || ws[0] != (window{0, 150}) {
+			t.Fatalf("bank %d all-bank windows = %v, want the merged [0,150)", b, ws)
+		}
+	}
+}
+
+func TestPerfSliceScheduleCycles(t *testing.T) {
+	s := SliceSchedule{Busy: [][]dram.Time{{5, 0, 7}}}
+	for k, want := range map[int]dram.Time{0: 5, 1: 0, 2: 7, 3: 5, 5: 7} {
+		if got := s.ARBusy(0, k); got != want {
+			t.Errorf("ARBusy(0,%d) = %d, want %d", k, got, want)
+		}
+	}
+	empty := SliceSchedule{Busy: [][]dram.Time{{}}}
+	if empty.ARBusy(0, 3) != 0 {
+		t.Error("empty schedule should be zero")
+	}
+}
+
+func TestPerfBusyRefreshAccounting(t *testing.T) {
+	busy := refreshWindows(perfConfig(), ConstantSchedule{Busy: 100}, 3000)
+	// 3 windows per bank (t=0,1000,2000) x 4 banks x 100ns.
+	var total dram.Time
+	for _, ws := range busy {
+		for _, w := range ws {
+			total += w.end - w.start
+		}
+	}
+	if total != 1200 {
+		t.Fatalf("busy refresh = %d, want 1200", total)
+	}
+}
+
+func TestDefaultPerfConfig(t *testing.T) {
+	dcfg := dram.DefaultConfig(8 << 20)
+	pc := DefaultPerfConfig(dcfg, 256)
+	if pc.Banks != 8 {
+		t.Fatalf("Banks = %d", pc.Banks)
+	}
+	if pc.ARInterval != dcfg.Timing.TRET/256 {
+		t.Fatalf("ARInterval = %d", pc.ARInterval)
+	}
+	if pc.MissService <= pc.HitService {
+		t.Fatal("miss service must exceed hit service")
+	}
+}
+
+func TestClosedLoopRecord(t *testing.T) {
+	res := SimulateClosedLoop(clConfig(), ConstantSchedule{Busy: 350}, 500_000)
+	reg := metrics.NewRegistry()
+	res.Record(reg)
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"perf.reads":              res.Reads,
+		"perf.writebacks":         res.Writebacks,
+		"perf.refresh_row_misses": res.RefreshRowMisses,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]float64{
+		"perf.avg_latency_ns":  res.AvgLatency(),
+		"perf.refresh_wait_ns": float64(res.RefreshWait),
+		"perf.horizon_ns":      float64(res.Horizon),
+	} {
+		if got, ok := snap.Get(name); !ok || got.Float != want {
+			t.Fatalf("%s = %v, want %v", name, got.Float, want)
+		}
+	}
+}
+
+// TestClosedLoopLatencyHist checks that the latency histogram sees every
+// demand miss exactly once and that observing does not perturb the run.
+func TestClosedLoopLatencyHist(t *testing.T) {
+	cfg := clConfig()
+	plain := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 350}, 500_000)
+	cfg.Perf.LatencyHist = metrics.NewRegistry().Histogram("perf.latency_ns")
+	observed := SimulateClosedLoop(cfg, ConstantSchedule{Busy: 350}, 500_000)
+	if observed != plain {
+		t.Fatalf("histogram changed the run: %+v vs %+v", observed, plain)
+	}
+	h := cfg.Perf.LatencyHist
+	if h.Count() != plain.Reads || h.Sum() != int64(plain.TotalLatency) {
+		t.Fatalf("histogram count/sum = %d/%d, want %d/%d",
+			h.Count(), h.Sum(), plain.Reads, plain.TotalLatency)
 	}
 }

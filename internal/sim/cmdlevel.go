@@ -38,43 +38,18 @@ func RunCmdLevel(o Options, prof workload.Profile) (CmdLevelResult, error) {
 	o = o.withDefaults()
 	res := CmdLevelResult{Benchmark: prof.Name}
 
-	// Learn the benchmark's steady-state skip schedule (as in RunIPC).
-	sys, err := o.newSystem(true)
+	// Learn the benchmark's steady-state skip schedule.
+	sys, zeroSched, err := steadyStateSchedule(o, prof)
 	if err != nil {
 		return res, err
 	}
-	if err := fillAll(sys, prof, o.Seed); err != nil {
-		return res, err
-	}
-	sys.RunWindow()
 	dcfg := sys.DRAM.Config()
-	allPages := make([]int, sys.Pages())
-	for i := range allPages {
-		allPages[i] = i
-	}
-	for w := 0; w < 2; w++ {
-		if err := applyWindowWrites(sys, prof, allPages, o.Seed, w); err != nil {
-			return res, err
-		}
-		sys.RunWindow()
-	}
-	counts := sys.Engine.SetRefreshedCounts()
-	rowsPerAR := sys.Engine.Config().RowsPerAR
-	busy := make([][]dram.Time, len(counts))
-	for b, sets := range counts {
-		busy[b] = make([]dram.Time, len(sets))
-		for i, refreshed := range sets {
-			busy[b][i] = dram.Time(PerfTRFCns * float64(refreshed) / float64(rowsPerAR))
-		}
-	}
 
-	// Replay one identical stream under both schedules. The offered
-	// rate is kept at a moderate fraction of bank capacity so the
-	// open-loop replay stays stable.
+	// Replay one identical stream under both schedules. The offered load
+	// is sized to ~25% of aggregate bank capacity so the open-loop replay
+	// stays out of saturation even for low-locality streams whose
+	// conflicts cost ~65 ns per request.
 	horizon := dram.Time(2 * dram.Millisecond)
-	// Offered load sized to ~25% of aggregate bank capacity so the
-	// open-loop replay stays out of saturation even for low-locality
-	// streams whose conflicts cost ~65 ns per request.
 	rate := 0.25 * float64(dcfg.Banks) / 40.0
 	reqs := prof.GenerateCmdRequests(o.Seed, rate, horizon, dcfg.Banks, dcfg.RowsPerBank)
 
@@ -82,7 +57,7 @@ func RunCmdLevel(o Options, prof workload.Profile) (CmdLevelResult, error) {
 		eng := memctrl.NewCmdScheduler(memctrl.CmdConfig{
 			Timing:       dcfg.Timing,
 			Banks:        dcfg.Banks,
-			ARInterval:   dcfg.Timing.TRET / 8192,
+			ARInterval:   dcfg.Timing.TRET / paperARs,
 			TRFCpb:       dram.Time(PerfTRFCns),
 			Sched:        sched,
 			PauseRefresh: pause,
@@ -90,7 +65,7 @@ func RunCmdLevel(o Options, prof workload.Profile) (CmdLevelResult, error) {
 		return eng.Run(reqs)
 	}
 	conv := run(memctrl.ConstantSchedule{Busy: dram.Time(PerfTRFCns)}, false)
-	zero := run(memctrl.SliceSchedule{Busy: busy}, false)
+	zero := run(zeroSched, false)
 	paused := run(memctrl.ConstantSchedule{Busy: dram.Time(PerfTRFCns)}, true)
 	res.PauseLatency = paused.AvgLatency()
 

@@ -29,6 +29,22 @@ func drivePolicy(p engine.RefreshPolicy, windows int, note func(w int, n engine.
 	return norm / float64(windows)
 }
 
+// smartNorm is the Smart Refresh column of Figure 19 and RunComparison:
+// the policy's mean normalized refresh over o.Windows windows of a rank
+// with rowsPerBank rows per bank, with prof's per-window touched footprint
+// noted as writes before each window. The footprint is an absolute
+// application property, so capacity only grows the denominator.
+func smartNorm(o Options, prof workload.Profile, rowsPerBank int) float64 {
+	touched := prof.TouchedRowsPerWindow(o.RowBytes, dram.TRETExtended)
+	totalRows := 8 * rowsPerBank
+	return drivePolicy(baseline.NewSmartRefresh(8, rowsPerBank), o.Windows,
+		func(w int, n engine.WriteNotifier) {
+			for _, r := range workload.PickRows(o.Seed, w, totalRows, touched) {
+				n.NoteWrite(r%8, r/8)
+			}
+		})
+}
+
 // RunComparison is an extension experiment beyond the paper's Figure 19:
 // it scales capacity with mcf content against *three* refresh-skipping
 // families — access-aware (Smart Refresh), retention-aware (RAIDR-style)
@@ -54,15 +70,8 @@ func RunComparison(o Options) (*Table, error) {
 		rowsPerBank := int(cap / 8 / int64(oo.RowBytes))
 		totalRows := 8 * rowsPerBank
 
-		// Access-aware: skip rows touched inside the window. The touch
-		// stream models mcf's per-window footprint.
-		touched := prof.TouchedRowsPerWindow(oo.RowBytes, dram.TRETExtended)
-		smartNorm := drivePolicy(baseline.NewSmartRefresh(8, rowsPerBank), oo.Windows,
-			func(w int, n engine.WriteNotifier) {
-				for _, r := range workload.PickRows(oo.Seed, w, totalRows, touched) {
-					n.NoteWrite(r%8, r/8)
-				}
-			})
+		// Access-aware: skip rows touched inside the window.
+		smart := smartNorm(oo, prof, rowsPerBank)
 
 		// Retention-aware: static profile, multi-rate refresh, with a
 		// mild VRT drift injected after profiling. The profile ignores
@@ -82,7 +91,7 @@ func RunComparison(o Options) (*Table, error) {
 			return nil, err
 		}
 
-		t.AddRow(fmt.Sprintf("%dGB", cap>>20), smartNorm, raidrNorm, zr.NormRefresh, unsafePerK)
+		t.AddRow(fmt.Sprintf("%dGB", cap>>20), smart, raidrNorm, zr.NormRefresh, unsafePerK)
 	}
 	t.Note = fmt.Sprintf("RAIDR skipped %d refreshes its drifted retention no longer allowed; "+
 		"ZERO-REFRESH had 0 retention failures by construction", totalUnsafe)

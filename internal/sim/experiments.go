@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"zerorefresh/internal/baseline"
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/ostrace"
@@ -182,26 +181,12 @@ func RunFig19(o Options) (*Table, error) {
 		oo := o
 		oo.Capacity = cap
 
-		// Smart Refresh: rows touched per window is an absolute
-		// application property; capacity only grows the denominator.
-		rowsPerBank := int(cap / int64(8) / int64(oo.RowBytes))
-		smart := baseline.NewSmartRefresh(8, rowsPerBank)
-		touched := prof.TouchedRowsPerWindow(oo.RowBytes, dram.TRETExtended)
-		totalRows := 8 * rowsPerBank
-		var smartNorm float64
-		for w := 0; w < oo.Windows; w++ {
-			for _, r := range workload.PickRows(oo.Seed, w, totalRows, touched) {
-				smart.NoteAccess(r%8, r/8)
-			}
-			smartNorm += smart.RunCycle().NormalizedRefresh()
-		}
-		smartNorm /= float64(oo.Windows)
-
+		smart := smartNorm(oo, prof, int(cap/8/int64(oo.RowBytes)))
 		zr, err := RunScenario(oo, prof, 1.0)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%dGB", cap>>20), smartNorm, zr.NormRefresh)
+		t.AddRow(fmt.Sprintf("%dGB", cap>>20), smart, zr.NormRefresh)
 	}
 	return t, nil
 }

@@ -17,11 +17,10 @@ import (
 // The experiment runs in two phases:
 //  1. a content simulation learns the steady-state per-AR-set refreshed
 //     fractions for the benchmark (same machinery as Figure 14);
-//  2. a bank-queue simulation replays a Poisson request stream from the
-//     benchmark's MPKI against (a) the conventional constant-tRFC schedule
-//     and (b) the recorded ZERO-REFRESH schedule at the paper-scale
-//     per-bank cadence (tRET/8192), and the core model converts the two
-//     latency distributions into IPCs.
+//  2. a closed-loop bank-queue simulation drives the benchmark's miss
+//     stream against (a) the conventional constant-tRFC schedule and (b)
+//     the recorded ZERO-REFRESH schedule at the paper-scale per-bank
+//     cadence (tRET/8192), and the completed misses convert into IPCs.
 //
 // Timing: both designs run the per-bank refresh cadence (the paper bases
 // its design on per-bank AR "as used by REFLEX", and its tiny minimum IPC
@@ -46,34 +45,39 @@ type IPCResult struct {
 	ZeroLatN     float64 // mean request latency (ns), ZERO-REFRESH
 }
 
-// RunIPC measures one benchmark.
-func RunIPC(o Options, prof workload.Profile) (IPCResult, error) {
-	o = o.withDefaults()
-	res := IPCResult{Benchmark: prof.Name}
+// paperARs is the number of AR commands per bank per retention window at
+// paper scale: the per-bank refresh cadence is tRET/paperARs.
+const paperARs = 8192
 
-	// Phase 1: steady-state refresh behaviour.
+// fig17Cores is the core count of the Figure 17 machine.
+const fig17Cores = 4
+
+// steadyStateSchedule is the content phase of Figure 17: it fills the rank
+// with prof's content, runs one learning window and two windows with write
+// traffic, and converts the per-set refreshed counts into per-AR busy
+// times scaled from PerfTRFCns. The returned system supplies the geometry
+// and refresh configuration.
+func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctrl.SliceSchedule, error) {
 	sys, err := o.newSystem(true)
 	if err != nil {
-		return res, err
+		return nil, memctrl.SliceSchedule{}, err
 	}
-	if err := fillAll(sys, prof, o.Seed); err != nil {
-		return res, err
+	for p := 0; p < sys.Pages(); p++ {
+		if err := sys.FillPageFromProfile(prof, p, o.Seed, 0); err != nil {
+			return nil, memctrl.SliceSchedule{}, err
+		}
 	}
 	sys.RunWindow() // learn
-	dcfg := sys.DRAM.Config()
 	allPages := make([]int, sys.Pages())
 	for i := range allPages {
 		allPages[i] = i
 	}
 	for w := 0; w < 2; w++ { // steady state with write traffic
 		if err := applyWindowWrites(sys, prof, allPages, o.Seed, w); err != nil {
-			return res, err
+			return nil, memctrl.SliceSchedule{}, err
 		}
 		sys.RunWindow()
 	}
-
-	// Convert the recorded per-set refreshed counts into per-AR busy
-	// times, tiled over the paper-scale command cadence.
 	counts := sys.Engine.SetRefreshedCounts()
 	rowsPerAR := sys.Engine.Config().RowsPerAR
 	busy := make([][]dram.Time, len(counts))
@@ -83,57 +87,60 @@ func RunIPC(o Options, prof workload.Profile) (IPCResult, error) {
 			busy[b][i] = dram.Time(PerfTRFCns * float64(refreshed) / float64(rowsPerAR))
 		}
 	}
+	return sys, memctrl.SliceSchedule{Busy: busy}, nil
+}
 
-	// Phase 2: closed-loop bank queues under the paper-scale refresh
-	// cadence. Each of the 4 cores sustains MLP outstanding misses; the
-	// per-slot think time is chosen so that with a perfect memory
-	// system the core retires at 1/BaseCPI, and the closed loop
-	// self-throttles under contention exactly as an OoO core does. With
-	// a fixed horizon, completed misses are proportional to IPC.
+// closedLoopConfig is the Figure 17 core model for prof over the bank
+// queues perf: each core sustains MLP outstanding misses, and the per-slot
+// think time is chosen so that with a perfect memory system the core
+// retires at 1/BaseCPI.
+func closedLoopConfig(perf memctrl.PerfConfig, prof workload.Profile, seed uint64) memctrl.ClosedLoopConfig {
 	ccfg := cpu.DefaultCoreConfig()
-	const cores = 4
-	pcfg := memctrl.PerfConfig{
-		Banks:       dcfg.Banks,
-		ARInterval:  dcfg.Timing.TRET / 8192,
-		AllBank:     sys.Engine.Config().AllBank,
-		HitService:  dcfg.Timing.TCAS + dcfg.Timing.TBurst,
-		MissService: dcfg.Timing.TRP + dcfg.Timing.TRCD + dcfg.Timing.TCAS + dcfg.Timing.TBurst,
-	}
 	instrPerMiss := 1000 / prof.MPKI
-	clcfg := memctrl.ClosedLoopConfig{
-		Perf:       pcfg,
-		Cores:      cores,
+	return memctrl.ClosedLoopConfig{
+		Perf:       perf,
+		Cores:      fig17Cores,
 		MLP:        int(ccfg.MLP),
 		ThinkNs:    ccfg.MLP * instrPerMiss * prof.BaseCPI / ccfg.FreqGHz,
 		RowHitRate: prof.RowHitRate,
 		WriteFrac:  prof.WriteFrac,
-		Seed:       o.Seed,
+		Seed:       seed,
 	}
+}
+
+// RunIPC measures one benchmark.
+func RunIPC(o Options, prof workload.Profile) (IPCResult, error) {
+	o = o.withDefaults()
+	res := IPCResult{Benchmark: prof.Name}
+	sys, zeroSched, err := steadyStateSchedule(o, prof)
+	if err != nil {
+		return res, err
+	}
+
+	// Closed-loop bank queues under the paper-scale refresh cadence. The
+	// closed loop self-throttles under contention exactly as an OoO core
+	// does, so with a fixed horizon completed misses are proportional to
+	// IPC.
+	pcfg := memctrl.DefaultPerfConfig(sys.DRAM.Config(), paperARs)
+	pcfg.AllBank = sys.Engine.Config().AllBank
+	clcfg := closedLoopConfig(pcfg, prof, o.Seed)
 	horizon := dram.Time(2 * dram.Millisecond)
 	base := memctrl.SimulateClosedLoop(clcfg, memctrl.ConstantSchedule{Busy: dram.Time(PerfTRFCns)}, horizon)
-	zero := memctrl.SimulateClosedLoop(clcfg, memctrl.SliceSchedule{Busy: busy}, horizon)
+	zero := memctrl.SimulateClosedLoop(clcfg, zeroSched, horizon)
 	res.BaselineLatN = base.AvgLatency()
 	res.ZeroLatN = zero.AvgLatency()
 
 	// IPC = instructions / cycles; instructions scale with completed
 	// misses at fixed MPKI, cycles with the fixed horizon.
+	ccfg := cpu.DefaultCoreConfig()
+	instrPerMiss := 1000 / prof.MPKI
 	cyclesPerCore := float64(horizon) * ccfg.FreqGHz
-	res.BaselineIPC = float64(base.Reads) * instrPerMiss / cyclesPerCore / cores
-	res.ZeroIPC = float64(zero.Reads) * instrPerMiss / cyclesPerCore / cores
+	res.BaselineIPC = float64(base.Reads) * instrPerMiss / cyclesPerCore / fig17Cores
+	res.ZeroIPC = float64(zero.Reads) * instrPerMiss / cyclesPerCore / fig17Cores
 	if res.BaselineIPC > 0 {
 		res.Speedup = res.ZeroIPC / res.BaselineIPC
 	}
 	return res, nil
-}
-
-// fillAll fills the whole rank with application content.
-func fillAll(sys *core.System, prof workload.Profile, seed uint64) error {
-	for p := 0; p < sys.Pages(); p++ {
-		if err := sys.FillPageFromProfile(prof, p, seed, 0); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunFig17 regenerates Figure 17: IPC normalized to the conventional

@@ -18,10 +18,9 @@ import (
 
 // RunSmoke runs one fixed-seed scenario end to end with timeline capture
 // enabled and returns the unified metrics table plus the captured epochs.
-// On top of the content simulation it replays the benchmark's Poisson
-// request stream through the bank-queue model to populate the
-// "perf.latency_ns" queue-latency histogram. Every output is deterministic
-// for a fixed seed.
+// On top of the content simulation it runs the benchmark through the
+// Figure 17 closed loop to populate the "perf.latency_ns" demand-miss
+// latency histogram. Every output is deterministic for a fixed seed.
 func RunSmoke(o Options) (*Table, []core.Epoch, error) {
 	o = o.withDefaults()
 	o.Timeline = true
@@ -31,23 +30,14 @@ func RunSmoke(o Options) (*Table, []core.Epoch, error) {
 		return nil, nil, err
 	}
 
-	// Queue-latency distribution: the open-loop replay of cmdlevel.go at
-	// the paper-scale per-bank refresh cadence, with every request latency
-	// observed into a histogram.
-	dcfg := dram.DefaultConfig(o.Capacity)
+	// Demand-miss latency distribution: the closed loop under the
+	// conventional constant-tRFC schedule at the paper-scale per-bank
+	// cadence, with every miss latency observed into a histogram.
 	preg := metrics.NewRegistry()
-	pcfg := memctrl.PerfConfig{
-		Banks:       dcfg.Banks,
-		ARInterval:  dcfg.Timing.TRET / 8192,
-		HitService:  dcfg.Timing.TCAS + dcfg.Timing.TBurst,
-		MissService: dcfg.Timing.TRP + dcfg.Timing.TRCD + dcfg.Timing.TCAS + dcfg.Timing.TBurst,
-		LatencyHist: preg.Histogram("perf.latency_ns"),
-	}
-	horizon := dram.Time(dram.Millisecond)
-	rate := prof.RequestRate(1/prof.BaseCPI, 4.0)
-	reqs := prof.GenerateRequests(o.Seed, rate, horizon, pcfg.Banks)
-	pr := memctrl.SimulateBankQueues(pcfg, reqs, memctrl.ConstantSchedule{Busy: dram.Time(PerfTRFCns)}, horizon)
-	pr.Record(preg)
+	pcfg := memctrl.DefaultPerfConfig(dram.DefaultConfig(o.Capacity), paperARs)
+	pcfg.LatencyHist = preg.Histogram("perf.latency_ns")
+	memctrl.SimulateClosedLoop(closedLoopConfig(pcfg, prof, o.Seed),
+		memctrl.ConstantSchedule{Busy: dram.Time(PerfTRFCns)}, dram.Millisecond).Record(preg)
 
 	snap := metrics.Merge([]metrics.Snapshot{r.Metrics, preg.Snapshot()}, nil)
 	t := MetricsTable(fmt.Sprintf("Smoke run (%s, 100%% alloc, %d windows)", prof.Name, o.Windows), snap)

@@ -122,7 +122,8 @@ func TestRunTimelineReport(t *testing.T) {
 }
 
 // TestSmokeTableShape checks the smoke experiment's metrics table carries
-// per-rank histogram expansions and the replayed queue-latency distribution.
+// per-rank histogram expansions and the closed-loop demand-miss latency
+// distribution.
 func TestSmokeTableShape(t *testing.T) {
 	o := quickOptions()
 	o.Benchmarks = profiles("sphinx3")

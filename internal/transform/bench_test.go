@@ -53,12 +53,18 @@ func BenchmarkBitPlaneInverse(b *testing.B) {
 	})
 }
 
+// benchPipeline is the default ZERO-REFRESH pipeline on a geometry whose
+// row 0 is a true-cell row and row 64 an anti-cell row.
+func benchPipeline() *Pipeline {
+	cfg := dram.DefaultConfig(8 << 20)
+	cfg.CellGroupRows = 64
+	return NewPipeline(DefaultOptions(), ExactTypes{Cfg: cfg})
+}
+
 // BenchmarkPipelineEncodeDecode measures one full encode+decode round trip
 // through the default ZERO-REFRESH pipeline, split by row cell type.
 func BenchmarkPipelineEncodeDecode(b *testing.B) {
-	cfg := dram.DefaultConfig(8 << 20)
-	cfg.CellGroupRows = 64
-	p := NewPipeline(DefaultOptions(), ExactTypes{Cfg: cfg})
+	p := benchPipeline()
 	lines := benchLinesT(256)
 	for name, row := range map[string]int{"true-cell": 0, "anti-cell": 64} {
 		b.Run(name, func(b *testing.B) {
@@ -70,4 +76,32 @@ func BenchmarkPipelineEncodeDecode(b *testing.B) {
 			_ = sink
 		})
 	}
+}
+
+// TestSteadyStateAllocFree pins the transform kernels allocation-free on
+// the benchmark inputs: both bit-plane inverses and a full pipeline
+// encode+decode round trip on a true-cell and an anti-cell row.
+func TestSteadyStateAllocFree(t *testing.T) {
+	lines := benchLinesT(256)
+	planes := make([]Line, len(lines))
+	for i := range lines {
+		planes[i] = BitPlaneTranspose(lines[i])
+	}
+	p := benchPipeline()
+	var sink Line
+	k := 0
+	next := func() int { k = (k + 1) % len(lines); return k }
+	checks := map[string]func(){
+		"BitPlaneInverse":    func() { sink = BitPlaneInverse(planes[next()]) },
+		"referenceInverse":   func() { sink = referenceInverse(planes[next()]) },
+		"Pipeline/true-cell": func() { sink = p.Decode(p.Encode(lines[next()], 0), 0) },
+		"Pipeline/anti-cell": func() { sink = p.Decode(p.Encode(lines[next()], 64), 64) },
+	}
+	for name, fn := range checks {
+		fn()
+		if n := testing.AllocsPerRun(500, fn); n != 0 {
+			t.Errorf("%s allocated %.1f times per op", name, n)
+		}
+	}
+	_ = sink
 }

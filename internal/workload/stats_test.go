@@ -69,52 +69,6 @@ func TestRequestRateScalesWithMPKI(t *testing.T) {
 	}
 }
 
-func TestGenerateRequestsProperties(t *testing.T) {
-	p, _ := ByName("xalancbmk")
-	horizon := dram.Time(1_000_000) // 1 ms
-	reqs := p.GenerateRequests(1, 0.01, horizon, 8)
-	if len(reqs) == 0 {
-		t.Fatal("no requests generated")
-	}
-	// Rate check: 0.01 req/ns * 1e6 ns = ~10000 requests.
-	if len(reqs) < 9000 || len(reqs) > 11000 {
-		t.Fatalf("generated %d requests, want ~10000", len(reqs))
-	}
-	writes, hits := 0, 0
-	last := dram.Time(-1)
-	for _, r := range reqs {
-		if r.Arrive < last {
-			t.Fatal("arrivals not sorted")
-		}
-		last = r.Arrive
-		if r.Arrive >= horizon {
-			t.Fatal("request beyond horizon")
-		}
-		if r.Bank < 0 || r.Bank >= 8 {
-			t.Fatalf("bank %d out of range", r.Bank)
-		}
-		if r.Write {
-			writes++
-		}
-		if r.RowHit {
-			hits++
-		}
-	}
-	wf := float64(writes) / float64(len(reqs))
-	if math.Abs(wf-p.WriteFrac) > 0.03 {
-		t.Fatalf("write fraction %.3f, want %.3f", wf, p.WriteFrac)
-	}
-	hf := float64(hits) / float64(len(reqs))
-	if math.Abs(hf-p.RowHitRate) > 0.03 {
-		t.Fatalf("hit fraction %.3f, want %.3f", hf, p.RowHitRate)
-	}
-	// Determinism.
-	again := p.GenerateRequests(1, 0.01, horizon, 8)
-	if len(again) != len(reqs) || again[0] != reqs[0] {
-		t.Fatal("request stream not deterministic")
-	}
-}
-
 func TestWindowFootprintScalesWithWindow(t *testing.T) {
 	p, _ := ByName("gcc")
 	w32 := p.WrittenRowsPerWindow(4096, dram.TRETExtended)

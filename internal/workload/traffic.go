@@ -10,7 +10,7 @@ import (
 // Traffic generation: the refresh experiments need to know which rows the
 // application dirties inside each retention window (that is what sets
 // access bits and forces full refreshes of their AR sets), and the
-// performance experiments need a timed request stream for the bank queues.
+// command-level experiment needs a timed request stream with row addresses.
 
 // RequestRate returns the DRAM requests per nanosecond this profile
 // generates per core: MPKI misses per 1000 instructions at the core's
@@ -24,37 +24,6 @@ func (p Profile) RequestRate(ipc, freqGHz float64) float64 {
 		return misses
 	}
 	return misses / (1 - p.WriteFrac)
-}
-
-// GenerateRequests produces a deterministic timed request stream over
-// [0, horizon) at the given mean rate (requests/ns), spread over the banks
-// with the profile's row-hit and write probabilities. Inter-arrival times
-// are exponential (Poisson arrivals).
-func (p Profile) GenerateRequests(seed uint64, rate float64, horizon dram.Time, banks int) []memctrl.Request {
-	if rate <= 0 || horizon <= 0 || banks <= 0 {
-		return nil
-	}
-	rng := NewSplitMix(Hash(seed, HashString(p.Name), 0xbeef))
-	var reqs []memctrl.Request
-	t := 0.0
-	for {
-		// Exponential inter-arrival: -ln(U)/rate.
-		u := rng.Float64()
-		if u <= 0 {
-			u = 1e-12
-		}
-		t += -math.Log(u) / rate
-		if dram.Time(t) >= horizon {
-			break
-		}
-		reqs = append(reqs, memctrl.Request{
-			Arrive: dram.Time(t),
-			Bank:   rng.Intn(banks),
-			RowHit: rng.Float64() < p.RowHitRate,
-			Write:  rng.Float64() < p.WriteFrac,
-		})
-	}
-	return reqs
 }
 
 // WrittenRowsPerWindow returns how many distinct rank-level rows the
