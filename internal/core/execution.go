@@ -17,11 +17,10 @@ import (
 // core→cache→transform→DRAM→inverse-transform path is checked continuously
 // while the refresh engine skips everything it can.
 type ExecutionDriver struct {
-	sys  *System
-	prof workload.Profile
-	gen  *workload.AccessGen
-	hier *cache.Hierarchy
-	seed uint64
+	sys   *System
+	lines workload.LineGen
+	gen   *workload.AccessGen
+	hier  *cache.Hierarchy
 
 	// cacheVersion is the version of a line as the core sees it
 	// (bumped by stores); dramVersion is the version last written back
@@ -47,10 +46,9 @@ func NewExecutionDriver(sys *System, prof workload.Profile, seed uint64, base ui
 	}
 	d := &ExecutionDriver{
 		sys:          sys,
-		prof:         prof,
+		lines:        prof.Lines(seed),
 		gen:          workload.NewAccessGen(prof, seed, base),
 		hier:         cache.NewHierarchy(),
-		seed:         seed,
 		cacheVersion: make(map[uint64]uint64),
 		dramVersion:  make(map[uint64]uint64),
 	}
@@ -61,7 +59,7 @@ func NewExecutionDriver(sys *System, prof workload.Profile, seed uint64, base ui
 
 // content generates the line image at a given version.
 func (d *ExecutionDriver) content(addr uint64, version uint64) [64]byte {
-	return d.prof.LineAt(d.seed, addr/dram.LineBytes, version)
+	return d.lines.Line(addr/dram.LineBytes, version)
 }
 
 func (d *ExecutionDriver) writeback(addr uint64) {

@@ -332,8 +332,9 @@ func (s *System) WritePage(page int, content func(line int) [64]byte) error {
 func (s *System) FillPageFromProfile(prof workload.Profile, page int, contentSeed, version uint64) error {
 	lines := uint64(s.DRAM.Config().RowBytes / dram.LineBytes)
 	base := uint64(page) * lines
+	gen := prof.Lines(contentSeed)
 	return s.WritePage(page, func(ln int) [64]byte {
-		return prof.LineAt(contentSeed, base+uint64(ln), version)
+		return gen.Line(base+uint64(ln), version)
 	})
 }
 
@@ -411,12 +412,13 @@ func (s *System) ReadPageLine(page, line int) ([64]byte, error) {
 func (s *System) VerifyPage(prof workload.Profile, page int, contentSeed, version uint64) error {
 	lines := s.DRAM.Config().RowBytes / dram.LineBytes
 	base := uint64(page) * uint64(lines)
+	gen := prof.Lines(contentSeed)
 	for ln := 0; ln < lines; ln++ {
 		got, err := s.ReadPageLine(page, ln)
 		if err != nil {
 			return err
 		}
-		want := prof.LineAt(contentSeed, base+uint64(ln), version)
+		want := gen.Line(base+uint64(ln), version)
 		if got != want {
 			return fmt.Errorf("core: page %d line %d corrupted", page, ln)
 		}

@@ -306,3 +306,30 @@ func TestMultiRankRejectsBadSplit(t *testing.T) {
 		t.Fatal("invalid rank split accepted")
 	}
 }
+
+// TestSteadyStateAllocFree pins a page fill from a profile allocation-free
+// once the pages' rows are materialized: the line generator and the
+// per-line writes live on the stack.
+func TestSteadyStateAllocFree(t *testing.T) {
+	sys, err := NewSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := workload.ByName("mcf")
+	const pages = 16
+	for p := 0; p < pages; p++ {
+		if err := sys.FillPageFromProfile(prof, p, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill := 0
+	op := func() {
+		if err := sys.FillPageFromProfile(prof, fill%pages, 1, uint64(fill)); err != nil {
+			t.Fatal(err)
+		}
+		fill++
+	}
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("FillPageFromProfile allocated %.1f times per op", n)
+	}
+}

@@ -43,28 +43,51 @@ func (s *SplitMix) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
+// HashState is Hash part-way through its parts: the FNV-1a state after
+// the parts folded so far. Callers that hash many coordinate tuples sharing
+// a prefix fold the prefix once and continue from it;
+// HashStart.Fold(a).Fold(b).Sum() == Hash(a, b).
+type HashState uint64
+
+// HashStart is the state before any part (the FNV-1a offset basis).
+const HashStart HashState = 0xcbf29ce484222325
+
+// fnvPrime is the 64-bit FNV prime.
+const fnvPrime = 0x100000001b3
+
+// foldByte is one FNV-1a step.
+func (h HashState) foldByte(b byte) HashState { return (h ^ HashState(b)) * fnvPrime }
+
+// Fold mixes one more part into the state, least significant byte first.
+func (h HashState) Fold(p uint64) HashState {
+	for i := 0; i < 8; i++ {
+		h = h.foldByte(byte(p >> (8 * i)))
+	}
+	return h
+}
+
+// Sum finishes the hash with a splitmix finalizer: the first draw of a
+// SplitMix seeded with the state.
+func (h HashState) Sum() uint64 {
+	s := SplitMix{state: uint64(h)}
+	return s.Uint64()
+}
+
 // Hash mixes several coordinates into one 64-bit seed (Fowler–Noll–Vo over
 // the words, then a splitmix finalizer).
 func Hash(parts ...uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := HashStart
 	for _, p := range parts {
-		for i := 0; i < 8; i++ {
-			h ^= (p >> (8 * i)) & 0xff
-			h *= 0x100000001b3
-		}
+		h = h.Fold(p)
 	}
-	z := h + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return h.Sum()
 }
 
 // HashString folds a string into the coordinate space of Hash.
 func HashString(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := HashStart
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
+		h = h.foldByte(s[i])
 	}
-	return h
+	return uint64(h)
 }

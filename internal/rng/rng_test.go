@@ -32,6 +32,50 @@ func TestSplitMixGoldenSequence(t *testing.T) {
 	}
 }
 
+func TestHashGolden(t *testing.T) {
+	// Pin Hash at arities 1-4: every generated content byte descends from
+	// it, so a refactor of the fold or the finalizer must not move these.
+	cases := []struct {
+		parts []uint64
+		want  uint64
+	}{
+		{[]uint64{1}, 0xc2be3627c2bfe353},
+		{[]uint64{1, 2}, 0xce8df8ae64aabfb4},
+		{[]uint64{1, 2, 3}, 0x08638879170c2de7},
+		{[]uint64{1, 2, 3, 4}, 0x91f94bbf8582464b},
+		{[]uint64{0xdeadbeefcafef00d}, 0xfe06a0e0c5d8d751},
+		{[]uint64{0xffffffffffffffff, 0, 0x8000000000000001}, 0x8dbaac5f73b37b24},
+		{[]uint64{1, HashString("mcf"), 17, 0xb0}, 0x3c6a48db038b95f0},
+	}
+	for _, c := range cases {
+		if got := Hash(c.parts...); got != c.want {
+			t.Errorf("Hash%v = %#x, want %#x", c.parts, got, c.want)
+		}
+	}
+	if got := HashString("mcf"); got != 0x08163b1917731945 {
+		t.Errorf("HashString(mcf) = %#x", got)
+	}
+}
+
+func TestHashStateContinuesHash(t *testing.T) {
+	// Folding a shared prefix once and continuing from it must give the
+	// same value as hashing every part from the start.
+	s := NewSplitMix(0x5eed)
+	for i := 0; i < 1000; i++ {
+		a, b, c, d := s.Uint64(), s.Uint64(), s.Uint64(), s.Uint64()
+		prefix := HashStart.Fold(a).Fold(b)
+		if got, want := prefix.Fold(c).Fold(d).Sum(), Hash(a, b, c, d); got != want {
+			t.Fatalf("prefix continuation of (%#x,%#x,%#x,%#x) = %#x, Hash = %#x", a, b, c, d, got, want)
+		}
+		if got, want := prefix.Sum(), Hash(a, b); got != want {
+			t.Fatalf("prefix sum of (%#x,%#x) = %#x, Hash = %#x", a, b, got, want)
+		}
+	}
+	if HashStart.Sum() != Hash() {
+		t.Fatal("empty state does not finalize like Hash()")
+	}
+}
+
 func TestIntn(t *testing.T) {
 	s := NewSplitMix(7)
 	for i := 0; i < 10000; i++ {

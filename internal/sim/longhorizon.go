@@ -40,12 +40,17 @@ func RunLongHorizon(o Options) (*Table, error) {
 			"windows", "replayed frac", "events", "norm refresh", "probe viol",
 		},
 	}
-	for _, burstEvery := range []int{64, 256, 1024} {
-		row, err := runLongHorizon(o, prof, horizon, burstEvery)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("burst/%dw", burstEvery), row...)
+	spacings := []int{64, 256, 1024}
+	rows := make([][]float64, len(spacings))
+	if err := forEach(len(spacings), func(i int) error {
+		row, err := runLongHorizon(o, prof, horizon, spacings[i])
+		rows[i] = row
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, burstEvery := range spacings {
+		t.AddRow(fmt.Sprintf("burst/%dw", burstEvery), rows[i]...)
 	}
 	t.Note = "idle windows fast-forwarded via bulk replay; dense stepping " +
 		"would cost the same wall-clock per window regardless of activity"

@@ -2,7 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+
+	"zerorefresh/internal/rng"
 )
 
 // Profile describes one benchmark application: its memory-content mix (the
@@ -47,8 +48,8 @@ type Profile struct {
 // mix-weighted fraction of skippable word classes.
 func (p Profile) ExpectedReduction() float64 {
 	r := 0.0
-	for class, frac := range p.Mix {
-		r += frac * float64(class.SkippableClasses()) / 8
+	for _, class := range classOrder {
+		r += p.Mix[class] * float64(class.SkippableClasses()) / 8
 	}
 	return r
 }
@@ -57,19 +58,22 @@ func (p Profile) ExpectedReduction() float64 {
 // the untransformed content (Figure 6's 1-byte series).
 func (p Profile) ExpectedZeroByteFraction() float64 {
 	r := 0.0
-	for class, frac := range p.Mix {
-		r += frac * class.ZeroByteFraction()
+	for _, class := range classOrder {
+		r += p.Mix[class] * class.ZeroByteFraction()
 	}
 	return r
 }
 
 // Validate checks profile consistency.
 func (p Profile) Validate() error {
-	sum := 0.0
-	for class, frac := range p.Mix {
+	for class := range p.Mix {
 		if class >= numPageClasses {
 			return fmt.Errorf("workload %s: unknown page class %d", p.Name, class)
 		}
+	}
+	sum := 0.0
+	for _, class := range classOrder {
+		frac := p.Mix[class]
 		if frac < 0 {
 			return fmt.Errorf("workload %s: negative fraction for %v", p.Name, class)
 		}
@@ -227,14 +231,14 @@ func MeanExpectedReduction() float64 {
 	return sum / float64(len(benchmarks))
 }
 
-// classOrder lists page classes in a stable order for deterministic
-// cumulative sampling.
+// classOrder lists page classes in a stable order, so that cumulative
+// sampling and every float sum over a mix are deterministic (a range over
+// the Mix map would follow Go's randomized map order).
 var classOrder = func() []PageClass {
 	cs := make([]PageClass, 0, numPageClasses)
 	for c := PageClass(0); c < numPageClasses; c++ {
 		cs = append(cs, c)
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	return cs
 }()
 
@@ -263,58 +267,90 @@ const (
 	forcedBoundaryInterval = 256
 )
 
-func (p Profile) isBoundary(seed, chunk uint64) bool {
+// LineGen generates one profile's memory image under one seed. The content
+// of a line depends only on its address and version, never on which lines
+// were generated before it (Profile.LineAt is the order-independent
+// definition), but a run of consecutive lines — a page fill — is cheap:
+// LineGen folds the (seed, profile name) prefix that every content hash
+// shares once, and it remembers the class of the last chunk it resolved, so
+// another line of that chunk costs no class lookup and the next chunk costs
+// one segment-boundary test. LineGen is a value: copy it freely, but do not
+// share one between goroutines.
+type LineGen struct {
+	// prefix is the hash state after (seed, HashString(name)).
+	prefix rng.HashState
+	// cum is the profile's cumulative mix, in classOrder.
+	cum [numPageClasses]float64
+	// chunk is the last chunk resolved (noChunk before the first) and
+	// class is its class.
+	chunk uint64
+	class PageClass
+}
+
+// noChunk marks a LineGen that has resolved no chunk yet. No line address
+// maps to it: chunk indices stay below 2^60.
+const noChunk = ^uint64(0)
+
+// Lines returns the generator of this profile's image under seed.
+func (p Profile) Lines(seed uint64) LineGen {
+	g := LineGen{prefix: rng.HashStart.Fold(seed).Fold(HashString(p.Name)), chunk: noChunk}
+	acc := 0.0
+	for i, c := range classOrder {
+		acc += p.Mix[c]
+		g.cum[i] = acc
+	}
+	return g
+}
+
+// Line generates the content of the cacheline with global line index
+// globalLine (byte address / 64). version selects a value generation;
+// rewriting a line with a new version models a store that changes values
+// while preserving the data structure's class.
+func (g *LineGen) Line(globalLine, version uint64) [64]byte {
+	class := g.classOf(globalLine / ChunkLines)
+	return class.Line(NewSplitMix(g.prefix.Fold(globalLine + 1).Fold(version).Sum())).Bytes()
+}
+
+// classOf deterministically assigns a class to the 1 KB chunk with global
+// index chunk (byte address / ChunkBytes): the class drawn from the mix for
+// the first chunk of its segment. The walk back to the segment start stops
+// early at the last chunk resolved, whose segment it is if no boundary lies
+// between them.
+func (g *LineGen) classOf(chunk uint64) PageClass {
+	for j := chunk; j != g.chunk; j-- {
+		if g.isBoundary(j) {
+			g.class = g.segmentClass(j)
+			break
+		}
+	}
+	g.chunk = chunk
+	return g.class
+}
+
+// isBoundary reports whether a segment starts at chunk.
+func (g *LineGen) isBoundary(chunk uint64) bool {
 	if chunk%forcedBoundaryInterval == 0 {
 		return true
 	}
-	return NewSplitMix(Hash(seed, HashString(p.Name), chunk, 0xb0)).Float64() < segmentBoundaryProb
+	return NewSplitMix(g.prefix.Fold(chunk).Fold(0xb0).Sum()).Float64() < segmentBoundaryProb
 }
 
-// segmentStart returns the first chunk of the segment containing chunk.
-func (p Profile) segmentStart(seed, chunk uint64) uint64 {
-	for j := chunk; ; j-- {
-		if p.isBoundary(seed, j) {
-			return j
-		}
-	}
-}
-
-// ClassOfChunk deterministically assigns a class to the 1 KB chunk with
-// global index chunk (byte address / ChunkBytes), drawn from the profile
-// mix once per segment.
-func (p Profile) ClassOfChunk(seed, chunk uint64) PageClass {
-	seg := p.segmentStart(seed, chunk)
-	u := NewSplitMix(Hash(seed, HashString(p.Name), seg, 0xc1)).Float64()
-	acc := 0.0
-	for _, c := range classOrder {
-		acc += p.Mix[c]
+// segmentClass draws the class of the segment starting at chunk seg.
+func (g *LineGen) segmentClass(seg uint64) PageClass {
+	u := NewSplitMix(g.prefix.Fold(seg).Fold(0xc1).Sum()).Float64()
+	for i, acc := range g.cum {
 		if u < acc {
-			return c
+			return classOrder[i]
 		}
 	}
 	return PageRandom
 }
 
-// ClassOfPage returns the class of the first chunk of a 4 KB page; most
-// pages are segment-interior and therefore wholly of this class.
-func (p Profile) ClassOfPage(seed uint64, pageIdx uint64) PageClass {
-	return p.ClassOfChunk(seed, pageIdx*(4096/ChunkBytes))
-}
-
-// LineAt deterministically generates the content of the cacheline with
-// global line index globalLine (byte address / 64). version selects a
-// value generation; rewriting a line with a new version models a store
-// that changes values while preserving the data structure's class.
+// LineAt generates one line of the image from scratch: a fresh generator's
+// Line, which any sequence of Line calls on one generator agrees with.
 func (p Profile) LineAt(seed, globalLine, version uint64) [64]byte {
-	chunk := globalLine / ChunkLines
-	class := p.ClassOfChunk(seed, chunk)
-	rng := NewSplitMix(Hash(seed, HashString(p.Name), globalLine+1, version))
-	return class.Line(rng).Bytes()
-}
-
-// LineContent generates cacheline slot lineIdx (0..63) of a 4 KB page.
-func (p Profile) LineContent(seed, pageIdx uint64, lineIdx int) [64]byte {
-	return p.LineAt(seed, pageIdx*(4096/64)+uint64(lineIdx), 0)
+	g := p.Lines(seed)
+	return g.Line(globalLine, version)
 }
 
 // SkipUnitFraction estimates, from the class tables alone, the fraction of
@@ -331,11 +367,12 @@ func (p Profile) SkipUnitFraction(seed uint64, unitBytes, samples int) float64 {
 	if chunksPerUnit < 1 {
 		chunksPerUnit = 1
 	}
+	g := p.Lines(seed)
 	total := 0
 	for r := 0; r < samples; r++ {
 		mink := 8
 		for c := 0; c < chunksPerUnit; c++ {
-			k := p.ClassOfChunk(seed, uint64(r*chunksPerUnit+c)).SkippableClasses()
+			k := g.classOf(uint64(r*chunksPerUnit + c)).SkippableClasses()
 			if k < mink {
 				mink = k
 			}

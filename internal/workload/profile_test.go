@@ -84,12 +84,16 @@ func TestByName(t *testing.T) {
 }
 
 func TestClassOfPageIsDeterministicAndMixFaithful(t *testing.T) {
+	// The class of a page's first chunk, from a generator sweeping the
+	// pages in order and from a fresh generator per page.
 	p, _ := ByName("gcc")
 	const pages = 60000
 	counts := map[PageClass]int{}
+	sweep := p.Lines(7)
 	for i := uint64(0); i < pages; i++ {
-		c1 := p.ClassOfPage(7, i)
-		c2 := p.ClassOfPage(7, i)
+		c1 := sweep.classOf(i * (4096 / ChunkBytes))
+		fresh := p.Lines(7)
+		c2 := fresh.classOf(i * (4096 / ChunkBytes))
 		if c1 != c2 {
 			t.Fatal("page class not deterministic")
 		}
@@ -107,14 +111,31 @@ func TestClassOfPageIsDeterministicAndMixFaithful(t *testing.T) {
 
 func TestLineContentDeterministic(t *testing.T) {
 	p, _ := ByName("mcf")
-	a := p.LineContent(1, 42, 7)
-	b := p.LineContent(1, 42, 7)
+	const line = 42*64 + 7 // slot 7 of page 42
+	a := p.LineAt(1, line, 0)
+	b := p.LineAt(1, line, 0)
 	if a != b {
 		t.Fatal("content not deterministic")
 	}
-	c := p.LineContent(2, 42, 7)
+	c := p.LineAt(2, line, 0)
 	if a == c {
 		t.Fatal("different seeds should give different content")
+	}
+}
+
+func TestMixSumsAreDeterministic(t *testing.T) {
+	// The analytic sums run over classOrder, not over the Mix map, so
+	// repeated calls agree to the last bit.
+	for _, p := range Benchmarks() {
+		r, z := p.ExpectedReduction(), p.ExpectedZeroByteFraction()
+		for i := 0; i < 100; i++ {
+			if got := p.ExpectedReduction(); got != r {
+				t.Fatalf("%s: ExpectedReduction %v then %v", p.Name, r, got)
+			}
+			if got := p.ExpectedZeroByteFraction(); got != z {
+				t.Fatalf("%s: ExpectedZeroByteFraction %v then %v", p.Name, z, got)
+			}
+		}
 	}
 }
 

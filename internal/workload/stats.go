@@ -62,11 +62,12 @@ func (p Profile) MeasureContent(seed uint64, pages int) ContentStats {
 	st.Pages = pages
 	const pageBytes = 4096
 	linesPerPage := pageBytes / dram.LineBytes
+	g := p.Lines(seed)
 	for pg := 0; pg < pages; pg++ {
 		blockZero := true
 		blockLines := 0
 		for ln := 0; ln < linesPerPage; ln++ {
-			content := p.LineContent(seed, uint64(pg), ln)
+			content := g.Line(uint64(pg*linesPerPage+ln), 0)
 			for _, b := range content {
 				if b == 0 {
 					st.ZeroBytes++
