@@ -38,15 +38,20 @@ func (Layerpurity) Doc() string {
 }
 
 // dramMutators is the charge-state-mutating slice of the rank contract:
-// the scalar methods, their line-granular batched equivalents
-// (WriteLineWords, RefreshGroup, FillRowWords), and the bulk idle replay
-// (ReplayRefreshGroup), which perform the same state transitions a
-// cacheline, refresh diagonal, or idle-window run at a time.
+// the scalar methods, their line- and row-granular batched equivalents
+// (WriteLineWords, BeginRowWrite, RefreshGroup, FillRowWords), and the
+// bulk idle replay (ReplayRefreshGroup), which perform the same state
+// transitions a cacheline, row burst, refresh diagonal, or idle-window run
+// at a time. BeginRowWrite stands for its whole burst: the dram.RowWrite
+// cursor whose Write and End store the row exists only as BeginRowWrite's
+// result, so a layer holds one only if it opened the burst through the
+// interface — or was flagged for opening it on the concrete module.
 var dramMutators = map[string]bool{
 	"WriteWord":          true,
 	"Refresh":            true,
 	"MarkSpared":         true,
 	"WriteLineWords":     true,
+	"BeginRowWrite":      true,
 	"RefreshGroup":       true,
 	"FillRowWords":       true,
 	"ReplayRefreshGroup": true,

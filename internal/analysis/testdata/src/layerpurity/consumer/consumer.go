@@ -16,6 +16,7 @@ type backend interface {
 	RefreshGroup(rows [8]int) uint16
 	FillRowWords(row int, words [8]uint64)
 	ReplayRefreshGroup(rows [8]int, windows int64)
+	BeginRowWrite(row int) dram.RowWrite
 }
 
 func direct(m *dram.Module) bool {
@@ -24,10 +25,25 @@ func direct(m *dram.Module) bool {
 }
 
 func directBatched(m *dram.Module) bool {
-	m.FillRowWords(0, [8]uint64{})             // want "mutates DRAM cell state on concrete"
-	m.RefreshGroup([8]int{})                   // want "mutates DRAM cell state on concrete"
-	m.ReplayRefreshGroup([8]int{}, 4)          // want "mutates DRAM cell state on concrete"
-	return m.WriteLineWords(0, [8]uint64{1})   // want "mutates DRAM cell state on concrete"
+	m.FillRowWords(0, [8]uint64{})           // want "mutates DRAM cell state on concrete"
+	m.RefreshGroup([8]int{})                 // want "mutates DRAM cell state on concrete"
+	m.ReplayRefreshGroup([8]int{}, 4)        // want "mutates DRAM cell state on concrete"
+	return m.WriteLineWords(0, [8]uint64{1}) // want "mutates DRAM cell state on concrete"
+}
+
+func directBurst(m *dram.Module) {
+	w := m.BeginRowWrite(0) // want "mutates DRAM cell state on concrete"
+	w.Write(0, 1)
+	w.End()
+}
+
+// throughInterfaceBurst opens the burst through the interface; the cursor
+// it returns is then the sanctioned handle on the row.
+func throughInterfaceBurst(b backend) {
+	w := b.BeginRowWrite(0)
+	w.Write(0, 1)
+	w.Write(1, 2)
+	w.End()
 }
 
 func throughInterface(b backend) bool {

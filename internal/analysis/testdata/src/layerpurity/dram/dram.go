@@ -26,3 +26,16 @@ func (m *Module) RefreshGroup(rows [8]int) uint16 { return 0 }
 func (m *Module) FillRowWords(row int, words [8]uint64) { m.rows[row] = words[0] }
 
 func (m *Module) ReplayRefreshGroup(rows [8]int, windows int64) {}
+
+// RowWrite is the row-burst cursor: it exists only as BeginRowWrite's
+// result.
+type RowWrite struct {
+	m   *Module
+	row int
+}
+
+func (m *Module) BeginRowWrite(row int) RowWrite { return RowWrite{m: m, row: row} }
+
+func (w *RowWrite) Write(slot int, v uint64) { w.m.rows[w.row] = v }
+
+func (w *RowWrite) End() {}

@@ -312,16 +312,12 @@ func (s *System) PageAddr(page int) uint64 {
 }
 
 // WritePage stores one full page through the datapath, fetching each line
-// from content(lineIdx).
+// from content(lineIdx). A page is one rank-level row, so it is stored as
+// one row burst (Controller.WriteRow) with exactly the effects of one
+// WriteLineAt per line in line order.
 func (s *System) WritePage(page int, content func(line int) [64]byte) error {
-	base := s.PageAddr(page)
-	lines := s.DRAM.Config().RowBytes / dram.LineBytes
-	for ln := 0; ln < lines; ln++ {
-		if err := s.WriteLineAt(base+uint64(ln)*dram.LineBytes, content(ln)); err != nil {
-			return err
-		}
-	}
-	return nil
+	u, local := s.rankOf(s.PageAddr(page))
+	return u.Controller.WriteRow(local, content, s.Clock)
 }
 
 // FillPageFromProfile writes benchmark content into a page, addressing the

@@ -2,7 +2,7 @@ package dram
 
 import "fmt"
 
-// Line-granular batched operations.
+// Line- and row-granular batched operations.
 //
 // The scalar WriteWord/ReadWord/Refresh contract charges every simulated
 // word with its own bounds check, row activation, retention check, trace
@@ -10,10 +10,13 @@ import "fmt"
 // spreads one word onto each chip of the rank. The batched entry points
 // below perform the same state transitions for a whole (bank, row) group in
 // one call: one bounds check, one pass over the chips with the hot fields
-// hoisted, and one atomic Add per counter instead of eight Incs. They are
-// observationally identical to the scalar loops they replace — same final
-// cell state, same counter totals, same trace events in the same order —
-// which the differential tests in module_test.go and internal/memctrl pin.
+// hoisted, and one atomic Add per counter instead of eight Incs. A row
+// burst (BeginRowWrite) goes one step further for a whole page: each
+// chip-row is activated once and the counters are added once per row. They
+// are observationally identical to the scalar loops they replace — same
+// final cell state, same counter totals, same trace events in the same
+// order — which the differential tests in batch_test.go and
+// internal/memctrl pin.
 //
 // On top of the batching, the arena/CoW storage layer (arena.go) gives the
 // group operations two sub-linear fast paths: RefreshGroup renews a group
@@ -36,67 +39,73 @@ func (m *Module) checkLine(bank, rowIdx, slot int) {
 	}
 }
 
-// activateRow is the loop body shared by the batched operations: it brings
-// chip's row into the sense amplifiers with the retention model applied,
-// exactly like the scalar activate, but with the counter update left to the
-// caller (which batches it) and the decay count returned for the same
-// reason. traced is the hoisted nil-guard of the caller.
-func (m *Module) activateRow(chip, bank, rowIdx int, now Time, traced bool) (*row, int64) {
-	b := m.banks[chip*m.cfg.Banks+bank]
-	r := b[rowIdx]
-	if r == nil {
-		r = m.arenas[chip*m.cfg.Banks+bank].newRow(rowIdx, now)
-		b[rowIdx] = r
-	}
-	var decays int64
-	if r.chargedWords > 0 && now-r.lastRecharge > m.cfg.Timing.TRET {
-		r.decay()
-		decays = 1
-		if traced {
-			m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
-		}
-	}
-	r.lastRecharge = now
-	return r, decays
+// RowWrite is an open row burst: the cursor a row-granular store holds
+// while it writes one (bank, row) of all LineChips chips slot by slot. The
+// first Write activates each chip-row once — the retention model applies
+// there — and later Writes store through the cached row pointers; End adds
+// the burst's counters. A burst of n Writes is observationally identical to
+// n WriteLineWords calls at the same time: same cell state, same counter
+// totals, and each Write emits exactly the retention-violation and
+// charge-transition events its WriteLineWords would, in the same order, so
+// a caller that emits its own per-slot events between Writes interleaves
+// them as a line-by-line loop would. A RowWrite comes only from
+// BeginRowWrite (the zero value has no module) and serves one burst.
+type RowWrite struct {
+	m      *Module
+	rows   [LineChips]*row // nil until the first Write activates them
+	bank   int
+	rowIdx int
+	now    Time
+	ct     CellType
+	slots  int64 // Writes so far
+	decays int64 // chip-rows that lost charge at activation
 }
 
-// WriteLineWords stores one word per chip into word slot `slot` of the same
-// (bank, row) in all LineChips chips — the whole cacheline the controller
-// scattered — and reports whether every touched chip-row is fully
-// discharged afterwards. It is the batched equivalent of eight WriteWord
-// calls and leaves identical state, counters and trace events behind.
+// BeginRowWrite opens a row burst on (bank, row) at time now. It is the one
+// bounds check of the burst; nothing is activated until the first Write.
 //
 //zr:hotpath
-func (m *Module) WriteLineWords(bank, rowIdx, slot int, words [LineChips]uint64, now Time) bool {
-	m.checkLine(bank, rowIdx, slot)
-	ct := m.cfg.CellTypeOf(rowIdx)
-	tret := m.cfg.Timing.TRET
+func (m *Module) BeginRowWrite(bank, rowIdx int, now Time) RowWrite {
+	m.checkLine(bank, rowIdx, 0)
+	return RowWrite{m: m, bank: bank, rowIdx: rowIdx, now: now, ct: m.cfg.CellTypeOf(rowIdx)}
+}
+
+// Write stores words[c] into word slot `slot` of the burst's row in chip c
+// — one scattered cacheline — and reports whether every chip-row is fully
+// discharged afterwards. It is the one store loop of the batched datapath:
+// WriteLineWords is a one-slot burst.
+//
+//zr:hotpath
+func (w *RowWrite) Write(slot int, words [LineChips]uint64) bool {
+	m := w.m
+	if uint(slot) >= uint(m.wordsPerRow) {
+		m.checkLine(w.bank, w.rowIdx, slot) // out of range: the bounds panic
+	}
+	ct := w.ct
 	traced := m.tr != nil
-	var decays int64
 	all := true
-	// activateRow inlined by hand: the compiler won't, and one call per
-	// chip is most of what this path exists to remove. The bank slices of
-	// consecutive chips sit cfg.Banks apart in m.banks. banks and the
-	// stride are hoisted into locals: the calls in the loop body keep the
-	// compiler from proving the fields loop-invariant.
-	banks := m.banks
-	stride := m.cfg.Banks
-	idx := bank
 	for chip := 0; chip < LineChips; chip++ {
-		b := banks[idx]
-		r := b[rowIdx]
+		r := w.rows[chip]
 		if r == nil {
-			r = m.arenas[idx].newRow(rowIdx, now)
-			b[rowIdx] = r
-		} else if r.chargedWords > 0 && now-r.lastRecharge > tret {
-			r.decay()
-			decays++
-			if traced {
-				m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
+			// The burst's first Write activates the chip-row, exactly like
+			// the scalar activate, with the counters left to End. Inlined
+			// by hand: a call per chip would be most of a one-slot burst.
+			// The bank slices of consecutive chips sit cfg.Banks apart.
+			idx := chip*m.cfg.Banks + w.bank
+			b := m.banks[idx]
+			if r = b[w.rowIdx]; r == nil {
+				r = m.arenas[idx].newRow(w.rowIdx, w.now)
+				b[w.rowIdx] = r
+			} else if r.chargedWords > 0 && w.now-r.lastRecharge > m.cfg.Timing.TRET {
+				r.decay()
+				w.decays++
+				if traced {
+					m.tr.Emit(traceRetentionViolation(w.now, chip, w.bank, w.rowIdx))
+				}
 			}
+			r.lastRecharge = w.now
+			w.rows[chip] = r
 		}
-		idx += stride
-		r.lastRecharge = now
 		before := r.chargedWords == 0
 		// writeWord's materialized fast path, specialized inline: the
 		// compiler cannot inline the full method (cost 152 vs budget 80)
@@ -121,14 +130,37 @@ func (m *Module) WriteLineWords(bank, rowIdx, slot int, words [LineChips]uint64,
 			all = false
 		}
 		if traced && before != after {
-			m.tr.Emit(traceChargeTransition(now, chip, bank, rowIdx, after))
+			m.tr.Emit(traceChargeTransition(w.now, chip, w.bank, w.rowIdx, after))
 		}
 	}
-	m.activations.Add(LineChips)
-	m.wordWrites.Add(LineChips)
-	if decays != 0 {
-		m.decayEvents.Add(decays)
+	w.slots++
+	return all
+}
+
+// End closes the burst: one Add per counter for all of its Writes.
+//
+//zr:hotpath
+func (w *RowWrite) End() {
+	n := w.slots * LineChips
+	w.m.activations.Add(n)
+	w.m.wordWrites.Add(n)
+	if w.decays != 0 {
+		w.m.decayEvents.Add(w.decays)
 	}
+}
+
+// WriteLineWords stores one word per chip into word slot `slot` of the same
+// (bank, row) in all LineChips chips — the whole cacheline the controller
+// scattered — and reports whether every touched chip-row is fully
+// discharged afterwards. It is a one-slot row burst, the batched equivalent
+// of eight WriteWord calls, and leaves identical state, counters and trace
+// events behind.
+//
+//zr:hotpath
+func (m *Module) WriteLineWords(bank, rowIdx, slot int, words [LineChips]uint64, now Time) bool {
+	w := m.BeginRowWrite(bank, rowIdx, now)
+	all := w.Write(slot, words)
+	w.End()
 	return all
 }
 
@@ -301,14 +333,17 @@ func (m *Module) groupSpareMask(rows *[LineChips]int) uint16 {
 // The fill itself is O(chips), not O(chips × words): a chip whose fill word
 // is the discharged pattern just releases its storage, and a charged fill
 // word aliases a shared sentinel row (copy-on-write; see arena.go) instead
-// of storing WordsPerChipRow copies. The one case whose trace output
-// depends on row *content* — a discharged fill over a live charged row
-// emits its charge transition at the content-dependent slot where the
-// scalar loop's charged-word count reaches zero — falls back to the dense
-// slot-major loop, which remains the reference implementation.
+// of storing WordsPerChipRow copies.
+//
+// It reports whether it stored the fill. The one case whose trace output
+// depends on row *content* — a traced discharged fill over a live charged
+// row emits its charge transition at the slot where the row's last charged
+// word is overwritten — is declined: FillRowWords stores nothing and
+// reports false, and the caller writes the row slot by slot through a row
+// burst (BeginRowWrite), interleaving its own per-slot events.
 //
 //zr:hotpath
-func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Time) {
+func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Time) bool {
 	m.checkLine(bank, rowIdx, 0)
 	wordsPerRow := m.wordsPerRow
 	ct := m.cfg.CellTypeOf(rowIdx)
@@ -319,8 +354,7 @@ func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Tim
 				continue
 			}
 			if r := m.banks[chip*m.cfg.Banks+bank][rowIdx]; r != nil && r.chargedWords > 0 {
-				m.fillRowWordsDense(bank, rowIdx, words, now)
-				return
+				return false
 			}
 		}
 	}
@@ -351,8 +385,8 @@ func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Tim
 		wv := words[chip]
 		if ct.ChargedBits(wv) == 0 {
 			// Discharged fill: the row ends storage-free. A live charged row
-			// only reaches here untraced (the traced case took the dense
-			// fallback above), so no transition event is owed.
+			// only reaches here untraced (the traced case was declined
+			// above), so no transition event is owed.
 			if r.words != nil {
 				r.chargedWords = 0
 				r.releaseWords()
@@ -382,6 +416,7 @@ func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Tim
 	if decays != 0 {
 		m.decayEvents.Add(decays)
 	}
+	return true
 }
 
 // fillOwned stores the uniform charged word v into every slot of an owned
@@ -404,44 +439,4 @@ func (r *row) fillOwned(v uint64, wordsPerRow int) {
 		r.arena.setCharged(r.idx)
 	}
 	r.chargedWords = wordsPerRow
-}
-
-// fillRowWordsDense is the slot-major reference fill: the batched
-// equivalent of WriteLineWords per slot, byte-for-byte the pre-arena
-// FillRowWords body. The fast path falls back to it for the one
-// content-dependent trace case; the differential twins use it to pin the
-// fast path.
-func (m *Module) fillRowWordsDense(bank, rowIdx int, words [LineChips]uint64, now Time) {
-	wordsPerRow := m.wordsPerRow
-	ct := m.cfg.CellTypeOf(rowIdx)
-	traced := m.tr != nil
-	var rows [LineChips]*row
-	var decays int64
-	// Slot 0 doubles as the per-chip activation pass, interleaving any
-	// retention-violation and charge-transition events per chip exactly as
-	// the scalar loop would.
-	for chip := 0; chip < LineChips; chip++ {
-		r, d := m.activateRow(chip, bank, rowIdx, now, traced)
-		decays += d
-		before := r.discharged()
-		after := r.writeWord(0, words[chip], ct)
-		if traced && before != after {
-			m.tr.Emit(traceChargeTransition(now, chip, bank, rowIdx, after))
-		}
-		rows[chip] = r
-	}
-	for slot := 1; slot < wordsPerRow; slot++ {
-		for chip, r := range rows {
-			before := r.discharged()
-			after := r.writeWord(slot, words[chip], ct)
-			if traced && before != after {
-				m.tr.Emit(traceChargeTransition(now, chip, bank, rowIdx, after))
-			}
-		}
-	}
-	m.activations.Add(int64(LineChips * wordsPerRow))
-	m.wordWrites.Add(int64(LineChips * wordsPerRow))
-	if decays != 0 {
-		m.decayEvents.Add(decays)
-	}
 }

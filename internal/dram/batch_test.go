@@ -95,6 +95,25 @@ func scalarWriteLine(m *Module, bank, row, slot int, words [LineChips]uint64, no
 	return all
 }
 
+// burstFill stores words into every slot of (bank, row) through one row
+// burst: the slot-by-slot reference for FillRowWords, and the route the
+// controller takes for a fill FillRowWords declines.
+func burstFill(m *Module, bank, row int, words [LineChips]uint64, now Time) {
+	w := m.BeginRowWrite(bank, row, now)
+	for slot := 0; slot < m.wordsPerRow; slot++ {
+		w.Write(slot, words)
+	}
+	w.End()
+}
+
+// fillRow is FillRowWords completed the way the controller completes it: a
+// declined fill is stored through a row burst.
+func fillRow(m *Module, bank, row int, words [LineChips]uint64, now Time) {
+	if !m.FillRowWords(bank, row, words, now) {
+		burstFill(m, bank, row, words, now)
+	}
+}
+
 // scalarRefreshGroup is the scalar reference for RefreshGroup: the refresh
 // engine's per-chip Refresh + IsSpared loop.
 func scalarRefreshGroup(m *Module, bank int, rows [LineChips]int, now Time) uint16 {
@@ -170,7 +189,7 @@ func TestBatchedOpsMatchScalar(t *testing.T) {
 					words[c] = v
 				}
 			}
-			batched.FillRowWords(bank, row, words, now)
+			fillRow(batched, bank, row, words, now)
 			for slot := 0; slot < wordsPerRow; slot++ {
 				for chip := 0; chip < LineChips; chip++ {
 					scalar.WriteWord(chip, bank, row, slot, words[chip], now)
@@ -179,6 +198,79 @@ func TestBatchedOpsMatchScalar(t *testing.T) {
 		}
 	}
 	compareTwins(t, batched, scalar, tb, ts)
+}
+
+// TestRowBurstMatchesScalar drives row bursts — slots in random order,
+// some rewritten, some left out — against one scalar line write per slot on
+// a twin module. Gaps past the retention deadline make a burst's first
+// Write decay charged chip-rows, and each Write's all-discharged result
+// must match the scalar reduction.
+func TestRowBurstMatchesScalar(t *testing.T) {
+	cfg := testConfig()
+	batched, scalar, tb, ts := twinModules(t, cfg, 29)
+	rng := rand.New(rand.NewSource(7))
+	tret := cfg.Timing.TRET
+	wordsPerRow := cfg.WordsPerChipRow()
+	now := Time(0)
+	for i := 0; i < 400; i++ {
+		if rng.Intn(4) == 0 {
+			now += tret + Time(rng.Int63n(int64(tret)))
+		} else {
+			now += Time(rng.Int63n(1000))
+		}
+		bank := rng.Intn(cfg.Banks)
+		row := rng.Intn(cfg.RowsPerBank / 8) // a small row set, so bursts revisit charged rows
+		w := batched.BeginRowWrite(bank, row, now)
+		for n := rng.Intn(2 * wordsPerRow); n > 0; n-- {
+			slot := rng.Intn(wordsPerRow)
+			var words [LineChips]uint64
+			for c := range words {
+				switch rng.Intn(3) {
+				case 0:
+					words[c] = 0
+				case 1:
+					words[c] = ^uint64(0)
+				default:
+					words[c] = rng.Uint64()
+				}
+			}
+			if gb, gs := w.Write(slot, words), scalarWriteLine(scalar, bank, row, slot, words, now); gb != gs {
+				t.Fatalf("burst %d slot %d: all-discharged %v, scalar %v", i, slot, gb, gs)
+			}
+		}
+		w.End()
+	}
+	if batched.Stats().DecayEvents == 0 {
+		t.Fatal("no burst decayed a chip-row; the activation path went untested")
+	}
+	compareTwins(t, batched, scalar, tb, ts)
+}
+
+// TestFillRowWordsDeclinesContentDependentTrace pins the one fill the fast
+// path declines: a traced discharged fill over a live charged row, whose
+// charge-transition events fall at content-dependent slots. It must report
+// false and leave the module untouched; untraced, the same fill is stored.
+func TestFillRowWordsDeclinesContentDependentTrace(t *testing.T) {
+	cfg := testConfig()
+	for _, traced := range []bool{true, false} {
+		m := New(cfg)
+		tr := trace.New(1 << 10)
+		if traced {
+			m.SetTracer(tr.NewShard("rank"))
+		}
+		m.WriteLineWords(1, 5, 7, uniformLine(chargedFill), 0)
+		before, events := m.Stats(), len(tr.Events())
+		stored := m.FillRowWords(1, 5, dischargedLine(m, 5), 1)
+		if stored == traced {
+			t.Fatalf("traced=%v: FillRowWords stored=%v", traced, stored)
+		}
+		if traced && (m.Stats() != before || len(tr.Events()) != events || m.bankOf(0, 1)[5].discharged()) {
+			t.Fatal("a declined fill changed the module")
+		}
+		if !traced && !m.bankOf(0, 1)[5].discharged() {
+			t.Fatal("untraced discharged fill left the row charged")
+		}
+	}
 }
 
 // TestBatchedOpsUntracedMatchScalar re-runs a short differential drive with
@@ -220,6 +312,10 @@ func TestBatchedBoundsPanics(t *testing.T) {
 		"bad bank": func() { m.WriteLineWords(-1, 0, 0, [LineChips]uint64{}, 0) },
 		"bad row":  func() { m.ReadLineWords(0, m.Config().RowsPerBank, 0, 0) },
 		"bad slot": func() { m.WriteLineWords(0, 0, m.Config().WordsPerChipRow(), [LineChips]uint64{}, 0) },
+		"bad burst slot": func() {
+			w := m.BeginRowWrite(0, 0, 0)
+			w.Write(-1, [LineChips]uint64{})
+		},
 		"bad group row": func() {
 			m.RefreshGroup(0, [LineChips]int{0, 1, 2, 3, 4, 5, 6, -1}, 0)
 		},

@@ -21,8 +21,9 @@ func benchModule() *Module {
 //	            fast path).
 //	discharged: uniform discharged fill over already-free rows — the
 //	            fast path's cheapest case, storage stays released.
-//	dense:      the slot-major reference loop over materialized rows,
-//	            for the internal fast-vs-dense comparison.
+//	burst:      the same fill slot by slot through one row burst over
+//	            materialized rows — the route of a declined fill, and the
+//	            fast path's reference.
 func BenchmarkFillRowWords(b *testing.B) {
 	var line [LineChips]uint64
 
@@ -59,19 +60,19 @@ func BenchmarkFillRowWords(b *testing.B) {
 		}
 	})
 
-	b.Run("dense", func(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
 		m := benchModule()
 		for i := range line {
 			line[i] = chargedFill
 		}
 		rows := m.cfg.RowsPerBank
 		for r := 0; r < rows; r++ {
-			m.fillRowWordsDense(0, r, line, 0)
+			burstFill(m, 0, r, line, 0)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.fillRowWordsDense(0, i%rows, line, 0)
+			burstFill(m, 0, i%rows, line, 0)
 		}
 	})
 }

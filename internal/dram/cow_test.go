@@ -8,9 +8,9 @@ import (
 
 // Targeted coverage for the copy-on-write sentinel rows: every aliasing
 // transition — dirty write after a zero fill, spared-row remap, retention
-// decay of a shared row — is driven against the eager dense twin
-// (fillRowWordsDense plus the scalar loops) and must leave bit-identical
-// observable state. checkStorageInvariants then audits the arena
+// decay of a shared row — is driven against the eager twin (a row burst
+// per fill plus the scalar loops) and must leave bit-identical observable
+// state. checkStorageInvariants then audits the arena
 // bookkeeping that the metrics gauges report.
 
 // cowGeometries returns the two geometries the CoW tests pin: the standard
@@ -103,10 +103,10 @@ func checkStorageInvariants(t *testing.T, m *Module) {
 	}
 }
 
-// eagerFillTwin drives the same fill through the dense slot-major reference
-// on the twin module.
+// eagerFillTwin drives the same fill slot by slot through one row burst on
+// the twin module.
 func eagerFillTwin(b *Module, bank, row int, words [LineChips]uint64, now Time) {
-	b.fillRowWordsDense(bank, row, words, now)
+	burstFill(b, bank, row, words, now)
 }
 
 // TestCoWWriteAfterZeroFill pins the first-dirty-write materialization: a
@@ -120,7 +120,7 @@ func TestCoWWriteAfterZeroFill(t *testing.T) {
 			fill := uniformLine(0x0123456789ABCDEF)
 			now := Time(0)
 			for row := 0; row < 12; row++ {
-				a.FillRowWords(2, row, fill, now)
+				fillRow(a, 2, row, fill, now)
 				eagerFillTwin(b, 2, row, fill, now)
 			}
 			// Rows 0..5 take a dirty write; 6..11 stay aliased.
@@ -158,7 +158,7 @@ func TestCoWSparedRemap(t *testing.T) {
 			a, b, ta, tb := twinModules(t, cfg, 0)
 			fill := uniformLine(0x5A5A5A5A5A5A5A5A)
 			for row := 20; row < 28; row++ {
-				a.FillRowWords(1, row, fill, 0)
+				fillRow(a, 1, row, fill, 0)
 				eagerFillTwin(b, 1, row, fill, 0)
 			}
 			a.MarkSpared(22)
@@ -189,7 +189,7 @@ func TestCoWSentinelDecay(t *testing.T) {
 			tret := cfg.Timing.TRET
 			fill := uniformLine(0x00FF00FF00FF00FF)
 			for row := 40; row < 44; row++ {
-				a.FillRowWords(3, row, fill, 0)
+				fillRow(a, 3, row, fill, 0)
 				eagerFillTwin(b, 3, row, fill, 0)
 			}
 			// Row 40 is read after its deadline and decays; 41..43 are
@@ -241,7 +241,7 @@ func TestCoWAliasFuzz(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // uniform fill, palette value
 					line := uniformLine(palette[rng.Intn(len(palette))])
-					a.FillRowWords(bank, row, line, now)
+					fillRow(a, bank, row, line, now)
 					eagerFillTwin(b, bank, row, line, now)
 				case 4, 5, 6: // dirty line write
 					var line [LineChips]uint64
@@ -286,7 +286,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	checks := map[string]func(){
 		"FillRowWords/cow":              func() { m.FillRowWords(0, 7, charged, 0) },
 		"FillRowWords/discharged":       func() { m.FillRowWords(0, 9, dischargedLine(m, 9), 0) },
-		"FillRowWords/dense":            func() { m.fillRowWordsDense(0, 13, charged, 0) },
+		"RowWrite/burst":                func() { burstFill(m, 0, 13, charged, 0) },
 		"WriteLineWords":                func() { m.WriteLineWords(0, 11, 3, charged, 0) },
 		"ReadLineWords":                 func() { _ = m.ReadLineWords(0, 11, 3, 0) },
 		"RefreshGroup/charged":          func() { m.RefreshGroup(0, diagonalGroup(m, 16), 0) },

@@ -45,6 +45,11 @@ type MemoryBackend interface {
 	// reports whether every touched chip-row is fully discharged
 	// afterwards.
 	WriteLineWords(bank, rowIdx, slot int, words [dram.LineChips]uint64, now dram.Time) bool
+	// BeginRowWrite opens a row burst on (bank, row): the returned cursor
+	// stores the row slot by slot, activating each chip-row once, and
+	// leaves exactly the state, counters and per-slot trace events of one
+	// WriteLineWords call per written slot. The caller ends it with End.
+	BeginRowWrite(bank, rowIdx int, now dram.Time) dram.RowWrite
 	// ReadLineWords returns word slot `slot` of (bank, row) in every
 	// chip, applying the retention model as the hardware would.
 	ReadLineWords(bank, rowIdx, slot int, now dram.Time) [dram.LineChips]uint64
@@ -67,8 +72,11 @@ type MemoryBackend interface {
 	ReplayRefreshGroup(bank int, rows [dram.LineChips]int, first, period dram.Time, windows int64)
 	// FillRowWords stores words into every word slot of (bank, row)
 	// across all chips — the bulk page-cleansing fill. Equivalent to
-	// WriteLineWords for every slot of the row.
-	FillRowWords(bank, rowIdx int, words [dram.LineChips]uint64, now dram.Time)
+	// WriteLineWords for every slot of the row, except that a fill whose
+	// trace events depend on the row's content is declined: it stores
+	// nothing and reports false, and the caller fills the row through a
+	// row burst instead.
+	FillRowWords(bank, rowIdx int, words [dram.LineChips]uint64, now dram.Time) bool
 }
 
 // WriteNotifier receives write notifications from the controller datapath.
@@ -135,6 +143,11 @@ type LineCodec interface {
 	// still pushes every line through the transform unit. The bulk
 	// page-cleansing path uses it to encode a row's zero fill once.
 	EncodeFill(l transform.Line, rowIdx, n int) transform.Line
+	// EncodeRow encodes the lines of one rank-level row in place, with
+	// the accounting — transform ops, zero-word observations,
+	// codec-selection events in line order — exactly as one Encode call
+	// per line would charge it.
+	EncodeRow(lines []transform.Line, rowIdx int)
 	// Decode inverts Encode for a line read back from row rowIdx.
 	Decode(l transform.Line, rowIdx int) transform.Line
 	// Ops returns the number of transform operations performed, the

@@ -127,9 +127,39 @@ func BenchmarkWriteZeroRow(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteRow measures one whole-row write (a 4 KB page, 64 lines):
+// the row burst against the same row stored by one WriteLine per line.
+func BenchmarkWriteRow(b *testing.B) {
+	for _, codec := range []string{"raw", "pipeline"} {
+		ctrl := benchController(codec)
+		addrs := benchAddrs(ctrl, 256)
+		row := benchLines(ctrl.Module().Config().LinesPerRow())
+		content := func(i int) [64]byte { return row[i] }
+		b.Run(codec+"/lines", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				base := ctrl.AddressMap().RowBase(addrs[i%len(addrs)])
+				for ln := range row {
+					if err := ctrl.WriteLine(base+uint64(ln)*dram.LineBytes, row[ln], 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(codec+"/row", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ctrl.WriteRow(addrs[i%len(addrs)], content, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestSteadyStateAllocFree pins the controller datapath allocation-free on
-// the benchmark fixtures: line writes, line reads and zero-row fills
-// through the raw and pipeline codecs, batched and through the scalar
+// the benchmark fixtures: line writes, line reads, row writes and zero-row
+// fills through the raw and pipeline codecs, batched and through the scalar
 // twins, once every address of the working set has been touched.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const working = 64
@@ -139,7 +169,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		addrs := benchAddrs(ctrl, working)
 		k := 0
 		next := func() int { k = (k + 1) % working; return k }
+		content := func(i int) [64]byte { return lines[i] }
 		checks := map[string]func() error{
+			"WriteRow/batched":     func() error { return ctrl.WriteRow(addrs[next()], content, 0) },
 			"WriteLine/batched":    func() error { i := next(); return ctrl.WriteLine(addrs[i], lines[i], 0) },
 			"WriteLine/scalar":     func() error { i := next(); return ctrl.writeLineScalar(addrs[i], lines[i], 0) },
 			"ReadLine/batched":     func() error { _, err := ctrl.ReadLine(addrs[next()], 0); return err },

@@ -28,6 +28,10 @@ type Controller struct {
 	linesRead    *metrics.Counter
 	linesWritten *metrics.Counter
 
+	// row stages one rank-level row of lines for WriteRow, which encodes
+	// it in place.
+	row []transform.Line
+
 	// tr receives writeback events when tracing is enabled; nil otherwise.
 	tr engine.Tracer
 }
@@ -45,6 +49,7 @@ func NewController(mod engine.MemoryBackend, eng engine.WriteNotifier, pipe engi
 		reg:          reg,
 		linesRead:    reg.Counter("ctrl.lines_read"),
 		linesWritten: reg.Counter("ctrl.lines_written"),
+		row:          make([]transform.Line, mod.Config().LinesPerRow()),
 	}
 }
 
@@ -90,17 +95,63 @@ func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error 
 // refresh-policy notification, the written-lines counter and the writeback
 // trace event.
 func (c *Controller) noteLineWritten(loc Location, now dram.Time) {
+	c.noteRowWritten(loc, 1)
+	if c.tr != nil {
+		c.tr.Emit(writeback(loc.Bank, loc.Row, loc.Slot, now))
+	}
+}
+
+// noteRowWritten is the bookkeeping of n lines written to loc's row: one
+// refresh-policy notification (the access bit is per row) and one counter
+// Add.
+func (c *Controller) noteRowWritten(loc Location, n int) {
 	if c.eng != nil {
 		c.eng.NoteWrite(loc.Bank, loc.Row)
 	}
-	c.linesWritten.Inc()
-	if c.tr != nil {
-		c.tr.Emit(trace.Event{
-			Kind: trace.KindWriteback, Time: int64(now),
-			Chip: -1, Bank: int32(loc.Bank), Row: int32(loc.Row),
-			A: int64(loc.Slot),
-		})
+	c.linesWritten.Add(int64(n))
+}
+
+// writeback builds the trace event of one line stored to slot of (bank,
+// row).
+func writeback(bank, row, slot int, now dram.Time) trace.Event {
+	return trace.Event{
+		Kind: trace.KindWriteback, Time: int64(now),
+		Chip: -1, Bank: int32(bank), Row: int32(row),
+		A: int64(slot),
 	}
+}
+
+// WriteRow stores a whole rank-level row — the row containing addr, line i
+// from content(i) — as one row burst: the row's lines are encoded in place
+// in one EncodeRow call, each chip-row is activated once, and the
+// bookkeeping is one address translation, one refresh-policy notification
+// and one counter Add per row. Cell state, counters and the per-shard trace
+// order are exactly those of one WriteLine per slot in slot order: each
+// slot's DRAM events are followed by its writeback event. The differential
+// tests pin it against the scalar line loop.
+//
+//zr:hotpath
+func (c *Controller) WriteRow(addr uint64, content func(line int) [64]byte, now dram.Time) error {
+	loc, err := c.amap.Locate(c.amap.RowBase(addr))
+	if err != nil {
+		return err
+	}
+	lines := c.row
+	for i := range lines {
+		b := content(i)
+		lines[i] = transform.LineFromBytes(&b)
+	}
+	c.pipe.EncodeRow(lines, loc.Row)
+	w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
+	for slot, l := range lines {
+		w.Write(slot, c.mapping.Scatter(l, loc.Row))
+		if c.tr != nil {
+			c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
+		}
+	}
+	w.End()
+	c.noteRowWritten(loc, len(lines))
+	return nil
 }
 
 // ReadLine fetches and inverse-transforms the cacheline at addr. Like
@@ -123,7 +174,9 @@ func (c *Controller) ReadLine(addr uint64, now dram.Time) ([64]byte, error) {
 // encoded once for the row's cell type (every slot of a row stores the same
 // encoded pattern) and the whole row is filled in one backend call; the
 // accounting — transform ops, write counters, trace events — is charged per
-// line exactly as the slot-by-slot datapath would charge it.
+// line exactly as the slot-by-slot datapath would charge it. A fill the
+// backend declines (its trace events depend on the row's content) is stored
+// through a row burst instead, each slot followed by its writeback event.
 //
 //zr:hotpath
 func (c *Controller) WriteZeroRow(addr uint64, now dram.Time) error {
@@ -133,19 +186,25 @@ func (c *Controller) WriteZeroRow(addr uint64, now dram.Time) error {
 	}
 	lines := c.mod.Config().LinesPerRow()
 	enc := c.pipe.EncodeFill(transform.Line{}, loc.Row, lines)
-	c.mod.FillRowWords(loc.Bank, loc.Row, c.mapping.Scatter(enc, loc.Row), now)
-	if c.eng != nil {
-		c.eng.NoteWrite(loc.Bank, loc.Row)
-	}
-	c.linesWritten.Add(int64(lines))
-	if c.tr != nil {
-		for slot := 0; slot < lines; slot++ {
-			c.tr.Emit(trace.Event{
-				Kind: trace.KindWriteback, Time: int64(now),
-				Chip: -1, Bank: int32(loc.Bank), Row: int32(loc.Row),
-				A: int64(slot),
-			})
+	words := c.mapping.Scatter(enc, loc.Row)
+	if c.mod.FillRowWords(loc.Bank, loc.Row, words, now) {
+		// The fill emitted only slot-0 events, which precede every
+		// writeback in the slot-by-slot order too.
+		if c.tr != nil {
+			for slot := 0; slot < lines; slot++ {
+				c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
+			}
 		}
+	} else {
+		w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
+		for slot := 0; slot < lines; slot++ {
+			w.Write(slot, words)
+			if c.tr != nil {
+				c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
+			}
+		}
+		w.End()
 	}
+	c.noteRowWritten(loc, lines)
 	return nil
 }

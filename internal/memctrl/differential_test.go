@@ -16,13 +16,13 @@ import (
 )
 
 // Full-stack differential test: the batched controller datapath
-// (WriteLine/ReadLine/WriteZeroRow over the line-granular backend calls) is
-// driven against the retained scalar loops on a twin stack, across every
-// transform option combination, both cell types, spared rows and decay
-// windows. Both stacks must agree on every returned byte, every metrics
-// snapshot and the exact merged trace-event stream.
+// (WriteLine/ReadLine/WriteRow/WriteZeroRow over the line- and row-granular
+// backend calls) is driven against the retained scalar loops on a twin
+// stack, across every transform option combination, both cell types, spared
+// rows and decay windows. Both stacks must agree on every returned byte,
+// every metrics snapshot and the exact merged trace-event stream.
 
-// diffStack is one complete simulator stack with per-layer trace shards.
+// diffStack is one complete simulator stack in production's shard layout.
 type diffStack struct {
 	mod  *dram.Module
 	eng  *refresh.Engine
@@ -40,14 +40,15 @@ func newDiffStack(opts transform.Options) *diffStack {
 	})
 	pipe := transform.NewPipeline(opts, transform.ExactTypes{Cfg: cfg})
 	ctrl := NewController(mod, eng, pipe, transform.RotatedMapping{})
-	tr := trace.New(1 << 17)
-	// Separate shards per layer keep the comparison exact even where the
-	// batched path reorders emissions across layers (the bulk row fill
-	// emits its writeback events after the fill instead of interleaved).
-	mod.SetTracer(tr.NewShard("rank"))
-	eng.SetTracer(tr.NewShard("refresh"))
+	tr := trace.New(1 << 18)
+	// Production's shard layout (core.NewSystem): the CPU-side pipeline
+	// emits into a "cpu" shard, and module, engine and controller share
+	// one rank shard, so the comparison pins their interleaving too.
 	pipe.SetTracer(tr.NewShard("cpu"))
-	ctrl.SetTracer(tr.NewShard("ctrl"))
+	rank := tr.NewShard("rank0")
+	mod.SetTracer(rank)
+	eng.SetTracer(rank)
+	ctrl.SetTracer(rank)
 	for r := 0; r < cfg.RowsPerBank; r += 41 {
 		mod.MarkSpared(r)
 	}
@@ -76,6 +77,9 @@ func randomLine(rng *rand.Rand) [64]byte {
 
 func compareStacks(t *testing.T, opts transform.Options, batched, scalar *diffStack) {
 	t.Helper()
+	if a, b := batched.tr.Dropped(), scalar.tr.Dropped(); a != 0 || b != 0 {
+		t.Fatalf("opts=%+v: trace rings overflowed (%d, %d dropped): grow the test buffers", opts, a, b)
+	}
 	if a, b := batched.mod.Stats(), scalar.mod.Stats(); a != b {
 		t.Fatalf("opts=%+v: module stats diverged:\nbatched %+v\nscalar  %+v", opts, a, b)
 	}
@@ -125,7 +129,7 @@ func withoutStorageMetrics(s metrics.Snapshot) metrics.Snapshot {
 }
 
 func TestBatchedDatapathMatchesScalar(t *testing.T) {
-	const opsPerCombo = 2000 // ~1400 writes per stack per combo: >10k lines over the 8 combos
+	const opsPerCombo = 2000 // ~1200 line writes and ~150 row writes per stack per combo
 	for opt := 0; opt < 8; opt++ {
 		opts := transform.Options{EBDI: opt&1 != 0, BitPlane: opt&2 != 0, CellAware: opt&4 != 0}
 		batched, scalar := newDiffStack(opts), newDiffStack(opts)
@@ -133,12 +137,29 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 		cfg := batched.mod.Config()
 		tret := cfg.Timing.TRET
 		capacity := uint64(cfg.Capacity())
+		row := make([][64]byte, cfg.LinesPerRow())
+		content := func(i int) [64]byte { return row[i] }
 		now := dram.Time(0)
 		window := 0
+		var rowDecays int64
 		for i := 0; i < opsPerCombo; i++ {
 			now += dram.Time(rng.Int63n(int64(tret) / 256))
 			addr := (uint64(rng.Int63()) * dram.LineBytes) % capacity
-			switch rng.Intn(10) {
+			switch rng.Intn(13) {
+			case 10, 11: // write a whole row as one burst
+				for j := range row {
+					row[j] = randomLine(rng)
+				}
+				before := batched.mod.Stats().DecayEvents
+				if err := batched.ctrl.WriteRow(addr, content, now); err != nil {
+					t.Fatal(err)
+				}
+				if err := scalar.ctrl.writeRowScalar(addr, content, now); err != nil {
+					t.Fatal(err)
+				}
+				rowDecays += batched.mod.Stats().DecayEvents - before
+			case 12: // idle past the retention deadline: the next burst's first slot decays
+				now += tret + dram.Time(rng.Int63n(int64(tret)))
 			case 0, 1, 2, 3, 4, 5, 6: // write a line
 				data := randomLine(rng)
 				if err := batched.ctrl.WriteLine(addr, data, now); err != nil {
@@ -179,6 +200,48 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 				now = start + tret/dram.Time(2)
 			}
 		}
+		if rowDecays == 0 {
+			t.Fatalf("opts=%+v: no row burst decayed a chip-row; the activation path went untested", opts)
+		}
 		compareStacks(t, opts, batched, scalar)
 	}
+}
+
+// TestWriteZeroRowTraceOrderSharedShard is the reproducer for cleansing a
+// row that holds charged content: each chip-row's charge transition belongs
+// to the slot that overwrites its last charged word, before that slot's
+// writeback event. The per-line datapath emits them after writeback 62, in
+// the rank shard module, engine and controller share.
+func TestWriteZeroRowTraceOrderSharedShard(t *testing.T) {
+	opts := transform.DefaultOptions()
+	batched, scalar := newDiffStack(opts), newDiffStack(opts)
+	rng := rand.New(rand.NewSource(3))
+	lines := batched.mod.Config().LinesPerRow()
+	for ln := 0; ln < lines; ln++ {
+		var data [64]byte
+		rng.Read(data[:]) // incompressible: every chip-row ends charged
+		addr := uint64(ln) * dram.LineBytes
+		if err := batched.ctrl.WriteLine(addr, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := scalar.ctrl.writeLineScalar(addr, data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batched.ctrl.WriteZeroRow(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := scalar.ctrl.writeZeroRowScalar(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	discharges := 0
+	for _, ev := range batched.tr.Events() {
+		if ev.Kind == trace.KindChargeTransition && ev.Time == 1 && ev.A == 1 {
+			discharges++
+		}
+	}
+	if discharges != dram.LineChips {
+		t.Fatalf("cleanse emitted %d discharge transitions, want one per chip (%d)", discharges, dram.LineChips)
+	}
+	compareStacks(t, opts, batched, scalar)
 }

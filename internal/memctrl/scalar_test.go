@@ -24,6 +24,17 @@ func (c *Controller) writeLineScalar(addr uint64, data [64]byte, now dram.Time) 
 	return nil
 }
 
+// writeRowScalar is WriteRow as a slot-by-slot loop of writeLineScalar.
+func (c *Controller) writeRowScalar(addr uint64, content func(line int) [64]byte, now dram.Time) error {
+	base := c.amap.RowBase(addr)
+	for ln := 0; ln < c.mod.Config().LinesPerRow(); ln++ {
+		if err := c.writeLineScalar(base+uint64(ln)*dram.LineBytes, content(ln), now); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // readLineScalar is ReadLine with one ReadWord per chip.
 func (c *Controller) readLineScalar(addr uint64, now dram.Time) ([64]byte, error) {
 	loc, err := c.amap.Locate(addr)

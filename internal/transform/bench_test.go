@@ -28,14 +28,14 @@ func benchLinesT(n int) []Line {
 	return lines
 }
 
-// BenchmarkBitPlaneInverse pits the gather-table inverse against the
-// retained bit-by-bit oracle on transposed images of mixed content.
+// BenchmarkBitPlaneInverse pits the network inverse against the bit-by-bit
+// oracle on transposed images of mixed content.
 func BenchmarkBitPlaneInverse(b *testing.B) {
 	lines := benchLinesT(256)
 	for i := range lines {
 		lines[i] = BitPlaneTranspose(lines[i])
 	}
-	b.Run("table", func(b *testing.B) {
+	b.Run("network", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink Line
 		for i := 0; i < b.N; i++ {
@@ -79,8 +79,9 @@ func BenchmarkPipelineEncodeDecode(b *testing.B) {
 }
 
 // TestSteadyStateAllocFree pins the transform kernels allocation-free on
-// the benchmark inputs: both bit-plane inverses and a full pipeline
-// encode+decode round trip on a true-cell and an anti-cell row.
+// the benchmark inputs: the bit-plane transpose, both bit-plane inverses, a
+// full pipeline encode+decode round trip on a true-cell and an anti-cell
+// row, and a whole-row EncodeRow.
 func TestSteadyStateAllocFree(t *testing.T) {
 	lines := benchLinesT(256)
 	planes := make([]Line, len(lines))
@@ -88,14 +89,20 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		planes[i] = BitPlaneTranspose(lines[i])
 	}
 	p := benchPipeline()
+	row := make([]Line, 64)
 	var sink Line
 	k := 0
 	next := func() int { k = (k + 1) % len(lines); return k }
 	checks := map[string]func(){
+		"BitPlaneTranspose":  func() { sink = BitPlaneTranspose(lines[next()]) },
 		"BitPlaneInverse":    func() { sink = BitPlaneInverse(planes[next()]) },
 		"referenceInverse":   func() { sink = referenceInverse(planes[next()]) },
 		"Pipeline/true-cell": func() { sink = p.Decode(p.Encode(lines[next()], 0), 0) },
 		"Pipeline/anti-cell": func() { sink = p.Decode(p.Encode(lines[next()], 64), 64) },
+		"EncodeRow": func() {
+			copy(row, lines[next()%(len(lines)-len(row)):])
+			p.EncodeRow(row, 64)
+		},
 	}
 	for name, fn := range checks {
 		fn()

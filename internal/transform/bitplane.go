@@ -15,104 +15,123 @@ package transform
 //
 // The transpose touches no logic on the critical path in hardware — it is
 // wire routing — and is a bijection, inverted by BitPlaneInverse.
+//
+// In software it is a branch-free network over whole words. Writing
+// b = 8k + i (byte lane k, bit i within the byte), the target position is
+// p = 56k + 7i + j: byte lane k of the seven delta words fills the 56-bit
+// field at offset 56k, with bit i of word j's byte at 7i + j inside it. So
+//
+//  1. an 8x8 byte transpose of the seven delta words (plus a zero eighth)
+//     gathers byte lane k of every word into lane word k (byte j = word j);
+//  2. an 8x8 bit transpose of each lane word moves bit i of byte j to bit
+//     j of byte i, leaving bit 7 of every byte zero (there is no word 7);
+//  3. a 7-bit pack squeezes out those zero bits, and lane k is placed at
+//     bit 56k of the region.
+//
+// Every step is a permutation and steps 1 and 2 are involutions, so the
+// inverse unpacks the lanes and runs the same two transposes in reverse
+// order. The bit-by-bit definitions the network must match are the
+// referenceTranspose / referenceInverse test oracles.
 
-const (
-	deltaWords = 7
-	deltaBits  = deltaWords * 64 // 448
-)
+// deltaWords is the number of delta words after the base word.
+const deltaWords = 7
 
-// spreadTab[v] scatters the 8 bits of byte v to stride-7 positions:
-// bit i of v lands at bit 7*i. One lookup therefore places a whole input
-// byte into the transposed bit-plane layout (see BitPlaneTranspose).
-var spreadTab = func() [256]uint64 {
-	var t [256]uint64
-	for v := 0; v < 256; v++ {
-		var s uint64
-		for i := 0; i < 8; i++ {
-			if v&(1<<i) != 0 {
-				s |= 1 << (7 * i)
-			}
-		}
-		t[v] = s
-	}
-	return t
-}()
+// transposeBytes8 transposes the 8x8 byte matrix whose row r is word xr:
+// byte c of word r swaps with byte r of word c, in three block-swap rounds
+// of 32-, 16- and 8-bit blocks. The words travel in registers both ways.
+func transposeBytes8(x0, x1, x2, x3, x4, x5, x6, x7 uint64) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
+	x0, x4 = swapBlocks(x0, x4, 32, 0x00000000ffffffff)
+	x1, x5 = swapBlocks(x1, x5, 32, 0x00000000ffffffff)
+	x2, x6 = swapBlocks(x2, x6, 32, 0x00000000ffffffff)
+	x3, x7 = swapBlocks(x3, x7, 32, 0x00000000ffffffff)
+	x0, x2 = swapBlocks(x0, x2, 16, 0x0000ffff0000ffff)
+	x1, x3 = swapBlocks(x1, x3, 16, 0x0000ffff0000ffff)
+	x4, x6 = swapBlocks(x4, x6, 16, 0x0000ffff0000ffff)
+	x5, x7 = swapBlocks(x5, x7, 16, 0x0000ffff0000ffff)
+	x0, x1 = swapBlocks(x0, x1, 8, 0x00ff00ff00ff00ff)
+	x2, x3 = swapBlocks(x2, x3, 8, 0x00ff00ff00ff00ff)
+	x4, x5 = swapBlocks(x4, x5, 8, 0x00ff00ff00ff00ff)
+	x6, x7 = swapBlocks(x6, x7, 8, 0x00ff00ff00ff00ff)
+	return x0, x1, x2, x3, x4, x5, x6, x7
+}
+
+// swapBlocks exchanges the high s-bit half of every 2s-bit block of a with
+// the low half of the same block of b (mask selects the low halves).
+func swapBlocks(a, b uint64, s uint, mask uint64) (uint64, uint64) {
+	t := (a>>s ^ b) & mask
+	return a ^ t<<s, b ^ t
+}
+
+// transposeBits8 is the 8x8 bit-matrix transpose of Hacker's Delight §7-3
+// on one word viewed as eight byte rows: bit i of byte j swaps with bit j
+// of byte i.
+func transposeBits8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
+}
+
+// pack7 squeezes the low seven bits of each byte of x into one contiguous
+// 56-bit field: bit i of byte j lands at 7j + i.
+func pack7(x uint64) uint64 {
+	x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+	x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+	return x&0x000000000fffffff | x>>4&0x00fffffff0000000
+}
+
+// unpack7 inverts pack7: the 56-bit field spreads back to the low seven
+// bits of each byte, bit 7 of every byte cleared.
+func unpack7(x uint64) uint64 {
+	x = x&0x000000000fffffff | x<<4&0x0fffffff00000000
+	x = x&0x00003fff00003fff | x<<2&0x3fff00003fff0000
+	return x&0x007f007f007f007f | x<<1&0x7f007f007f007f00
+}
 
 // BitPlaneTranspose re-orders the bits of words 1..7; the base word is
 // passed through untouched.
-//
-// Implementation: bit b of delta word j goes to position p = b*7 + j, so
-// byte k of word j (bits 8k..8k+7) scatters to positions 56k+j + {0,7,...,
-// 49} — a fixed stride-7 pattern looked up per byte value and OR-ed in at
-// offset 56k+j (straddling at most two output words).
 func BitPlaneTranspose(l Line) Line {
-	out := Line{l[0]}
-	for j := 0; j < deltaWords; j++ {
-		w := l[j+1]
-		for k := 0; w != 0; k++ {
-			v := byte(w)
-			w >>= 8
-			if v == 0 {
-				continue
-			}
-			s := spreadTab[v]
-			p := uint(56*k + j)
-			out[1+p/64] |= s << (p % 64)
-			if p%64 > 64-50 {
-				out[2+p/64] |= s >> (64 - p%64)
-			}
-		}
-	}
-	return out
+	bitPlaneTranspose(&l)
+	return l
 }
 
-// stride7Mask selects the stride-7 bit positions 0, 7, ..., 49 — where one
-// input byte's bits sit after spreadTab scatters them.
-const stride7Mask uint64 = 0x0002040810204081
-
-// foldStride7 compresses the stride-7 bits of s into its low byte. The
-// eight stride positions 7t (t = 0..7) have pairwise-distinct residues
-// mod 8, so OR-ing the shifts by 0, 8, ..., 48 lands each bit at a unique
-// position of byte 0 — a bit permutation, not a lossy merge.
-func foldStride7(s uint64) byte {
-	s &= stride7Mask
-	return byte(s | s>>8 | s>>16 | s>>24 | s>>32 | s>>40 | s>>48)
+// bitPlaneTranspose is BitPlaneTranspose in place, the form the pipeline
+// runs: it spares the encode path two 64-byte copies per line. The eight
+// lanes are written out one by one so their independent bit transposes and
+// packs overlap.
+func bitPlaneTranspose(l *Line) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := transposeBytes8(l[1], l[2], l[3], l[4], l[5], l[6], l[7], 0)
+	f0 := pack7(transposeBits8(x0))
+	f1 := pack7(transposeBits8(x1))
+	f2 := pack7(transposeBits8(x2))
+	f3 := pack7(transposeBits8(x3))
+	f4 := pack7(transposeBits8(x4))
+	f5 := pack7(transposeBits8(x5))
+	f6 := pack7(transposeBits8(x6))
+	f7 := pack7(transposeBits8(x7))
+	l[1] = f0 | f1<<56
+	l[2] = f1>>8 | f2<<48
+	l[3] = f2>>16 | f3<<40
+	l[4] = f3>>24 | f4<<32
+	l[5] = f4>>32 | f5<<24
+	l[6] = f5>>40 | f6<<16
+	l[7] = f6>>48 | f7<<8
 }
 
-// gatherTab undoes the spread-then-fold permutation: indexing by
-// foldStride7 of a spread byte returns the original byte. It is built as
-// the exact inverse of spreadTab under foldStride7, so gather and spread
-// are table-symmetric by construction.
-var gatherTab = func() [256]byte {
-	var t [256]byte
-	for v := 0; v < 256; v++ {
-		t[foldStride7(spreadTab[v])] = byte(v)
-	}
-	return t
-}()
-
-// BitPlaneInverse undoes BitPlaneTranspose.
-//
-// Implementation: byte k of delta word j occupies the stride-7 positions
-// 56k+j + {0, 7, ..., 49} of the transposed region — the mirror image of
-// the forward scatter — so each output byte is recovered by extracting the
-// 50-bit window at offset 56k+j (straddling at most two region words),
-// folding its stride-7 bits into one byte and looking the result up in
-// gatherTab. Eight table lookups per word replace the former bit-by-bit
-// walk of the whole 448-bit region.
+// BitPlaneInverse undoes BitPlaneTranspose: it cuts the region into its
+// eight 56-bit lane fields and runs the forward network backwards.
 func BitPlaneInverse(l Line) Line {
-	out := Line{l[0]}
-	for j := 0; j < deltaWords; j++ {
-		var w uint64
-		for k := 0; k < 8; k++ {
-			p := uint(56*k + j)
-			win := l[1+p/64] >> (p % 64)
-			if p%64 > 64-50 {
-				win |= l[2+p/64] << (64 - p%64)
-			}
-			w |= uint64(gatherTab[foldStride7(win)]) << (8 * k)
-		}
-		out[1+j] = w
-	}
-	return out
+	const field = 1<<56 - 1
+	f0 := transposeBits8(unpack7(l[1] & field))
+	f1 := transposeBits8(unpack7((l[1]>>56 | l[2]<<8) & field))
+	f2 := transposeBits8(unpack7((l[2]>>48 | l[3]<<16) & field))
+	f3 := transposeBits8(unpack7((l[3]>>40 | l[4]<<24) & field))
+	f4 := transposeBits8(unpack7((l[4]>>32 | l[5]<<32) & field))
+	f5 := transposeBits8(unpack7((l[5]>>24 | l[6]<<40) & field))
+	f6 := transposeBits8(unpack7((l[6]>>16 | l[7]<<48) & field))
+	f7 := transposeBits8(unpack7(l[7] >> 8))
+	d0, d1, d2, d3, d4, d5, d6, _ := transposeBytes8(f0, f1, f2, f3, f4, f5, f6, f7)
+	return Line{l[0], d0, d1, d2, d3, d4, d5, d6}
 }

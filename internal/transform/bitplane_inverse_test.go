@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// referenceInverse is the original bit-by-bit BitPlaneInverse, retained as
-// the differential-test oracle for the gather-table implementation: it
+// referenceInverse is the bit-by-bit definition of BitPlaneInverse, the
+// differential-test oracle for the transpose network run backwards: it
 // walks every set bit of the transposed region and places it back
 // individually, which is obviously correct and obviously slow.
 func referenceInverse(l Line) Line {
@@ -29,25 +29,8 @@ func referenceInverse(l Line) Line {
 	return out
 }
 
-// TestGatherTabIsPermutation proves gatherTab is a true inverse: the fold
-// of every spread byte is distinct, so spread → fold → gather is the
-// identity on all 256 byte values.
-func TestGatherTabIsPermutation(t *testing.T) {
-	var seen [256]bool
-	for v := 0; v < 256; v++ {
-		f := foldStride7(spreadTab[v])
-		if seen[f] {
-			t.Fatalf("foldStride7(spreadTab[%#x]) = %#x collides with an earlier byte", v, f)
-		}
-		seen[f] = true
-		if got := gatherTab[f]; got != byte(v) {
-			t.Fatalf("gatherTab[foldStride7(spreadTab[%#x])] = %#x, want %#x", v, got, v)
-		}
-	}
-}
-
-// TestBitPlaneInverseMatchesReference pits the gather-table inverse against
-// the retained bit-loop oracle on structured and random transposed lines.
+// TestBitPlaneInverseMatchesReference pits the network inverse against the
+// bit-loop oracle on structured and random transposed lines.
 // Inputs are valid transposed images (outputs of BitPlaneTranspose), which
 // is the only domain the inverse is specified on.
 func TestBitPlaneInverseMatchesReference(t *testing.T) {
@@ -77,7 +60,7 @@ func TestBitPlaneInverseMatchesReference(t *testing.T) {
 		tr := BitPlaneTranspose(l)
 		got, want := BitPlaneInverse(tr), referenceInverse(tr)
 		if got != want {
-			t.Fatalf("inverse mismatch for transposed %v:\n  table %v\n  oracle %v", tr, got, want)
+			t.Fatalf("inverse mismatch for transposed %v:\n  network %v\n  oracle  %v", tr, got, want)
 		}
 		if got != l {
 			t.Fatalf("round trip failed for %v: got %v", l, got)
@@ -85,7 +68,7 @@ func TestBitPlaneInverseMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzBitPlaneInverseDifferential fuzzes the table inverse against the
+// FuzzBitPlaneInverseDifferential fuzzes the network inverse against the
 // bit-loop oracle over arbitrary transposed images.
 func FuzzBitPlaneInverseDifferential(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
@@ -94,7 +77,7 @@ func FuzzBitPlaneInverseDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i uint64) {
 		tr := BitPlaneTranspose(lineFromWords(a, b, c, d, e, g, h, i))
 		if got, want := BitPlaneInverse(tr), referenceInverse(tr); got != want {
-			t.Fatalf("inverse mismatch for %v: table %v, oracle %v", tr, got, want)
+			t.Fatalf("inverse mismatch for %v: network %v, oracle %v", tr, got, want)
 		}
 	})
 }

@@ -120,8 +120,8 @@ func TestEBDIPlusBitPlaneEndToEnd(t *testing.T) {
 	}
 }
 
-// referenceTranspose is the direct bit-by-bit definition; the table-driven
-// implementation must match it exactly.
+// referenceTranspose is the direct bit-by-bit definition; the transpose
+// network must match it exactly.
 func referenceTranspose(l Line) Line {
 	out := Line{l[0]}
 	for j := 0; j < deltaWords; j++ {

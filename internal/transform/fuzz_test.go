@@ -33,6 +33,24 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzBitPlaneMatchesReference pins the transpose network and its inverse
+// to their bit-by-bit definitions. The round trip alone cannot catch a
+// network that computes the wrong permutation, as long as it inverts it.
+func FuzzBitPlaneMatchesReference(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6), uint64(7), uint64(8))
+	f.Add(^uint64(0), uint64(1)<<63, uint64(0x80), uint64(0xff00ff00ff00ff00), uint64(0x0123456789abcdef), ^uint64(0), uint64(1), uint64(1)<<56)
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i uint64) {
+		l := lineFromWords(a, b, c, d, e, g, h, i)
+		if got, want := BitPlaneTranspose(l), referenceTranspose(l); got != want {
+			t.Fatalf("transpose of %v: network %v, reference %v", l, got, want)
+		}
+		if got, want := BitPlaneInverse(l), referenceInverse(l); got != want {
+			t.Fatalf("inverse of %v: network %v, reference %v", l, got, want)
+		}
+	})
+}
+
 func FuzzPipelineRoundTrip(f *testing.F) {
 	// Seed every stage combination on both a true-cell row (0) and an
 	// anti-cell row (64, the next cell group under CellGroupRows=64), so

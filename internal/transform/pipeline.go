@@ -130,22 +130,7 @@ func (p *Pipeline) EncodeFill(l Line, rowIdx, n int) Line {
 	}
 	if !hit {
 		in := l
-		if p.opts.EBDI {
-			l = EBDIEncode(l)
-			stages |= trace.CodecEBDI
-		}
-		if p.opts.BitPlane {
-			l = BitPlaneTranspose(l)
-			stages |= trace.CodecBitPlane
-		}
-		// Count the win before the cell-aware inversion: a zero word here
-		// stores as the discharged pattern either way (inverted rows store it
-		// as all-ones, which is discharged for anti-cells).
-		zeros = int64(l.ZeroWords())
-		if p.opts.CellAware && ct == dram.AntiCell {
-			l = l.Invert()
-			stages |= trace.CodecInverted
-		}
+		zeros, stages = p.encodeLine(&l, ct)
 		if memo != nil {
 			memo.Store(&fillResult{in: in, out: l, zeros: zeros, stages: stages}) //zr:allow(hotpath) memo refill on a fill-pattern change, amortized over the bulk fill run
 		}
@@ -153,14 +138,66 @@ func (p *Pipeline) EncodeFill(l Line, rowIdx, n int) Line {
 	p.zeroWords.ObserveN(zeros, int64(n))
 	if p.tr != nil {
 		for i := 0; i < n; i++ {
-			p.tr.Emit(trace.Event{
-				Kind: trace.KindCodecSelect,
-				Chip: -1, Bank: -1, Row: int32(rowIdx),
-				A: stages, B: zeros,
-			})
+			p.tr.Emit(codecEvent(rowIdx, stages, zeros))
 		}
 	}
 	return l
+}
+
+// EncodeRow encodes the lines of one rank-level row in place, with the
+// accounting of len(lines) Encode calls batched: one ops Add, one
+// zero-words ObserveN per distinct zero count (at most nine), and the
+// codec events in line order.
+//
+//zr:hotpath
+func (p *Pipeline) EncodeRow(lines []Line, rowIdx int) {
+	p.ops.Add(int64(len(lines)))
+	ct := p.types.TypeOf(rowIdx)
+	var zeroCounts [len(Line{}) + 1]int64
+	for i := range lines {
+		zeros, stages := p.encodeLine(&lines[i], ct)
+		zeroCounts[zeros]++
+		if p.tr != nil {
+			p.tr.Emit(codecEvent(rowIdx, stages, zeros))
+		}
+	}
+	for zeros, n := range zeroCounts {
+		if n != 0 {
+			p.zeroWords.ObserveN(int64(zeros), n)
+		}
+	}
+}
+
+// encodeLine is the per-line stage sequence every encode entry shares: it
+// runs the enabled stages in place on a line bound to a row of cell type
+// ct, and returns the line's zero-word count and the codec's stage bits.
+func (p *Pipeline) encodeLine(l *Line, ct dram.CellType) (zeros, stages int64) {
+	if p.opts.EBDI {
+		*l = EBDIEncode(*l)
+		stages |= trace.CodecEBDI
+	}
+	if p.opts.BitPlane {
+		bitPlaneTranspose(l)
+		stages |= trace.CodecBitPlane
+	}
+	// Count the win before the cell-aware inversion: a zero word here
+	// stores as the discharged pattern either way (inverted rows store it
+	// as all-ones, which is discharged for anti-cells).
+	zeros = int64(l.ZeroWords())
+	if p.opts.CellAware && ct == dram.AntiCell {
+		*l = l.Invert()
+		stages |= trace.CodecInverted
+	}
+	return zeros, stages
+}
+
+// codecEvent builds the codec-selection event of one line bound to rowIdx.
+func codecEvent(rowIdx int, stages, zeros int64) trace.Event {
+	return trace.Event{
+		Kind: trace.KindCodecSelect,
+		Chip: -1, Bank: -1, Row: int32(rowIdx),
+		A: stages, B: zeros,
+	}
 }
 
 // Decode inverts Encode for a line read back from row rowIdx. Because the

@@ -14,6 +14,9 @@ func (Raw) Encode(l Line, rowIdx int) Line { return l }
 // accounting to replicate.
 func (Raw) EncodeFill(l Line, rowIdx, n int) Line { return l }
 
+// EncodeRow leaves the row's lines unchanged.
+func (Raw) EncodeRow(lines []Line, rowIdx int) {}
+
 // Decode returns the line unchanged.
 func (Raw) Decode(l Line, rowIdx int) Line { return l }
 
