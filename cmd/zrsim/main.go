@@ -24,6 +24,7 @@ import (
 	"os/signal"
 	"runtime/metrics"
 	"strings"
+	"sync"
 	"syscall"
 
 	"zerorefresh/internal/core"
@@ -96,10 +97,7 @@ func main() {
 	// experiments build; each system's registry mounts under "sysN/".
 	var plane *obs.Plane
 	if *serveAddr != "" || *flightOut != "" || *watchRules != "" {
-		rootReg := zrmetrics.NewRegistry()
-		progress := &core.Progress{}
-		plane = obs.NewPlane(rootReg, progress, 0)
-		var wd *obs.Watchdog
+		plane = obs.NewPlane(zrmetrics.NewRegistry(), &core.Progress{}, 0)
 		if *watchRules != "" {
 			var rules []obs.Rule
 			for _, s := range strings.Split(*watchRules, ",") {
@@ -109,20 +107,9 @@ func main() {
 				}
 				rules = append(rules, r)
 			}
-			wd = plane.InstallWatchdog(rules, *watchEvery)
+			plane.InstallWatchdog(rules, *watchEvery)
 		}
-		sysCount := 0
-		o.Observer = &sim.Observer{
-			TraceSink: plane.TraceSink,
-			Progress:  progress,
-			OnSystem: func(sys *core.System) {
-				rootReg.Attach(fmt.Sprintf("sys%d", sysCount), sys.Metrics())
-				sysCount++
-				if wd != nil {
-					sys.SetWatch(wd.Tick)
-				}
-			},
-		}
+		o.Observer = observer(plane)
 		if *serveAddr != "" {
 			ln, err := net.Listen("tcp", *serveAddr)
 			if err != nil {
@@ -172,6 +159,32 @@ func main() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
+	}
+}
+
+// observer wires plane into every system a run builds: each system's
+// registry mounts under "sysN/" of the plane's registry, N counting the
+// systems in the order they are built, and the plane's watchdog, when one
+// is installed, ticks after every retention window. Experiments build
+// systems from parallel units, so the count and the mount are taken under
+// a lock.
+func observer(plane *obs.Plane) *sim.Observer {
+	var (
+		mu sync.Mutex
+		n  int
+	)
+	return &sim.Observer{
+		TraceSink: plane.TraceSink,
+		Progress:  plane.Progress,
+		OnSystem: func(sys *core.System) {
+			mu.Lock()
+			plane.Registry.Attach(fmt.Sprintf("sys%d", n), sys.Metrics())
+			n++
+			mu.Unlock()
+			if wd := plane.Watchdog(); wd != nil {
+				sys.SetWatch(wd.Tick)
+			}
+		},
 	}
 }
 

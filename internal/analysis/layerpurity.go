@@ -39,13 +39,15 @@ func (Layerpurity) Doc() string {
 
 // dramMutators is the charge-state-mutating slice of the rank contract:
 // the scalar methods, their line- and row-granular batched equivalents
-// (WriteLineWords, BeginRowWrite, RefreshGroup, FillRowWords), and the
-// bulk idle replay (ReplayRefreshGroup), which perform the same state
+// (WriteLineWords, BeginRowWrite, RefreshGroup, FillRowWords), the bulk
+// idle replay (ReplayRefreshGroup), which perform the same state
 // transitions a cacheline, row burst, refresh diagonal, or idle-window run
-// at a time. BeginRowWrite stands for its whole burst: the dram.RowWrite
-// cursor whose Write and End store the row exists only as BeginRowWrite's
-// result, so a layer holds one only if it opened the burst through the
-// interface — or was flagged for opening it on the concrete module.
+// at a time, and CopyFrom, which overwrites a whole module's cells with
+// another's (core.System.Clone). BeginRowWrite stands for its whole burst:
+// the dram.RowWrite cursor whose Write and End store the row exists only
+// as BeginRowWrite's result, so a layer holds one only if it opened the
+// burst through the interface — or was flagged for opening it on the
+// concrete module.
 var dramMutators = map[string]bool{
 	"WriteWord":          true,
 	"Refresh":            true,
@@ -55,6 +57,7 @@ var dramMutators = map[string]bool{
 	"RefreshGroup":       true,
 	"FillRowWords":       true,
 	"ReplayRefreshGroup": true,
+	"CopyFrom":           true,
 }
 
 // metricValueTypes are the types only metrics.Registry may construct.

@@ -37,6 +37,12 @@ func directBurst(m *dram.Module) {
 	w.End()
 }
 
+// directCopy overwrites a concrete module's cells outside the composition
+// root.
+func directCopy(dst, src *dram.Module) error {
+	return dst.CopyFrom(src) // want "mutates DRAM cell state on concrete"
+}
+
 // throughInterfaceBurst opens the burst through the interface; the cursor
 // it returns is then the sanctioned handle on the row.
 func throughInterfaceBurst(b backend) {

@@ -10,3 +10,9 @@ func Build() *dram.Module {
 	m.MarkSpared(1)
 	return m
 }
+
+// Clone copies a module concretely, as the composition root may.
+func Clone(src *dram.Module) (*dram.Module, error) {
+	m := dram.New(8)
+	return m, m.CopyFrom(src)
+}

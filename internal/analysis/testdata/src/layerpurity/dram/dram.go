@@ -39,3 +39,9 @@ func (m *Module) BeginRowWrite(row int) RowWrite { return RowWrite{m: m, row: ro
 func (w *RowWrite) Write(slot int, v uint64) { w.m.rows[w.row] = v }
 
 func (w *RowWrite) End() {}
+
+// CopyFrom overwrites every cell with src's.
+func (m *Module) CopyFrom(src *Module) error {
+	copy(m.rows, src.rows)
+	return nil
+}

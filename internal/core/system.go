@@ -145,6 +145,10 @@ type System struct {
 	metrics *metrics.Registry
 	windows *metrics.Counter
 
+	// shards are the tracer shards NewSystem created, in creation order
+	// ("cpu", then the ranks); empty when Config.Trace is nil.
+	shards []*trace.Shard
+
 	// timeline accumulates one Epoch per retention window when
 	// Config.Timeline is set; lastSnap is the snapshot at the previous
 	// window boundary, so each epoch's Delta covers exactly one window.
@@ -222,7 +226,9 @@ func NewSystem(cfg Config) (*System, error) {
 	sinkFor := func(label string) engine.Tracer {
 		var sh engine.Tracer
 		if cfg.Trace != nil {
-			sh = cfg.Trace.NewShard(label)
+			shard := cfg.Trace.NewShard(label)
+			sys.shards = append(sys.shards, shard)
+			sh = shard
 		}
 		if cfg.TraceSink != nil {
 			return cfg.TraceSink(label, sh)
@@ -262,6 +268,49 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.Progress.noteSystem()
 	}
 	return sys, nil
+}
+
+// Clone returns an independent system whose simulated state equals s's:
+// every rank's DRAM cells and arena layout and refresh tables, every
+// counter and histogram, the clock, the timeline and the trace shards. It
+// is built by NewSystem(s.Config) and filled by per-layer copies, so it
+// allocates what a fresh system brought to the same state would, and
+// copy-on-write sentinel rows are shared read-only between the two.
+//
+// The clone's tracer shards are new shards of Config.Trace, each holding a
+// copy of the matching original shard's ring restamped with its own id. A
+// Config.TraceSink tee wraps the clone's shards as NewSystem wires them,
+// so it sees only the events emitted after the clone. The SetWatch hook is
+// not carried over. Clone returns an error when the event loop is armed:
+// its pending events are closures over s.
+func (s *System) Clone() (*System, error) {
+	if s.ev.q != nil {
+		return nil, fmt.Errorf("core: cannot clone a system whose event loop is armed")
+	}
+	c, err := NewSystem(s.Config)
+	if err != nil {
+		return nil, err
+	}
+	for i, u := range s.Ranks {
+		if err := c.Ranks[i].DRAM.CopyFrom(u.DRAM); err != nil {
+			return nil, fmt.Errorf("core: rank %d: %w", i, err)
+		}
+		if err := c.Ranks[i].Engine.CopyFrom(u.Engine); err != nil {
+			return nil, fmt.Errorf("core: rank %d: %w", i, err)
+		}
+	}
+	if err := c.metrics.CopyFrom(s.metrics); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	for i, sh := range s.shards {
+		if err := c.shards[i].CopyFrom(sh); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	c.Clock = s.Clock
+	c.timeline = append([]Epoch(nil), s.timeline...)
+	c.lastSnap = s.lastSnap
+	return c, nil
 }
 
 // SetWatch installs the per-window observation hook: fn is invoked after
@@ -326,9 +375,16 @@ func (s *System) WritePage(page int, content func(line int) [64]byte) error {
 // version models stores that update values without changing the resident
 // data structures.
 func (s *System) FillPageFromProfile(prof workload.Profile, page int, contentSeed, version uint64) error {
+	gen := prof.Lines(contentSeed)
+	return s.FillPage(&gen, page, version)
+}
+
+// FillPage is FillPageFromProfile with the caller's generator: a run that
+// fills many pages holds one, so consecutive pages continue its last
+// chunk's class instead of each resolving its first chunk from scratch.
+func (s *System) FillPage(gen *workload.LineGen, page int, version uint64) error {
 	lines := uint64(s.DRAM.Config().RowBytes / dram.LineBytes)
 	base := uint64(page) * lines
-	gen := prof.Lines(contentSeed)
 	return s.WritePage(page, func(ln int) [64]byte {
 		return gen.Line(base+uint64(ln), version)
 	})

@@ -1,6 +1,10 @@
 package dram
 
-import "zerorefresh/internal/metrics"
+import (
+	"fmt"
+
+	"zerorefresh/internal/metrics"
+)
 
 // Per-bank row arenas, copy-on-write sentinel rows and word-level charge
 // bitmaps — the storage layer behind the sparse row representation.
@@ -154,10 +158,31 @@ func (s *bankSlab) alloc() ([]uint64, int32) {
 		slot = s.next
 		s.next++
 	}
-	off := int(slot) % s.chunkRows * s.wordsPerRow
-	ws := s.chunks[int(slot)/s.chunkRows][off : off+s.wordsPerRow : off+s.wordsPerRow]
 	s.st.noteUsed(int64(s.wordsPerRow) * WordBytes)
-	return ws, slot
+	return s.slotWords(slot), slot
+}
+
+// slotWords returns the capacity-capped word slice of one slot.
+func (s *bankSlab) slotWords(slot int32) []uint64 {
+	off := int(slot) % s.chunkRows * s.wordsPerRow
+	return s.chunks[int(slot)/s.chunkRows][off : off+s.wordsPerRow : off+s.wordsPerRow]
+}
+
+// copyFrom makes s's chunks, bump cursor, free list and row-struct pool a
+// slot-for-slot copy of src's. The copied row structs still point into
+// src's module; Module.CopyFrom re-points them.
+func (s *bankSlab) copyFrom(src *bankSlab) {
+	s.chunks = make([][]uint64, len(src.chunks))
+	for i, c := range src.chunks {
+		s.chunks[i] = append([]uint64(nil), c...)
+	}
+	s.next = src.next
+	s.free = append([]int32(nil), src.free...)
+	s.structChunks = make([][]row, len(src.structChunks))
+	for i, c := range src.structChunks {
+		s.structChunks[i] = append([]row(nil), c...)
+	}
+	s.structNext = src.structNext
 }
 
 // releaseSlot returns one slot to the free list. Slots are not cleared on
@@ -254,6 +279,63 @@ func (m *Module) sentinel(v uint64) []uint64 {
 		m.sentinels[v] = s
 	}
 	return s
+}
+
+// CopyFrom makes m's cell state and storage layout equal to src's,
+// replacing whatever m held. m must be a module of src's Config; CopyFrom
+// returns an error otherwise. Every bank's word chunks, bump cursor and
+// free list are copied slot for slot, so m reports the same
+// dram.storage.* footprint and reuses slots in the same order src would.
+// The row structs are copied in pool order and re-pointed at m's slots and
+// arenas; the charge and live bitmaps, the live counts and the spared rows
+// are copied. Rows aliasing a copy-on-write sentinel keep aliasing it, and
+// m's sentinel cache holds the same sentinels: they are read-only, since
+// every mutation path copies a row into an owned slot first, so the two
+// modules may share them.
+//
+// The operation counters live in m's registry (Metrics) and are not
+// touched: the composition root copies them with metrics.Registry.CopyFrom.
+// Neither is the tracer, which stays m's own.
+func (m *Module) CopyFrom(src *Module) error {
+	if m.cfg != src.cfg {
+		return fmt.Errorf("dram: copy of a %+v module into a %+v module", src.cfg, m.cfg)
+	}
+	for _, rows := range m.banks {
+		clear(rows)
+	}
+	banks := m.cfg.Banks
+	for b := range m.slabs {
+		ms, ss := &m.slabs[b], &src.slabs[b]
+		ms.copyFrom(ss)
+		copy(m.liveAny[b], src.liveAny[b])
+		m.liveCnt[b] = src.liveCnt[b]
+		for k := 0; k < ss.structNext; k++ {
+			sr := &ss.structChunks[k/ss.chunkRows][k%ss.chunkRows]
+			// The pool of bank b serves the LineChips arenas chip*banks+b.
+			chip := 0
+			for &src.arenas[chip*banks+b] != sr.arena {
+				chip++
+			}
+			r := &ms.structChunks[k/ms.chunkRows][k%ms.chunkRows]
+			r.arena = &m.arenas[chip*banks+b]
+			if r.slot != noSlot {
+				r.words = ms.slotWords(r.slot)
+			}
+			m.banks[chip*banks+b][r.idx] = r
+		}
+	}
+	for i := range m.arenas {
+		copy(m.arenas[i].charged, src.arenas[i].charged)
+	}
+	m.sentinels = make(map[uint64][]uint64, len(src.sentinels))
+	for v, words := range src.sentinels {
+		m.sentinels[v] = words
+	}
+	m.spared = append([]uint64(nil), src.spared...)
+	m.storage.materialized = src.storage.materialized
+	m.storage.reservedBytes = src.storage.reservedBytes
+	m.storage.usedBytes = src.storage.usedBytes
+	return nil
 }
 
 // checkGroupRows bounds-checks a diagonal group in chip order, raising the

@@ -1,0 +1,119 @@
+package dram
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// driveOps applies ops [from, to) of a fixed random stream to m: uniform
+// fills from a small palette (so rows share sentinels), dirty line writes,
+// group refreshes and sparing, at a clock slow enough for untouched rows
+// to pass their retention deadline. Op k is the same on every module.
+func driveOps(m *Module, from, to int) {
+	cfg := m.Config()
+	palette := []uint64{0, ^uint64(0), 0x0123456789ABCDEF, 0x5A5A5A5A5A5A5A5A}
+	for k := from; k < to; k++ {
+		rng := rand.New(rand.NewSource(int64(k)))
+		now := Time(k) * (cfg.Timing.TRET / 64)
+		bank, row := rng.Intn(cfg.Banks), rng.Intn(cfg.RowsPerBank)
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			fillRow(m, bank, row, uniformLine(palette[rng.Intn(len(palette))]), now)
+		case 3, 4, 5:
+			var line [LineChips]uint64
+			for i := range line {
+				line[i] = rng.Uint64()
+			}
+			m.WriteLineWords(bank, row, rng.Intn(cfg.WordsPerChipRow()), line, now)
+		case 6:
+			m.RefreshGroup(bank, diagonalGroup(m, row), now)
+		case 7:
+			m.MarkSpared(row)
+		}
+	}
+}
+
+// requireSameModule fails unless a and b hold the same cells and the same
+// storage layout: every row's words, charge count, recharge time, decay
+// flag, sentinel aliasing and slot; every slab's cursor, free list and
+// chunk count; the charge and live bitmaps, live counts, spared rows and
+// footprint shadows.
+func requireSameModule(t *testing.T, a, b *Module) {
+	t.Helper()
+	for i := range a.banks {
+		for row, ra := range a.banks[i] {
+			rb := b.banks[i][row]
+			if (ra == nil) != (rb == nil) {
+				t.Fatalf("chip-bank %d row %d: struct presence differs", i, row)
+			}
+			if ra == nil {
+				continue
+			}
+			if !reflect.DeepEqual(ra.words, rb.words) || ra.chargedWords != rb.chargedWords ||
+				ra.lastRecharge != rb.lastRecharge || ra.everDecayed != rb.everDecayed ||
+				ra.cow != rb.cow || ra.slot != rb.slot || ra.idx != rb.idx {
+				t.Fatalf("chip-bank %d row %d differs", i, row)
+			}
+		}
+		if !reflect.DeepEqual(a.arenas[i].charged, b.arenas[i].charged) {
+			t.Fatalf("chip-bank %d: charge bitmaps differ", i)
+		}
+	}
+	for i := range a.slabs {
+		sa, sb := &a.slabs[i], &b.slabs[i]
+		if sa.next != sb.next || !slices.Equal(sa.free, sb.free) ||
+			len(sa.chunks) != len(sb.chunks) || sa.structNext != sb.structNext {
+			t.Fatalf("bank %d: slab layouts differ", i)
+		}
+	}
+	if !reflect.DeepEqual(a.liveAny, b.liveAny) || !reflect.DeepEqual(a.liveCnt, b.liveCnt) {
+		t.Fatal("live bitmaps differ")
+	}
+	if !slices.Equal(a.spared, b.spared) {
+		t.Fatal("spared rows differ")
+	}
+	if a.storage.materialized != b.storage.materialized ||
+		a.storage.reservedBytes != b.storage.reservedBytes || a.storage.usedBytes != b.storage.usedBytes {
+		t.Fatal("storage shadows differ")
+	}
+}
+
+// TestCopyFromMatchesSource copies a module part-way through a random drive
+// into a fresh module. The copy must pass the storage audit and equal a
+// twin driven to the same point, stay equal while the source runs on with
+// other ops (storage shared with the source would change under it), and
+// then stay equal to the twin as both are driven on alike.
+func TestCopyFromMatchesSource(t *testing.T) {
+	for name, cfg := range cowGeometries() {
+		t.Run(name, func(t *testing.T) {
+			src, twin := New(cfg), New(cfg)
+			driveOps(src, 0, 3000)
+			driveOps(twin, 0, 3000)
+			c := New(cfg)
+			if err := c.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			checkStorageInvariants(t, c)
+			requireSameModule(t, c, twin)
+			driveOps(src, 10000, 13000)
+			requireSameModule(t, c, twin)
+			driveOps(c, 3000, 6000)
+			driveOps(twin, 3000, 6000)
+			requireSameModule(t, c, twin)
+			checkStorageInvariants(t, c)
+			if c.Stats().DecayEvents == 0 {
+				t.Fatal("no row decayed; the drive never crossed a retention deadline")
+			}
+		})
+	}
+}
+
+func TestCopyFromRejectsOtherGeometry(t *testing.T) {
+	other := testConfig()
+	other.CellGroupRows *= 2
+	if err := New(other).CopyFrom(New(testConfig())); err == nil {
+		t.Fatal("copy between modules of different configurations succeeded")
+	}
+}

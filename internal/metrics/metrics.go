@@ -306,34 +306,20 @@ func (r *Registry) Attach(prefix string, c *Registry) {
 // Snapshots taken across a Reset are healed by Delta's negative-delta
 // guard.
 func (r *Registry) Reset() {
-	r.mu.RLock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	histograms := make([]*Histogram, 0, len(r.histograms))
-	for _, h := range r.histograms {
-		histograms = append(histograms, h)
-	}
-	children := append([]child(nil), r.children...)
-	r.mu.RUnlock()
-
-	for _, c := range counters {
-		c.v.Store(0)
-	}
-	for _, g := range gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range histograms {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
+	entries, children := r.view()
+	for _, e := range entries {
+		switch {
+		case e.c != nil:
+			e.c.v.Store(0)
+		case e.g != nil:
+			e.g.bits.Store(0)
+		default:
+			for i := range e.h.buckets {
+				e.h.buckets[i].Store(0)
+			}
+			e.h.count.Store(0)
+			e.h.sum.Store(0)
 		}
-		h.count.Store(0)
-		h.sum.Store(0)
 	}
 	for _, ch := range children {
 		ch.reg.Reset()
@@ -350,41 +336,101 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
+// entry is one registered metric: exactly one of c, g and h is set.
+type entry struct {
+	name string
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
+}
+
+// view lists the registry's metrics in registration order and its
+// children, taken under the read lock so the values can be written through
+// the atomics after it is released.
+func (r *Registry) view() ([]entry, []child) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	entries := make([]entry, len(r.order))
+	for i, name := range r.order {
+		entries[i] = entry{name: name, c: r.counters[name], g: r.gauges[name], h: r.histograms[name]}
+	}
+	return entries, append([]child(nil), r.children...)
+}
+
 func (r *Registry) appendTo(snap *Snapshot, prefix string) {
 	r.mu.RLock()
-	order := append([]string(nil), r.order...)
-	children := append([]child(nil), r.children...)
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		histograms[k] = v
-	}
-	r.mu.RUnlock()
-
-	for _, name := range order {
+	for _, name := range r.order {
 		switch {
-		case counters[name] != nil:
-			snap.Samples = append(snap.Samples, Sample{Name: prefix + name, Kind: KindCounter, Int: counters[name].Load()})
-		case gauges[name] != nil:
-			snap.Samples = append(snap.Samples, Sample{Name: prefix + name, Kind: KindGauge, Float: gauges[name].Load()})
+		case r.counters[name] != nil:
+			snap.Samples = append(snap.Samples, Sample{Name: prefix + name, Kind: KindCounter, Int: r.counters[name].Load()})
+		case r.gauges[name] != nil:
+			snap.Samples = append(snap.Samples, Sample{Name: prefix + name, Kind: KindGauge, Float: r.gauges[name].Load()})
 		default:
-			h := histograms[name]
+			h := r.histograms[name]
 			snap.Samples = append(snap.Samples, Sample{
 				Name: prefix + name, Kind: KindHistogram,
 				Int: h.Count(), Sum: h.Sum(), Buckets: h.sample(),
 			})
 		}
 	}
+	children := append([]child(nil), r.children...)
+	r.mu.RUnlock()
 	for _, ch := range children {
 		ch.reg.appendTo(snap, prefix+ch.prefix+"/")
 	}
+}
+
+// CopyFrom sets every counter, gauge and histogram of r to the value of
+// the metric registered under the same name in src, then copies src's
+// attached children into r's pairwise, in attachment order. The two
+// registries must have the same shape: the same names of the same kinds in
+// the same registration order, and children under the same prefixes. On a
+// mismatch CopyFrom returns an error naming it, and r is left partly
+// copied. Like a snapshot, the copy is not atomic with respect to
+// concurrent writers of src.
+func (r *Registry) CopyFrom(src *Registry) error {
+	return r.copyFrom(src, "")
+}
+
+// copyFrom is CopyFrom for registries mounted under prefix, which names
+// the metrics in its errors.
+func (r *Registry) copyFrom(src *Registry, prefix string) error {
+	dst, dstChildren := r.view()
+	from, fromChildren := src.view()
+	if len(dst) != len(from) {
+		return fmt.Errorf("metrics: copy of %d metrics under %q into %d", len(from), prefix, len(dst))
+	}
+	for i, f := range from {
+		d := dst[i]
+		switch {
+		case d.name != f.name:
+			return fmt.Errorf("metrics: copy of %q onto %q", prefix+f.name, prefix+d.name)
+		case f.c != nil && d.c != nil:
+			d.c.v.Store(f.c.Load())
+		case f.g != nil && d.g != nil:
+			d.g.bits.Store(f.g.bits.Load())
+		case f.h != nil && d.h != nil:
+			for b := range f.h.buckets {
+				d.h.buckets[b].Store(f.h.buckets[b].Load())
+			}
+			d.h.count.Store(f.h.count.Load())
+			d.h.sum.Store(f.h.sum.Load())
+		default:
+			return fmt.Errorf("metrics: %q is of a different kind in the two registries", prefix+f.name)
+		}
+	}
+	if len(dstChildren) != len(fromChildren) {
+		return fmt.Errorf("metrics: copy of %d children under %q into %d", len(fromChildren), prefix, len(dstChildren))
+	}
+	for i, ch := range fromChildren {
+		if dstChildren[i].prefix != ch.prefix {
+			return fmt.Errorf("metrics: copy of child %q onto %q", prefix+ch.prefix, prefix+dstChildren[i].prefix)
+		}
+		if err := dstChildren[i].reg.copyFrom(ch.reg, prefix+ch.prefix+"/"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot is an ordered capture of registry samples at one instant.

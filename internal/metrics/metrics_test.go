@@ -355,3 +355,67 @@ func TestDeltaWithoutResetUnaffected(t *testing.T) {
 		t.Fatalf("histogram delta = count %d sum %d, want (1, 4)", smp.Int, smp.Sum)
 	}
 }
+
+// TestRegistryCopyFrom copies counters, gauges, histogram buckets, counts
+// and sums, and attached children, into a registry of the same shape, and
+// refuses registries of another shape.
+func TestRegistryCopyFrom(t *testing.T) {
+	build := func() *Registry {
+		r := NewRegistry()
+		r.Counter("ops")
+		r.Gauge("frac")
+		r.Histogram("lat")
+		child := NewRegistry()
+		child.Counter("refreshes")
+		child.Histogram("run")
+		r.Attach("rank0", child)
+		return r
+	}
+	src := build()
+	src.Counter("ops").Add(7)
+	src.Gauge("frac").Set(0.25)
+	src.Histogram("lat").Observe(0)
+	src.Histogram("lat").ObserveN(900, 3)
+	var child *Registry
+	for _, c := range src.children {
+		child = c.reg
+	}
+	child.Counter("refreshes").Add(11)
+	child.Histogram("run").Observe(-4)
+
+	dst := build()
+	dst.Counter("ops").Add(100) // overwritten, not added to
+	if err := dst.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := dst.Snapshot(), src.Snapshot(); !a.Equal(b) {
+		t.Fatalf("copy differs:\n%v\nvs\n%v", a, b)
+	}
+
+	otherKind := func() *Registry { // "ops" a gauge, the rest alike
+		r := NewRegistry()
+		r.Gauge("ops")
+		r.Gauge("frac")
+		r.Histogram("lat")
+		return r
+	}
+	reshaped := func(reshape func(r *Registry)) func() *Registry {
+		return func() *Registry {
+			r := build()
+			reshape(r)
+			return r
+		}
+	}
+	shapes := map[string]func() *Registry{
+		"other kind":    otherKind,
+		"extra metric":  reshaped(func(r *Registry) { r.Counter("extra") }),
+		"extra child":   reshaped(func(r *Registry) { r.Attach("rank1", NewRegistry()) }),
+		"other prefix":  reshaped(func(r *Registry) { r.children[0].prefix = "rank9" }),
+		"child content": reshaped(func(r *Registry) { r.children[0].reg.Gauge("extra") }),
+	}
+	for name, shape := range shapes {
+		if err := shape().CopyFrom(src); err == nil {
+			t.Errorf("%s: copy between registries of different shapes succeeded", name)
+		}
+	}
+}

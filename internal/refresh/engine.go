@@ -222,6 +222,27 @@ func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 	return e
 }
 
+// CopyFrom makes e's refresh state equal to src's: the access bits, the
+// discharged-status table, the AR cursors, the per-set refreshed counts
+// and the skip runs. The engines must share a resolved Config and a
+// geometry; CopyFrom returns an error otherwise. The counters live in e's
+// registry (Metrics) and are copied with metrics.Registry.CopyFrom; the
+// backend and the tracer stay e's own.
+func (e *Engine) CopyFrom(src *Engine) error {
+	if e.cfg != src.cfg || e.banks != src.banks || e.rowsPerBank != src.rowsPerBank {
+		return fmt.Errorf("refresh: copy of a %d×%d-row %+v engine into a %d×%d-row %+v engine",
+			src.banks, src.rowsPerBank, src.cfg, e.banks, e.rowsPerBank, e.cfg)
+	}
+	for b := 0; b < e.banks; b++ {
+		copy(e.accessBits[b], src.accessBits[b])
+		copy(e.status[b], src.status[b])
+		copy(e.lastSetRefreshed[b], src.lastSetRefreshed[b])
+		copy(e.skipRun[b], src.skipRun[b])
+	}
+	copy(e.arCursor, src.arCursor)
+	return nil
+}
+
 // SetRefreshedCounts returns, per (bank, AR set), how many refresh steps
 // the most recent command of that set actually performed. The performance
 // model converts these into per-command bank-busy times.

@@ -90,7 +90,7 @@ func RunCmdLevelTable(o Options) (*Table, error) {
 		Note:    "row hits and refresh stalls emerge from ACT/RD/WR/PRE/REF interactions; 'pause lat' is conventional refresh with pausing (Nair et al.)",
 	}
 	rows := make([]CmdLevelResult, len(o.Benchmarks))
-	err := forEach(len(o.Benchmarks), func(i int) error {
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
 		r, err := RunCmdLevel(o, o.Benchmarks[i])
 		if err != nil {
 			return err

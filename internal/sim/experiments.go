@@ -11,25 +11,21 @@ import (
 
 // RunRefreshMatrix runs every benchmark under every scenario once and
 // returns the results indexed [benchmark][scenario]; Figures 14 and 15
-// project it into their respective metrics.
+// project it into their respective metrics. A benchmark is one unit: it
+// populates memory once and measures the scenarios on clones as the
+// allocation grows (see runScenarios).
 func RunRefreshMatrix(o Options) (map[string]map[string]ScenarioResult, error) {
 	o = o.withDefaults()
 	scs := Scenarios()
-	type unit struct {
-		prof workload.Profile
-		sc   Scenario
+	fracs := make([]float64, len(scs))
+	for i, sc := range scs {
+		fracs[i] = sc.AllocFrac
 	}
-	units := make([]unit, 0, len(o.Benchmarks)*len(scs))
-	for _, prof := range o.Benchmarks {
-		for _, sc := range scs {
-			units = append(units, unit{prof, sc})
-		}
-	}
-	results := make([]ScenarioResult, len(units))
-	err := forEach(len(units), func(i int) error {
-		res, err := RunScenario(o, units[i].prof, units[i].sc.AllocFrac)
+	results := make([][]ScenarioResult, len(o.Benchmarks))
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
+		res, err := runScenarios(o, o.Benchmarks[i], fracs, true)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", units[i].prof.Name, units[i].sc.Name, err)
+			return fmt.Errorf("%s: %w", o.Benchmarks[i].Name, err)
 		}
 		results[i] = res
 		return nil
@@ -38,11 +34,11 @@ func RunRefreshMatrix(o Options) (map[string]map[string]ScenarioResult, error) {
 		return nil, err
 	}
 	out := make(map[string]map[string]ScenarioResult, len(o.Benchmarks))
-	for i, u := range units {
-		if out[u.prof.Name] == nil {
-			out[u.prof.Name] = make(map[string]ScenarioResult, len(scs))
+	for i, prof := range o.Benchmarks {
+		out[prof.Name] = make(map[string]ScenarioResult, len(scs))
+		for j, sc := range scs {
+			out[prof.Name][sc.Name] = results[i][j]
 		}
-		out[u.prof.Name][u.sc.Name] = results[i]
 	}
 	return out, nil
 }
@@ -100,7 +96,7 @@ func RunFig16(o Options) (*Table, error) {
 		Note:    "paper: 64 ms mode loses ~4.4% reduction on average",
 	}
 	rows := make([][]float64, len(o.Benchmarks))
-	err := forEach(len(o.Benchmarks), func(i int) error {
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
 		ext, err := RunScenarioTemp(o, o.Benchmarks[i], 1.0, true)
 		if err != nil {
 			return err
@@ -134,7 +130,7 @@ func RunFig18(o Options) (*Table, error) {
 	}
 	rowSizes := []int{2048, 4096, 8192}
 	rows := make([][]float64, len(o.Benchmarks))
-	err := forEach(len(o.Benchmarks), func(i int) error {
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
 		vals := make([]float64, 0, len(rowSizes))
 		for _, rb := range rowSizes {
 			oo := o

@@ -62,8 +62,9 @@ func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctr
 	if err != nil {
 		return nil, memctrl.SliceSchedule{}, err
 	}
+	gen := prof.Lines(o.Seed)
 	for p := 0; p < sys.Pages(); p++ {
-		if err := sys.FillPageFromProfile(prof, p, o.Seed, 0); err != nil {
+		if err := sys.FillPage(&gen, p, 0); err != nil {
 			return nil, memctrl.SliceSchedule{}, err
 		}
 	}
@@ -73,7 +74,7 @@ func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctr
 		allPages[i] = i
 	}
 	for w := 0; w < 2; w++ { // steady state with write traffic
-		if err := applyWindowWrites(sys, prof, allPages, o.Seed, w); err != nil {
+		if err := applyWindowWrites(sys, prof, &gen, allPages, o.Seed, w); err != nil {
 			return nil, memctrl.SliceSchedule{}, err
 		}
 		sys.RunWindow()
@@ -154,7 +155,7 @@ func RunFig17(o Options) (*Table, error) {
 		Note:    "paper: +5.7% average, max gemsFDTD +10.8%, min gobmk +0.3%",
 	}
 	rows := make([]IPCResult, len(o.Benchmarks))
-	err := forEach(len(o.Benchmarks), func(i int) error {
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
 		r, err := RunIPC(o, o.Benchmarks[i])
 		if err != nil {
 			return err

@@ -42,7 +42,7 @@ func RunLongHorizon(o Options) (*Table, error) {
 	}
 	spacings := []int{64, 256, 1024}
 	rows := make([][]float64, len(spacings))
-	if err := forEach(len(spacings), func(i int) error {
+	if err := forEach(o, len(spacings), func(i int, o Options) error {
 		row, err := runLongHorizon(o, prof, horizon, spacings[i])
 		rows[i] = row
 		return err
@@ -63,31 +63,24 @@ func runLongHorizon(o Options, prof workload.Profile, horizon, burstEvery int) (
 	if err != nil {
 		return nil, err
 	}
-	alloc := ostrace.NewAllocator(sys.Pages())
-	var fillErr error
-	alloc.OnAllocate = func(p int) {
-		if err := sys.FillPageFromProfile(prof, p, o.Seed, 0); err != nil && fillErr == nil {
-			fillErr = err
-		}
-	}
-	if err := alloc.SetTargetFraction(1.0); err != nil {
+	gen := prof.Lines(o.Seed)
+	allocated, err := populate(sys, ostrace.NewAllocator(sys.Pages()), &gen, 1.0)
+	if err != nil {
 		return nil, err
 	}
-	if fillErr != nil {
-		return nil, fillErr
-	}
-	allocated := alloc.AllocatedPageIndices()
 
 	tret := sys.DRAM.Config().Timing.TRET
 	base := sys.Clock
 	var burstErr error
+	// Each scheduled burst holds only its window and this shared closure.
+	burst := func(w int) {
+		if err := applyWindowWrites(sys, prof, &gen, allocated, o.Seed, w); err != nil && burstErr == nil {
+			burstErr = err
+		}
+	}
 	for w := 0; w < horizon; w += burstEvery {
 		w := w
-		sys.ScheduleWriteBurst(base+dram.Time(w)*tret, func(dram.Time) {
-			if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil && burstErr == nil {
-				burstErr = err
-			}
-		})
+		sys.ScheduleWriteBurst(base+dram.Time(w)*tret, func(dram.Time) { burst(w) })
 	}
 	// Read-only integrity probe every 128 windows, offset half a window so
 	// it lands between windows rather than on their boundaries.

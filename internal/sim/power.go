@@ -28,7 +28,7 @@ func RunPowerBreakdown(o Options) (*Table, error) {
 		Note:    "refresh scales with the benchmark's measured normalized refresh at 100% alloc",
 	}
 	rows := make([][]float64, len(o.Benchmarks))
-	err := forEach(len(o.Benchmarks), func(i int) error {
+	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
 		prof := o.Benchmarks[i]
 		res, err := RunScenario(o, prof, 1.0)
 		if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"zerorefresh/internal/core"
 	"zerorefresh/internal/energy"
@@ -53,8 +54,8 @@ type Options struct {
 	// Observer, when non-nil, wires a live introspection plane into every
 	// system the run builds (see internal/obs): its TraceSink tees every
 	// shard's events, its Progress board receives lock-free progress
-	// updates, and OnSystem runs against each freshly built system so the
-	// caller can install per-window watch hooks (watchdogs).
+	// updates, and OnSystem runs against each system built or cloned so
+	// the caller can install per-window watch hooks (watchdogs).
 	Observer *Observer
 	// Timeline enables per-window epoch capture; runs report it via
 	// ScenarioResult.Timeline.
@@ -124,8 +125,9 @@ type Observer struct {
 	TraceSink func(label string, shard engine.Tracer) engine.Tracer
 	// Progress receives lock-free sim-time/window/event updates.
 	Progress *core.Progress
-	// OnSystem runs against each system right after it is built — the
-	// seam for core.System.SetWatch hooks.
+	// OnSystem runs against each system right after it is built or
+	// cloned — the seam for core.System.SetWatch hooks. Experiments build
+	// systems from parallel units, so it must be safe for concurrent use.
 	OnSystem func(sys *core.System)
 }
 
@@ -136,10 +138,25 @@ func (o Options) newSystem(extended bool) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
+	o.observe(sys)
+	return sys, nil
+}
+
+// clone clones sys and applies the observer's OnSystem hook to the clone,
+// as newSystem does to every system it builds.
+func (o Options) clone(sys *core.System) (*core.System, error) {
+	c, err := sys.Clone()
+	if err != nil {
+		return nil, err
+	}
+	o.observe(c)
+	return c, nil
+}
+
+func (o Options) observe(sys *core.System) {
 	if o.Observer != nil && o.Observer.OnSystem != nil {
 		o.Observer.OnSystem(sys)
 	}
-	return sys, nil
 }
 
 // ScenarioResult reports one (benchmark, allocation) refresh experiment.
@@ -173,53 +190,89 @@ type ScenarioResult struct {
 // (Section VI-A's four scenarios) in the paper's base extended-temperature
 // mode and reports refresh and energy metrics.
 func RunScenario(o Options, prof workload.Profile, allocFrac float64) (ScenarioResult, error) {
-	return runScenario(o.withDefaults(), prof, allocFrac, true)
+	return RunScenarioTemp(o, prof, allocFrac, true)
 }
 
 // RunScenarioTemp is RunScenario with an explicit temperature mode
 // (extended=false selects the 64 ms normal-temperature window, Figure 16).
 func RunScenarioTemp(o Options, prof workload.Profile, allocFrac float64, extended bool) (ScenarioResult, error) {
-	return runScenario(o.withDefaults(), prof, allocFrac, extended)
+	res, err := runScenarios(o.withDefaults(), prof, []float64{allocFrac}, extended)
+	return res[0], err
 }
 
-func runScenario(o Options, prof workload.Profile, allocFrac float64, extended bool) (ScenarioResult, error) {
+// runScenarios measures one benchmark at each allocation fraction and
+// returns the results in the order of fracs. It populates memory once, in
+// ascending fraction order: the first-fit allocator keeps the allocated
+// pages the prefix [0, n), so the memory a fraction starts from is the
+// next smaller fraction's plus the pages between them. Every fraction but
+// the largest is measured on a clone of the system populated to it, the
+// largest on the system itself, so each result equals that of a system
+// populated from empty to its fraction alone. On an error the results
+// measured so far are returned with it.
+func runScenarios(o Options, prof workload.Profile, fracs []float64, extended bool) ([]ScenarioResult, error) {
+	results := make([]ScenarioResult, len(fracs))
+	order := make([]int, len(fracs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] < fracs[order[b]] })
 	sys, err := o.newSystem(extended)
 	if err != nil {
-		return ScenarioResult{}, err
+		return results, err
 	}
-	res := ScenarioResult{Benchmark: prof.Name, AllocFrac: allocFrac}
-
-	// Populate memory: allocated pages hold application content, free
-	// pages hold zeros (the boot/cleansed state needs no writes).
+	gen := prof.Lines(o.Seed)
 	alloc := ostrace.NewAllocator(sys.Pages())
+	for k, i := range order {
+		results[i] = ScenarioResult{Benchmark: prof.Name, AllocFrac: fracs[i]}
+		allocated, err := populate(sys, alloc, &gen, fracs[i])
+		if err != nil {
+			return results, err
+		}
+		run := sys
+		if k < len(order)-1 {
+			if run, err = o.clone(sys); err != nil {
+				return results, err
+			}
+		}
+		if err := measure(o, run, prof, &gen, allocated, &results[i]); err != nil {
+			return results, err
+		}
+	}
+	return results, nil
+}
+
+// populate grows the allocation to frac through the OS allocator, filling
+// every newly allocated page with the benchmark's content, and returns the
+// allocated pages. Free pages hold zeros: the boot state needs no writes,
+// and allocation only grows, so no page is ever cleansed.
+func populate(sys *core.System, alloc *ostrace.Allocator, gen *workload.LineGen, frac float64) ([]int, error) {
 	var fillErr error
 	alloc.OnAllocate = func(p int) {
-		if err := sys.FillPageFromProfile(prof, p, o.Seed, 0); err != nil && fillErr == nil {
+		if err := sys.FillPage(gen, p, 0); err != nil && fillErr == nil {
 			fillErr = err
 		}
 	}
-	alloc.OnFree = func(p int) {
-		if err := sys.CleansePage(p); err != nil && fillErr == nil {
-			fillErr = err
-		}
-	}
-	if err := alloc.SetTargetFraction(allocFrac); err != nil {
-		return res, err
+	if err := alloc.SetTargetFraction(frac); err != nil {
+		return nil, err
 	}
 	if fillErr != nil {
-		return res, fillErr
+		return nil, fillErr
 	}
+	return alloc.AllocatedPageIndices(), nil
+}
 
+// measure runs the warm-up and the measured windows of one scenario on a
+// populated system and fills in res.
+func measure(o Options, sys *core.System, prof workload.Profile, gen *workload.LineGen, allocated []int, res *ScenarioResult) error {
 	// Every measured window receives a write burst, so the dense loop is
 	// the whole schedule: there are no idle windows to fast-forward.
-	allocated := alloc.AllocatedPageIndices()
 	for w := 0; w < o.Warmup; w++ {
 		sys.RunWindow()
 	}
 	opsBefore := sys.Pipeline.Ops()
 	for w := 0; w < o.Windows; w++ {
-		if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil {
-			return res, err
+		if err := applyWindowWrites(sys, prof, gen, allocated, o.Seed, w); err != nil {
+			return err
 		}
 		res.Cycles.Add(sys.RunWindow())
 	}
@@ -244,9 +297,9 @@ func runScenario(o Options, prof workload.Profile, allocFrac float64, extended b
 	res.Timeline = sys.Timeline()
 	res.Decays = sys.DecayEvents()
 	if res.Decays != 0 {
-		return res, fmt.Errorf("sim: %d retention failures under %s", res.Decays, prof.Name)
+		return fmt.Errorf("sim: %d retention failures under %s", res.Decays, prof.Name)
 	}
-	return res, nil
+	return nil
 }
 
 // RunMetricsDump runs one fully-allocated scenario (the first configured
@@ -279,14 +332,15 @@ func RunMetricsDump(o Options) (*Table, error) {
 // process's hot pages are virtually clustered but physically scattered, so
 // each dirty page typically lands in its own AR set — this physical
 // scatter is what makes the 64 ms window (double the footprint) cost
-// refresh reduction in Figure 16.
-func applyWindowWrites(sys *core.System, prof workload.Profile, allocated []int, seed uint64, window int) error {
+// refresh reduction in Figure 16. gen is the run's generator of prof's
+// image under seed.
+func applyWindowWrites(sys *core.System, prof workload.Profile, gen *workload.LineGen, allocated []int, seed uint64, window int) error {
 	if len(allocated) == 0 {
 		return nil
 	}
 	dcfg := sys.DRAM.Config()
 	for _, i := range prof.WindowWriteSet(seed, window, len(allocated), dcfg.RowBytes, dcfg.Timing.TRET) {
-		if err := sys.FillPageFromProfile(prof, allocated[i], seed, uint64(window)+1); err != nil {
+		if err := sys.FillPage(gen, allocated[i], uint64(window)+1); err != nil {
 			return err
 		}
 	}

@@ -19,6 +19,7 @@
 package trace
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
@@ -171,7 +172,7 @@ func (s *Shard) Emit(e Event) {
 // Label returns the shard's label ("cpu", "rank0", ...).
 func (s *Shard) Label() string { return s.label }
 
-// ID returns the shard's id (its creation index within its Tracer) — the
+// ID returns the shard's id (its index among its Tracer's shards) — the
 // value Emit stamps into Event.Shard.
 func (s *Shard) ID() int32 { return s.id }
 
@@ -204,6 +205,37 @@ func (s *Shard) Events() []Event {
 	return out
 }
 
+// CopyFrom replaces s's ring with src's: the held events, the sequence
+// counter and with it the dropped count, the events restamped with s's id.
+// Both rings must have the same capacity; CopyFrom returns an error
+// otherwise. core.System.Clone uses it to give a cloned system's shards
+// the history of the original's. Only the ring is copied: a sink that
+// wraps s has not seen the copied events.
+func (s *Shard) CopyFrom(src *Shard) error {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.buf) != len(src.buf) {
+		return fmt.Errorf("trace: copy of a %d-event ring into a %d-event ring", len(src.buf), len(s.buf))
+	}
+	copy(s.buf, src.buf)
+	s.next, s.n, s.seq = src.next, src.n, src.seq
+	s.restamp()
+	return nil
+}
+
+// restamp stamps every held event with s's id. Callers hold s.mu.
+func (s *Shard) restamp() {
+	start := s.next - s.n
+	if start < 0 {
+		start += len(s.buf)
+	}
+	for i := 0; i < s.n; i++ {
+		s.buf[(start+i)%len(s.buf)].Shard = s.id
+	}
+}
+
 // DefaultShardCap is the per-shard ring capacity used when a Tracer is
 // built with New(0).
 const DefaultShardCap = 1 << 14
@@ -228,7 +260,9 @@ func New(shardCap int) *Tracer {
 }
 
 // NewShard creates and registers a shard. Shard ids are assigned in
-// creation order, which NewSystem makes deterministic.
+// creation order, which NewSystem makes deterministic within a system;
+// systems built concurrently create shards on private tracers that Adopt
+// then renumbers in a fixed order.
 func (t *Tracer) NewShard(label string) *Shard {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -239,6 +273,32 @@ func (t *Tracer) NewShard(label string) *Shard {
 	}
 	t.shards = append(t.shards, s)
 	return s
+}
+
+// ShardCap returns the ring capacity of the tracer's shards.
+func (t *Tracer) ShardCap() int { return t.shardCap }
+
+// Adopt moves every shard of src to the end of t's, in src's creation
+// order, and leaves src empty. Each moved shard takes the id its new
+// position gives it, and the events it holds are restamped with that id.
+// No shard of src may be emitting during the call. A parallel fan-out
+// gives each unit a private tracer and adopts them in unit order, so shard
+// ids — and with them the (Time, Shard, Seq) merge order — follow the
+// units rather than the scheduler.
+func (t *Tracer) Adopt(src *Tracer) {
+	src.mu.Lock()
+	moved := src.shards
+	src.shards = nil
+	src.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range moved {
+		s.mu.Lock()
+		s.id = int32(len(t.shards))
+		s.restamp()
+		s.mu.Unlock()
+		t.shards = append(t.shards, s)
+	}
 }
 
 // Shards returns the registered shards in creation order.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -136,5 +137,78 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(200).String() != "unknown" {
 		t.Fatal("out-of-range kind must render as unknown")
+	}
+}
+
+// TestShardCopyFromRestamps copies a wrapped ring into a shard of another
+// tracer: the copy holds the same events, sequence numbers and drop count,
+// stamped with its own id, and later emissions continue the sequence.
+func TestShardCopyFromRestamps(t *testing.T) {
+	src := New(4).NewShard("rank0")
+	for i := 0; i < 6; i++ {
+		src.Emit(Event{Kind: KindWriteback, Time: int64(i)})
+	}
+	other := New(4)
+	other.NewShard("cpu")
+	dst := other.NewShard("rank0")
+	if err := dst.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Dropped() != src.Dropped() || dst.Len() != src.Len() {
+		t.Fatalf("copy holds %d (dropped %d), source %d (dropped %d)", dst.Len(), dst.Dropped(), src.Len(), src.Dropped())
+	}
+	want := src.Events()
+	for i := range want {
+		want[i].Shard = dst.ID()
+	}
+	if got := dst.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("copied events %+v, want %+v", got, want)
+	}
+	dst.Emit(Event{Kind: KindWriteback, Time: 6})
+	evs := dst.Events()
+	if last := evs[len(evs)-1]; last.Seq != 6 || last.Shard != dst.ID() {
+		t.Fatalf("emission after the copy = %+v, want seq 6 on shard %d", last, dst.ID())
+	}
+	if src.Len() != 4 || src.Events()[3].Time != 5 {
+		t.Fatal("emitting into the copy changed the source")
+	}
+	if err := New(8).NewShard("rank0").CopyFrom(src); err == nil {
+		t.Fatal("copy between rings of different capacities succeeded")
+	}
+}
+
+// TestAdoptRenumbersInOrder adopts two tracers' shards: they follow t's
+// own shards in adoption order, their held events carry the new ids, and
+// the adopted tracers are left empty.
+func TestAdoptRenumbersInOrder(t *testing.T) {
+	tr := New(8)
+	tr.NewShard("own")
+	units := []*Tracer{New(8), New(8)}
+	for u, ut := range units {
+		for _, label := range []string{"cpu", "rank0"} {
+			ut.NewShard(label).Emit(Event{Kind: KindWriteback, A: int64(u)})
+		}
+	}
+	tr.Adopt(units[0])
+	tr.Adopt(units[1])
+	shards := tr.Shards()
+	labels := []string{"own", "cpu", "rank0", "cpu", "rank0"}
+	if len(shards) != len(labels) {
+		t.Fatalf("%d shards, want %d", len(shards), len(labels))
+	}
+	for i, s := range shards {
+		if s.ID() != int32(i) || s.Label() != labels[i] {
+			t.Fatalf("shard %d is %q id %d, want %q", i, s.Label(), s.ID(), labels[i])
+		}
+		for _, e := range s.Events() {
+			if e.Shard != int32(i) || (i > 0 && e.A != int64((i-1)/2)) {
+				t.Fatalf("shard %d holds %+v", i, e)
+			}
+		}
+	}
+	for _, ut := range units {
+		if len(ut.Shards()) != 0 {
+			t.Fatal("an adopted tracer still holds shards")
+		}
 	}
 }
