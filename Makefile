@@ -2,9 +2,9 @@
 #
 #   make check   - the gate every change must pass: vet, zrlint, build,
 #                  and the full test suite under the race detector
-#                  (benchmarks excluded via -short; the golden-stats and
-#                  concurrency tests still run and exercise the sharded
-#                  paths).
+#                  (-short skips the slow capacity-sweep goldens; the
+#                  golden-stats and concurrency tests still run and
+#                  exercise the sharded paths).
 #   make lint    - the domain-aware static analysis (cmd/zrlint), eight
 #                  analyzers: determinism, transitive determinism taint,
 #                  atomic-field consistency, hot-path allocation freedom
@@ -13,8 +13,10 @@
 #                  unless annotated //zr:allow(<analyzer>); stale
 #                  suppressions are findings too.
 #   make test    - the plain tier-1 suite, as CI runs it.
-#   make bench   - regenerate the paper's evaluation via the benchmark
-#                  harness (slow; minutes).
+#   make reproduce - rerun every experiment (zrsim -exp all at the recorded
+#                  32 MB / 8-window scale, ~45 s on 2 vCPUs) and require
+#                  its output to equal results_full.txt byte for byte.
+#                  Every number EXPERIMENTS.md quotes is a line of it.
 #   make race    - just the race-sensitive packages, under -race.
 #   make benchtest - vet and test the end-to-end benchmark module (bench/,
 #                  a nested module the root ./... skips): its traced
@@ -29,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench benchtest
+.PHONY: check vet lint build test race reproduce benchtest
 
 check: vet lint build
 	$(GO) test -race -short ./...
@@ -49,8 +51,8 @@ test:
 race:
 	$(GO) test -race ./internal/transform ./internal/core ./internal/metrics ./internal/engine ./internal/obs
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+reproduce:
+	$(GO) run ./cmd/zrsim -exp all -capacity 32 -windows 8 | cmp - results_full.txt
 
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -1,11 +1,13 @@
 // Command zrsim reproduces the evaluation of "Charge-Aware DRAM Refresh
-// Reduction with Value Transformation" (HPCA 2020). Each experiment id
-// regenerates one table or figure of the paper:
+// Reduction with Value Transformation" (HPCA 2020). Each experiment id is
+// an entry of the sim package's catalogue and regenerates one table or
+// figure of the paper, an extension or the ablations:
 //
 //	zrsim -exp fig14                # normalized refresh, 4 scenarios
 //	zrsim -exp fig17 -capacity 8    # IPC study on an 8 MB scaled rank
 //	zrsim -exp longhorizon          # 8192 windows on the event-driven core
-//	zrsim -exp all                  # everything (slow)
+//	zrsim -exp ablation             # the design choices, one at a time
+//	zrsim -exp all                  # everything (results_full.txt)
 //
 // Capacities are in MB of simulated rank standing in for GB of the paper's
 // machine (1/1024 scale); all reported metrics are ratios, so the scale
@@ -37,7 +39,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "fig14", "experiment: table1,table2,fig4,fig5,fig6,fig14,fig15,fig16,fig17,fig18,fig19,compare,cmdlevel,power,metrics,smoke,timeline,longhorizon,violation,all")
+		exp      = flag.String("exp", "fig14", "experiment: "+experimentIDs()+",all")
 		capacity = flag.Int64("capacity", 32, "simulated rank capacity in MB")
 		windows  = flag.Int("windows", 8, "measured retention windows")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
@@ -130,7 +132,12 @@ func main() {
 	metricsOut = *metTo
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "compare", "cmdlevel", "power", "metrics", "smoke", "timeline", "longhorizon"}
+		ids = ids[:0]
+		for _, e := range sim.Experiments() {
+			if !e.Demo {
+				ids = append(ids, e.ID)
+			}
+		}
 	}
 	for _, id := range ids {
 		fmt.Fprintf(os.Stderr, "zrsim: running %s...\n", id)
@@ -230,68 +237,31 @@ func emit(t *sim.Table) {
 	}
 }
 
+// run runs the catalogue entry id and prints its table; smoke and timeline
+// also write their epochs to the -metrics-out path.
 func run(id string, o sim.Options) error {
-	switch id {
-	case "table1":
-		emit(sim.RunTable1(o.Seed, 20000))
-	case "table2":
-		fmt.Println(sim.RunTable2())
-	case "fig4":
-		emit(sim.RunFig4())
-	case "fig5":
-		emit(sim.RunFig5())
-	case "fig6":
-		emit(sim.RunFig6(o))
-	case "fig14":
-		return show(sim.RunFig14(o))
-	case "fig15":
-		return show(sim.RunFig15(o))
-	case "fig16":
-		return show(sim.RunFig16(o))
-	case "fig17":
-		return show(sim.RunFig17(o))
-	case "fig18":
-		return show(sim.RunFig18(o))
-	case "fig19":
-		return show(sim.RunFig19(o))
-	case "compare":
-		return show(sim.RunComparison(o))
-	case "cmdlevel":
-		return show(sim.RunCmdLevelTable(o))
-	case "power":
-		return show(sim.RunPowerBreakdown(o))
-	case "metrics":
-		return show(sim.RunMetricsDump(o))
-	case "smoke":
-		t, epochs, err := sim.RunSmoke(o)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		return writeTimeline(metricsOut, epochs)
-	case "timeline":
-		t, epochs, err := sim.RunTimeline(o)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		return writeTimeline(metricsOut, epochs)
-	case "longhorizon":
-		return show(sim.RunLongHorizon(o))
-	case "violation":
-		return show(sim.RunViolationDemo(o))
-	default:
+	e, ok := sim.ExperimentByID(id)
+	if !ok {
 		return fmt.Errorf("unknown experiment %q", id)
 	}
-	return nil
-}
-
-func show(t *sim.Table, err error) error {
+	t, epochs, err := e.Run(o)
 	if err != nil {
 		return err
 	}
 	emit(t)
+	if epochs != nil {
+		return writeTimeline(metricsOut, epochs)
+	}
 	return nil
+}
+
+// experimentIDs lists the catalogue's ids for the -exp help.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range sim.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ",")
 }
 
 // writeTimeline writes the epoch time-series of a smoke/timeline run to

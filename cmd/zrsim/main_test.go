@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -24,17 +27,79 @@ func quickOpts() sim.Options {
 	}
 }
 
+// TestRunDispatchesEveryExperiment runs every catalogue entry through
+// zrsim's dispatch in JSON format: each must print one JSON table, so
+// -exp all -format json is a stream of JSON documents.
 func TestRunDispatchesEveryExperiment(t *testing.T) {
 	o := quickOpts()
-	for _, id := range []string{
-		"table1", "table2", "fig4", "fig5", "fig6",
-		"fig14", "fig15", "fig16", "fig17", "fig18",
-		"cmdlevel", "power", "smoke", "timeline",
-	} {
-		if err := run(id, o); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, e := range sim.Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			decodeTableJSON(t, e.ID, stdoutOf(t, func() error { return runJSON(e.ID, o) }))
+		})
 	}
+}
+
+// TestTable2FormatsAsJSON checks that -exp table2 honours -format json.
+func TestTable2FormatsAsJSON(t *testing.T) {
+	out := stdoutOf(t, func() error { return runJSON("table2", quickOpts()) })
+	if tab := decodeTableJSON(t, "table2", out); len(tab.Rows) == 0 {
+		t.Fatalf("table2 JSON has no rows:\n%s", out)
+	}
+}
+
+// runJSON runs experiment id as -format json does.
+func runJSON(id string, o sim.Options) error {
+	defer func(old bool) { jsonOut = old }(jsonOut)
+	jsonOut = true
+	return run(id, o)
+}
+
+// stdoutOf returns what fn prints to stdout.
+func stdoutOf(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		r.Close()
+		out <- b
+	}()
+	ferr := fn()
+	os.Stdout = old
+	w.Close()
+	b := <-out
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return b
+}
+
+// jsonTable is the document Table.JSON writes.
+type jsonTable struct {
+	Title string
+	Rows  []struct {
+		Name   string
+		Values []float64
+	}
+}
+
+// decodeTableJSON decodes out as exactly one JSON table.
+func decodeTableJSON(t *testing.T, id string, out []byte) jsonTable {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var tab jsonTable
+	if err := dec.Decode(&tab); err != nil {
+		t.Fatalf("%s: output is not a JSON table: %v\n%s", id, err, out)
+	}
+	if dec.More() || tab.Title == "" {
+		t.Fatalf("%s: want one titled JSON table, got:\n%s", id, out)
+	}
+	return tab
 }
 
 func TestWriteTimelineAndTraceExporters(t *testing.T) {

@@ -140,12 +140,6 @@ func (g *CallGraph) Lookup(display string) *CGNode {
 	return nil
 }
 
-// Implementations returns the resolved implementation methods of a
-// module-declared interface method, in deterministic order.
-func (g *CallGraph) Implementations(ifaceMethod *types.Func) []*types.Func {
-	return g.ifaceImpls[ifaceMethod]
-}
-
 // inModule reports whether path names a package of the analyzed module
 // (or fixture tree).
 func (p *Program) inModule(path string) bool {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/refresh"
+	"zerorefresh/internal/trace"
 	"zerorefresh/internal/transform"
 	"zerorefresh/internal/workload"
 )
@@ -310,6 +311,10 @@ func TestMultiRankRejectsBadSplit(t *testing.T) {
 // TestSteadyStateAllocFree pins a page fill from a profile allocation-free
 // once the pages' rows are materialized: the line generator and the
 // per-line writes live on the stack.
+// TestSteadyStateAllocFree pins the write paths of a warmed system with
+// tracing off at 0 allocations per operation: a page fill (one row burst)
+// and a single line through WriteLineAt, whose controller write notes the
+// refresh engine's access bit.
 func TestSteadyStateAllocFree(t *testing.T) {
 	sys, err := NewSystem(smallConfig())
 	if err != nil {
@@ -322,14 +327,69 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fill := 0
-	op := func() {
-		if err := sys.FillPageFromProfile(prof, fill%pages, 1, uint64(fill)); err != nil {
-			t.Fatal(err)
+	line := lineWriteData()
+	n := 0
+	for _, c := range []struct {
+		name string
+		op   func() error
+	}{
+		{"FillPageFromProfile", func() error { return sys.FillPageFromProfile(prof, n%pages, 1, uint64(n)) }},
+		{"WriteLineAt", func() error { return sys.WriteLineAt(uint64(n%1024)*64, line) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := c.op(); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			})
+			if allocs != 0 {
+				t.Errorf("%s allocated %.1f times per op", c.name, allocs)
+			}
+		})
+	}
+}
+
+// lineWriteData is the 64-byte payload of the line-write alloc test and
+// benchmark.
+func lineWriteData() [64]byte {
+	var data [64]byte
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	return data
+}
+
+// BenchmarkTracerOverhead measures what event tracing costs the write
+// datapath (transform encode + controller writeback + DRAM charge
+// transitions): the same loop against the nil-sink fast path every emit
+// site guards on, and against an enabled ring tracer.
+func BenchmarkTracerOverhead(b *testing.B) {
+	run := func(tr *trace.Tracer) func(*testing.B) {
+		return func(b *testing.B) {
+			cfg := smallConfig()
+			cfg.Trace = tr
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := lineWriteData()
+			// Touch every target line once so lazily materialized row
+			// storage is allocated before measurement starts.
+			for i := 0; i < 1024; i++ {
+				if err := sys.WriteLineAt(uint64(i)*64, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sys.WriteLineAt(uint64(i%1024)*64, data); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-		fill++
 	}
-	if n := testing.AllocsPerRun(200, op); n != 0 {
-		t.Errorf("FillPageFromProfile allocated %.1f times per op", n)
-	}
+	b.Run("nil", run(nil))
+	b.Run("enabled", run(trace.New(1<<12)))
 }

@@ -45,9 +45,6 @@ func NewAllocator(totalPages int) *Allocator {
 	}
 }
 
-// TotalPages returns the physical page count.
-func (a *Allocator) TotalPages() int { return a.totalPages }
-
 // AllocatedPages returns how many pages are currently allocated.
 func (a *Allocator) AllocatedPages() int { return a.nAllocated }
 

@@ -13,9 +13,7 @@
 package ostrace
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"zerorefresh/internal/workload"
 )
@@ -99,15 +97,4 @@ func (m TraceModel) CDFSeries(points int) (xs, ys []float64) {
 		ys[i] = m.CDF(x)
 	}
 	return xs, ys
-}
-
-// SeriesCSV renders n utilization samples as CSV ("step,utilization"),
-// for exporting synthetic traces to external plotting or replay tools.
-func (m TraceModel) SeriesCSV(seed uint64, n int) string {
-	var b strings.Builder
-	b.WriteString("step,utilization\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%d,%.6f\n", i, m.Utilization(seed, i))
-	}
-	return b.String()
 }

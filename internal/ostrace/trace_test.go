@@ -1,9 +1,7 @@
 package ostrace
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -123,22 +121,5 @@ func TestAllocatorIndices(t *testing.T) {
 		if !a.IsAllocated(p) {
 			t.Fatalf("page %d not allocated", p)
 		}
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	csv := Google.SeriesCSV(1, 3)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 4 || lines[0] != "step,utilization" {
-		t.Fatalf("csv = %q", csv)
-	}
-	// Values match the generator.
-	var step int
-	var u float64
-	if _, err := fmt.Sscanf(lines[1], "%d,%f", &step, &u); err != nil {
-		t.Fatal(err)
-	}
-	if step != 0 || math.Abs(u-Google.Utilization(1, 0)) > 1e-6 {
-		t.Fatalf("row 0 mismatch: %q", lines[1])
 	}
 }

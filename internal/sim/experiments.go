@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"zerorefresh/internal/cache"
+	"zerorefresh/internal/cpu"
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/ostrace"
@@ -23,7 +25,7 @@ func RunRefreshMatrix(o Options) (map[string]map[string]ScenarioResult, error) {
 	}
 	results := make([][]ScenarioResult, len(o.Benchmarks))
 	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
-		res, err := runScenarios(o, o.Benchmarks[i], fracs, true)
+		res, err := runScenarios(o, o.Benchmarks[i], fracs)
 		if err != nil {
 			return fmt.Errorf("%s: %w", o.Benchmarks[i].Name, err)
 		}
@@ -97,11 +99,12 @@ func RunFig16(o Options) (*Table, error) {
 	}
 	rows := make([][]float64, len(o.Benchmarks))
 	err := forEach(o, len(o.Benchmarks), func(i int, o Options) error {
-		ext, err := RunScenarioTemp(o, o.Benchmarks[i], 1.0, true)
+		ext, err := RunScenario(o, o.Benchmarks[i], 1.0)
 		if err != nil {
 			return err
 		}
-		norm, err := RunScenarioTemp(o, o.Benchmarks[i], 1.0, false)
+		o.edit = normalTemperature
+		norm, err := RunScenario(o, o.Benchmarks[i], 1.0)
 		if err != nil {
 			return err
 		}
@@ -257,19 +260,47 @@ func RunFig6(o Options) *Table {
 	return t
 }
 
-// RunTable2 renders the simulated system configuration (Table II).
-func RunTable2() string {
+// RunTable2 renders the simulated system configuration (Table II): the
+// cores and caches, the rank geometry at paper scale, the DDR4 timings
+// with the retention windows, and the IDD currents of the power model.
+func RunTable2() *Table {
 	tm := dram.DefaultTiming()
-	return fmt.Sprintf(`== Table II: simulated system configuration ==
-CPU:        4 cores, out-of-order x86, 4 GHz (model: base CPI + MLP-overlapped stalls)
-L1-D cache: 32 KB, 64B lines, 8-way
-L2 (LLC):   2 MB per core, 64B lines, 32-way
-Memory:     32 GB (simulated at 1/1024 scale), 8 chips, 8 banks, 4 KB row buffer
-Timing:     tRAS=%dns tRCD=%dns tRRD=%dns tFAW=%dns tRFC=%dns tREFI=%dns
-Retention:  %dms (extended) / %dms (normal), %d AR commands per window
-Currents:   IDD0=23 IDD1=30 IDD2P=7 IDD2N=12 IDD3=8 IDD4W=58 IDD4R=60 IDD5=120 IDD6=8 IDD7=105 (mA)
-`,
-		tm.TRAS, tm.TRCD, tm.TRRD, tm.TFAW, tm.TRFC, tm.TREFI(),
-		dram.TRETExtended/dram.Millisecond, dram.TRETNormal/dram.Millisecond,
-		tm.NumAutoRefresh)
+	geo := dram.DefaultConfig(defaultCapacity)
+	idd := energy.TableII()
+	t := &Table{
+		Title:   "Table II: simulated system configuration",
+		Columns: []string{"value"},
+		Note: "out-of-order x86 cores modeled as base CPI + MLP-overlapped stalls; " +
+			"the 32 GB rank is simulated at 1/1024 scale; 64 B cache lines",
+	}
+	t.AddRow("cores", fig17Cores)
+	t.AddRow("core GHz", cpu.DefaultCoreConfig().FreqGHz)
+	t.AddRow("L1-D KB", float64(cache.L1Config.SizeBytes>>10))
+	t.AddRow("L1-D ways", float64(cache.L1Config.Ways))
+	t.AddRow("L2 MB per core", float64(cache.L2Config.SizeBytes>>20))
+	t.AddRow("L2 ways", float64(cache.L2Config.Ways))
+	t.AddRow("memory GB", defaultCapacity>>20) // MB simulated, GB modeled
+	t.AddRow("chips", dram.LineChips)
+	t.AddRow("banks", float64(geo.Banks))
+	t.AddRow("row buffer KB", float64(geo.RowBytes>>10))
+	t.AddRow("tRAS ns", float64(tm.TRAS))
+	t.AddRow("tRCD ns", float64(tm.TRCD))
+	t.AddRow("tRRD ns", float64(tm.TRRD))
+	t.AddRow("tFAW ns", float64(tm.TFAW))
+	t.AddRow("tRFC ns", float64(tm.TRFC))
+	t.AddRow("tREFI ns", float64(tm.TREFI()))
+	t.AddRow("tRET extended ms", float64(dram.TRETExtended/dram.Millisecond))
+	t.AddRow("tRET normal ms", float64(dram.TRETNormal/dram.Millisecond))
+	t.AddRow("ARs per window", float64(tm.NumAutoRefresh))
+	for _, c := range []struct {
+		name string
+		mA   float64
+	}{
+		{"IDD0", idd.IDD0}, {"IDD1", idd.IDD1}, {"IDD2P", idd.IDD2P}, {"IDD2N", idd.IDD2N},
+		{"IDD3", idd.IDD3N}, {"IDD4W", idd.IDD4W}, {"IDD4R", idd.IDD4R}, {"IDD5", idd.IDD5},
+		{"IDD6", idd.IDD6}, {"IDD7", idd.IDD7},
+	} {
+		t.AddRow(c.name+" mA", c.mA)
+	}
+	return t
 }

@@ -67,10 +67,18 @@ func TestExperimentGolden(t *testing.T) {
 		slow bool
 		run  func() (*Table, error)
 	}{
+		{"golden_table1.txt", false, func() (*Table, error) { return RunTable1(1, 20000), nil }},
+		{"golden_fig4.txt", false, func() (*Table, error) { return RunFig4(), nil }},
+		{"golden_fig6.txt", false, func() (*Table, error) { return RunFig6(quickOptions()), nil }},
 		{"golden_fig14.txt", false, func() (*Table, error) { return RunFig14(pair) }},
+		{"golden_fig15.txt", false, func() (*Table, error) { return RunFig15(pair) }},
 		{"golden_fig16.txt", false, func() (*Table, error) { return RunFig16(pair) }},
+		{"golden_fig17.txt", false, func() (*Table, error) { return RunFig17(pair) }},
+		{"golden_fig18.txt", false, func() (*Table, error) { return RunFig18(pair) }},
+		{"golden_fig19.txt", true, func() (*Table, error) { return RunFig19(quickOptions()) }},
 		{"golden_longhorizon.txt", false, func() (*Table, error) { return RunLongHorizon(horizon) }},
 		{"golden_comparison.txt", true, func() (*Table, error) { return RunComparison(quickOptions()) }},
+		{"golden_ablation.txt", false, func() (*Table, error) { return RunAblations(quickOptions()) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

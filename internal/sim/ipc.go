@@ -58,7 +58,7 @@ const fig17Cores = 4
 // times scaled from PerfTRFCns. The returned system supplies the geometry
 // and refresh configuration.
 func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctrl.SliceSchedule, error) {
-	sys, err := o.newSystem(true)
+	sys, err := o.newSystem()
 	if err != nil {
 		return nil, memctrl.SliceSchedule{}, err
 	}

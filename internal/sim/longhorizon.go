@@ -59,7 +59,7 @@ func RunLongHorizon(o Options) (*Table, error) {
 
 // runLongHorizon runs one spacing configuration and returns the table row.
 func runLongHorizon(o Options, prof workload.Profile, horizon, burstEvery int) ([]float64, error) {
-	sys, err := o.newSystem(true)
+	sys, err := o.newSystem()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"zerorefresh/internal/core"
 	"zerorefresh/internal/engine"
 	"zerorefresh/internal/trace"
 )
@@ -23,7 +24,7 @@ import (
 func TestRefreshMatrixMatchesScenarios(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		o := quickOptions()
-		o.CellGroupRows = 8
+		o.edit = func(c *core.Config) { c.CellGroupRows = 8 }
 		o.Benchmarks = profiles("mcf", "sphinx3")
 		o.Timeline = traced
 		const shardCap = 1 << 12

@@ -76,7 +76,7 @@ func TestForEachTraceShardsFollowUnitOrder(t *testing.T) {
 		if i == 0 {
 			<-unit1Built
 		}
-		sys, err := uo.newSystem(true)
+		sys, err := uo.newSystem()
 		if i == 1 {
 			close(unit1Built)
 		}

@@ -1,8 +1,9 @@
 // Package sim wires the whole system together and drives every experiment
 // of the paper's evaluation (Section VI): one entry point per table and
 // figure, each returning a Table whose rows/series mirror what the paper
-// plots. The cmd/zrsim binary and the repository's benchmarks are thin
-// wrappers over this package.
+// plots. Experiments() catalogues them, with the extensions and the
+// ablations; cmd/zrsim and the root facade run the catalogue, and the
+// bench module times its entry points.
 package sim
 
 import (
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"zerorefresh/internal/core"
 	"zerorefresh/internal/metrics"
 )
 
@@ -242,4 +244,69 @@ func jsonFloat(v float64) string {
 		return "null"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// Experiment is one entry of the experiment catalogue: every reported
+// number comes from running one.
+type Experiment struct {
+	// ID names the experiment (zrsim -exp ID).
+	ID string
+	// Run regenerates the experiment. Only smoke and timeline return
+	// epochs, their per-window time-series; the others return nil.
+	Run func(Options) (*Table, []core.Epoch, error)
+	// Demo marks an entry that reproduces no result (the
+	// retention-violation demo); running them all skips it.
+	Demo bool
+}
+
+// Experiments returns the catalogue in the order zrsim -exp all runs it:
+// the paper's tables and figures, the extensions, the observability runs,
+// the ablations, then the demo.
+func Experiments() []Experiment {
+	return []Experiment{
+		{ID: "table1", Run: infallible(func(o Options) *Table { return RunTable1(o.Seed, 20000) })},
+		{ID: "table2", Run: infallible(func(Options) *Table { return RunTable2() })},
+		{ID: "fig4", Run: infallible(func(Options) *Table { return RunFig4() })},
+		{ID: "fig5", Run: infallible(func(Options) *Table { return RunFig5() })},
+		{ID: "fig6", Run: infallible(RunFig6)},
+		{ID: "fig14", Run: tableOnly(RunFig14)},
+		{ID: "fig15", Run: tableOnly(RunFig15)},
+		{ID: "fig16", Run: tableOnly(RunFig16)},
+		{ID: "fig17", Run: tableOnly(RunFig17)},
+		{ID: "fig18", Run: tableOnly(RunFig18)},
+		{ID: "fig19", Run: tableOnly(RunFig19)},
+		{ID: "compare", Run: tableOnly(RunComparison)},
+		{ID: "cmdlevel", Run: tableOnly(RunCmdLevelTable)},
+		{ID: "power", Run: tableOnly(RunPowerBreakdown)},
+		{ID: "metrics", Run: tableOnly(RunMetricsDump)},
+		{ID: "smoke", Run: RunSmoke},
+		{ID: "timeline", Run: RunTimeline},
+		{ID: "longhorizon", Run: tableOnly(RunLongHorizon)},
+		{ID: "ablation", Run: tableOnly(RunAblations)},
+		{ID: "violation", Run: tableOnly(RunViolationDemo), Demo: true},
+	}
+}
+
+// ExperimentByID returns the catalogue entry named id.
+func ExperimentByID(id string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// tableOnly adapts a runner that captures no epochs to the catalogue.
+func tableOnly(run func(Options) (*Table, error)) func(Options) (*Table, []core.Epoch, error) {
+	return func(o Options) (*Table, []core.Epoch, error) {
+		t, err := run(o)
+		return t, nil, err
+	}
+}
+
+// infallible adapts a runner that cannot fail (a model evaluation, no
+// simulated system) to the catalogue.
+func infallible(run func(Options) *Table) func(Options) (*Table, []core.Epoch, error) {
+	return func(o Options) (*Table, []core.Epoch, error) { return run(o), nil, nil }
 }

@@ -16,8 +16,10 @@ import (
 )
 
 // Options configures an experiment run. The zero value is completed by
-// withDefaults; fields are exported so the CLI and benchmarks can override
-// scale and ablation knobs.
+// withDefaults; the exported fields set the scale, the seed, the suite and
+// the observers. They carry no design knobs: every run builds the paper's
+// design, and an ablation edits its configuration through the unexported
+// per-run edit.
 type Options struct {
 	// Capacity is the simulated rank size. The default 32 MB stands in
 	// for the paper's 32 GB at 1/1024 scale; all reported metrics are
@@ -25,11 +27,6 @@ type Options struct {
 	Capacity int64
 	// RowBytes is the rank-level row size (Figure 18 sweeps it).
 	RowBytes int
-	// CellGroupRows overrides the true/anti-cell interleave period
-	// (0 = the device-typical 512).
-	CellGroupRows int
-	// Ranks splits the capacity over multiple ranks (0 = 1).
-	Ranks int
 	// Windows is the number of measured retention windows (the paper
 	// executes 8 refresh cycles).
 	Windows int
@@ -38,14 +35,6 @@ type Options struct {
 	Warmup int
 	// Seed drives all generators.
 	Seed uint64
-	// Refresh, Transform and Mapping override the ZERO-REFRESH design
-	// knobs for ablations; nil selects the paper's design.
-	Refresh   *refresh.Config
-	Transform *transform.Options
-	Mapping   transform.ChipMapping
-	// SparedRowFraction marks this fraction of rows as row-spared
-	// (never skippable).
-	SparedRowFraction float64
 	// Benchmarks restricts the suite; nil runs all 23.
 	Benchmarks []workload.Profile
 	// Trace, when non-nil, receives typed events from every layer of the
@@ -60,12 +49,22 @@ type Options struct {
 	// Timeline enables per-window epoch capture; runs report it via
 	// ScenarioResult.Timeline.
 	Timeline bool
+
+	// edit, when non-nil, edits the paper's configuration before each
+	// system of the run is built: Figure 16's 64 ms window and the
+	// ablation rows. It is set per unit, so the configuration it edits
+	// still carries the unit's own tracer.
+	edit func(*core.Config)
 }
+
+// defaultCapacity is the default simulated rank: 32 MB standing in for the
+// paper's 32 GB.
+const defaultCapacity = 32 << 20
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
 	if o.Capacity == 0 {
-		o.Capacity = 32 << 20
+		o.Capacity = defaultCapacity
 	}
 	if o.RowBytes == 0 {
 		o.RowBytes = 4096
@@ -85,29 +84,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// coreConfig builds the system configuration for a run.
-func (o Options) coreConfig(extended bool) core.Config {
+// coreConfig builds the system configuration for a run: the paper's
+// design at the run's scale, with its observers, then o.edit.
+func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig(o.Capacity)
 	cfg.RowBytes = o.RowBytes
-	cfg.CellGroupRows = o.CellGroupRows
-	cfg.Ranks = o.Ranks
-	cfg.Extended = extended
 	cfg.Seed = o.Seed
-	cfg.SparedRowFraction = o.SparedRowFraction
-	if o.Refresh != nil {
-		cfg.Refresh = *o.Refresh
-	}
-	if o.Transform != nil {
-		cfg.Transform = *o.Transform
-	}
-	if o.Mapping != nil {
-		cfg.Mapping = o.Mapping
-	}
 	cfg.Trace = o.Trace
 	cfg.Timeline = o.Timeline
 	if o.Observer != nil {
 		cfg.TraceSink = o.Observer.TraceSink
 		cfg.Progress = o.Observer.Progress
+	}
+	if o.edit != nil {
+		// Edit a copy: the edit is an indirect call, so the variable it
+		// points at moves to the heap, and only edited runs should pay.
+		edited := cfg
+		o.edit(&edited)
+		cfg = edited
 	}
 	return cfg
 }
@@ -133,8 +127,8 @@ type Observer struct {
 
 // newSystem builds a system for this run and applies the observer's
 // OnSystem hook. All sim runners build their systems through it.
-func (o Options) newSystem(extended bool) (*core.System, error) {
-	sys, err := core.NewSystem(o.coreConfig(extended))
+func (o Options) newSystem() (*core.System, error) {
+	sys, err := core.NewSystem(o.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -190,13 +184,7 @@ type ScenarioResult struct {
 // (Section VI-A's four scenarios) in the paper's base extended-temperature
 // mode and reports refresh and energy metrics.
 func RunScenario(o Options, prof workload.Profile, allocFrac float64) (ScenarioResult, error) {
-	return RunScenarioTemp(o, prof, allocFrac, true)
-}
-
-// RunScenarioTemp is RunScenario with an explicit temperature mode
-// (extended=false selects the 64 ms normal-temperature window, Figure 16).
-func RunScenarioTemp(o Options, prof workload.Profile, allocFrac float64, extended bool) (ScenarioResult, error) {
-	res, err := runScenarios(o.withDefaults(), prof, []float64{allocFrac}, extended)
+	res, err := runScenarios(o.withDefaults(), prof, []float64{allocFrac})
 	return res[0], err
 }
 
@@ -209,14 +197,14 @@ func RunScenarioTemp(o Options, prof workload.Profile, allocFrac float64, extend
 // largest on the system itself, so each result equals that of a system
 // populated from empty to its fraction alone. On an error the results
 // measured so far are returned with it.
-func runScenarios(o Options, prof workload.Profile, fracs []float64, extended bool) ([]ScenarioResult, error) {
+func runScenarios(o Options, prof workload.Profile, fracs []float64) ([]ScenarioResult, error) {
 	results := make([]ScenarioResult, len(fracs))
 	order := make([]int, len(fracs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] < fracs[order[b]] })
-	sys, err := o.newSystem(extended)
+	sys, err := o.newSystem()
 	if err != nil {
 		return results, err
 	}
@@ -365,4 +353,97 @@ func Scenarios() []Scenario {
 		{Name: "70% (Google)", AllocFrac: 0.70, Trace: "google"},
 		{Name: "28% (Bitbrains)", AllocFrac: 0.28, Trace: "bitbrains"},
 	}
+}
+
+// normalTemperature selects the 64 ms normal-temperature retention window
+// in place of the paper's base 32 ms extended mode (Figure 16).
+func normalTemperature(c *core.Config) { c.Extended = false }
+
+// The ablations: the design choices DESIGN.md argues for, each measured by
+// taking it out of the paper's configuration. A row is one edit of
+// core.Config, run through the same populate-and-measure code as Figure 14
+// (sphinx3, 100% allocated) and through the Figure 17 IPC model.
+
+// ablation is one row of the ablation table.
+type ablation struct {
+	name string
+	edit func(*core.Config)
+}
+
+var ablations = []ablation{
+	{"full design", nil},
+	// Pipeline stages (Section V): without EBDI only literal zeros help;
+	// without the bit-plane stage zero bits stay trapped inside delta
+	// words; without cell-type awareness anti-cell rows never discharge.
+	{"no EBDI", func(c *core.Config) { c.Transform.EBDI = false }},
+	{"no bit-plane", func(c *core.Config) { c.Transform.BitPlane = false }},
+	{"no cell-aware", func(c *core.Config) { c.Transform.CellAware = false }},
+	{"no transform", func(c *core.Config) { c.Transform = transform.Options{} }},
+	// Chip mappings (Section V-D): no rotation, and the conventional
+	// burst mapping that scatters every word over all chips (Figure 13).
+	{"direct mapping", func(c *core.Config) { c.Mapping = transform.DirectMapping{} }},
+	{"byte-scatter", func(c *core.Config) { c.Mapping = transform.ByteScatterMapping{} }},
+	// Staggered refresh counters (Section IV-C).
+	{"no stagger", func(c *core.Config) { c.Refresh.Stagger = false }},
+	// Row sparing (Section IV-B): spared rows never skip.
+	{"0.5% spared rows", func(c *core.Config) { c.SparedRowFraction = 0.005 }},
+	{"5% spared rows", func(c *core.Config) { c.SparedRowFraction = 0.05 }},
+	// One status bit per chip-row instead of per rank row: each chip
+	// skips on its own, at 8x the table, so staggering is moot. Compare
+	// the chip-level column against the full design's.
+	{"per-chip status", func(c *core.Config) { c.Refresh.PerChipStatus, c.Refresh.Stagger = true, false }},
+	{"per-chip, direct", func(c *core.Config) {
+		c.Refresh.PerChipStatus, c.Refresh.Stagger = true, false
+		c.Mapping = transform.DirectMapping{}
+	}},
+	// The all-bank AR policy: the same refresh counts, but every command
+	// blocks the whole rank.
+	{"all-bank AR", func(c *core.Config) { c.Refresh.AllBank = true }},
+}
+
+// RunAblations measures every ablation row on sphinx3, the benchmark with
+// the most to lose. Each row reports the refresh reduction and the
+// chip-row-level reduction at 100% allocation (as Figure 14 measures them)
+// and the Figure 17 IPCs: the conventional-refresh baseline under the
+// row's AR policy and ZERO-REFRESH's IPC normalized to it. Rows run as
+// parallel units.
+func RunAblations(o Options) (*Table, error) {
+	o = o.withDefaults()
+	prof, ok := workload.ByName("sphinx3")
+	if !ok {
+		return nil, fmt.Errorf("sim: sphinx3 profile missing")
+	}
+	t := &Table{
+		Title:   "Ablations: the paper's design with one choice taken out (sphinx3, 100% alloc)",
+		Columns: []string{"reduction", "chip reduction", "base IPC", "norm IPC"},
+		Note:    "chip reduction counts chip-rows, the unit per-chip status skips in",
+	}
+	rows := make([][]float64, len(ablations))
+	err := forEach(o, len(ablations), func(i int, o Options) error {
+		var err error
+		rows[i], err = ablations[i].run(o, prof)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range ablations {
+		t.AddRow(a.name, rows[i]...)
+	}
+	return t, nil
+}
+
+// run measures one row: a scenario and an IPC run of prof, both on the
+// paper's configuration with a's edit applied.
+func (a ablation) run(o Options, prof workload.Profile) ([]float64, error) {
+	o.edit = a.edit
+	res, err := RunScenario(o, prof, 1.0)
+	if err != nil {
+		return nil, err
+	}
+	ipc, err := RunIPC(o, prof)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{res.Reduction, 1 - res.Cycles.NormalizedChipRefresh(), ipc.BaselineIPC, ipc.Speedup}, nil
 }

@@ -2,14 +2,15 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"zerorefresh/internal/workload"
 )
 
-// quickOptions keeps unit-test runs fast; the benchmark harness uses the
-// full defaults.
+// quickOptions keeps unit-test runs fast; zrsim -exp all runs the full
+// defaults.
 func quickOptions() Options {
 	return Options{Capacity: 4 << 20, Windows: 2, Warmup: 1, Seed: 1}
 }
@@ -267,12 +268,27 @@ func TestFig6Averages(t *testing.T) {
 	}
 }
 
+// TestTable2Renders pins every row of Table II: the values the paper's
+// configuration table lists, in order.
 func TestTable2Renders(t *testing.T) {
-	s := RunTable2()
-	for _, want := range []string{"Table II", "4 KB row buffer", "IDD5=120", "8192"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Table II output missing %q:\n%s", want, s)
-		}
+	want := []Row{
+		{"cores", []float64{4}}, {"core GHz", []float64{4}},
+		{"L1-D KB", []float64{32}}, {"L1-D ways", []float64{8}},
+		{"L2 MB per core", []float64{2}}, {"L2 ways", []float64{32}},
+		{"memory GB", []float64{32}}, {"chips", []float64{8}}, {"banks", []float64{8}},
+		{"row buffer KB", []float64{4}},
+		{"tRAS ns", []float64{28}}, {"tRCD ns", []float64{11}}, {"tRRD ns", []float64{5}},
+		{"tFAW ns", []float64{24}}, {"tRFC ns", []float64{28}}, {"tREFI ns", []float64{3906}},
+		{"tRET extended ms", []float64{32}}, {"tRET normal ms", []float64{64}},
+		{"ARs per window", []float64{8192}},
+		{"IDD0 mA", []float64{23}}, {"IDD1 mA", []float64{30}}, {"IDD2P mA", []float64{7}},
+		{"IDD2N mA", []float64{12}}, {"IDD3 mA", []float64{8}}, {"IDD4W mA", []float64{58}},
+		{"IDD4R mA", []float64{60}}, {"IDD5 mA", []float64{120}}, {"IDD6 mA", []float64{8}},
+		{"IDD7 mA", []float64{105}},
+	}
+	tab := RunTable2()
+	if tab.Title != "Table II: simulated system configuration" || !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("Table II %q rows:\n%v\nwant:\n%v", tab.Title, tab.Rows, want)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 func RunViolationDemo(o Options) (*Table, error) {
 	o = o.withDefaults()
 	prof := o.Benchmarks[0]
-	sys, err := o.newSystem(true)
+	sys, err := o.newSystem()
 	if err != nil {
 		return nil, err
 	}

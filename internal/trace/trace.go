@@ -9,7 +9,8 @@
 // engine.Tracer. Emission is nil-safe by convention: every emitting layer
 // holds the interface in a field and guards each emission with a single
 // `if tr != nil` branch, so the disabled path costs one predictable,
-// allocation-free branch (the benchmark guard in bench_test.go pins this).
+// allocation-free branch (core's TestSteadyStateAllocFree pins this on the
+// line-write path).
 //
 // Determinism: a Shard is only ever written by the goroutine driving its
 // rank (or the CPU-side driver), so per-shard event order is the execution

@@ -78,6 +78,17 @@ func BenchmarkPipelineEncodeDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEBDIEncode measures the raw base-delta stage: one encode and
+// decode of a value-local line.
+func BenchmarkEBDIEncode(b *testing.B) {
+	l := Line{100, 105, 99, 260, 130, 90, 70, 111}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l = EBDIDecode(EBDIEncode(l))
+	}
+	_ = l
+}
+
 // TestSteadyStateAllocFree pins the transform kernels allocation-free on
 // the benchmark inputs: the bit-plane transpose, both bit-plane inverses, a
 // full pipeline encode+decode round trip on a true-cell and an anti-cell

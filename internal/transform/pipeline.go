@@ -11,7 +11,7 @@ import (
 // Options selects which transformation stages are active. The zero value
 // disables everything (raw storage); DefaultOptions enables the full
 // ZERO-REFRESH pipeline. Individual stages can be switched off for the
-// ablation studies in the benchmark harness.
+// ablation studies (zrsim -exp ablation).
 type Options struct {
 	// EBDI enables the base-delta encoding stage.
 	EBDI bool

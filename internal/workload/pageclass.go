@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-
-	"zerorefresh/internal/transform"
-)
+import "zerorefresh/internal/transform"
 
 // PageClass categorizes the dominant value structure of one 4 KB page.
 // Real memory dumps are strongly page-homogeneous — an allocator arena
@@ -165,6 +161,3 @@ func (c PageClass) Line(rng *SplitMix) transform.Line {
 	}
 	return l
 }
-
-// FloatValue helps tests interpret PageFloat words.
-func FloatValue(w uint64) float64 { return math.Float64frombits(w) }

@@ -92,11 +92,14 @@ func TestPublicExperimentSmoke(t *testing.T) {
 	if res.Reduction <= 0 {
 		t.Fatal("expected refresh reduction")
 	}
-	if tab := zerorefresh.RunTable1(1, 2000); len(tab.Rows) != 3 {
-		t.Fatal("Table I should have three traces")
-	}
-	if s := zerorefresh.RunTable2(); len(s) == 0 {
-		t.Fatal("Table II render empty")
+	// Table I, run through the catalogue, has one row per trace.
+	for _, e := range zerorefresh.Experiments() {
+		if e.ID != "table1" {
+			continue
+		}
+		if tab, _, err := e.Run(o); err != nil || len(tab.Rows) != 3 {
+			t.Fatalf("Table I through the catalogue: %v, want three traces", err)
+		}
 	}
 }
 
