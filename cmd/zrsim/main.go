@@ -58,6 +58,9 @@ func main() {
 		flightOut  = flag.String("flight-out", "", "write the flight-recorder dump (Chrome trace JSON) to this file after the run if anything was recorded")
 	)
 	flag.Parse()
+	if err := checkScale(*capacity, *windows); err != nil {
+		fail(err)
+	}
 
 	if *list {
 		for _, b := range workload.Benchmarks() {
@@ -167,6 +170,19 @@ func main() {
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
 	}
+}
+
+// checkScale rejects a -capacity or -windows below 1. The experiments
+// would otherwise read 0 as "use the default" and run a negative count as
+// no windows at all, printing results they never simulated.
+func checkScale(capacityMB int64, windows int) error {
+	if capacityMB < 1 {
+		return fmt.Errorf("-capacity must be at least 1 (MB), got %d", capacityMB)
+	}
+	if windows < 1 {
+		return fmt.Errorf("-windows must be at least 1, got %d", windows)
+	}
+	return nil
 }
 
 // observer wires plane into every system a run builds: each system's

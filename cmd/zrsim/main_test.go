@@ -147,6 +147,28 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestCheckScaleRejectsNonPositive pins the usage check zrsim runs before
+// any experiment: a capacity or window count below 1 is an error, and the
+// smallest valid values pass.
+func TestCheckScaleRejectsNonPositive(t *testing.T) {
+	for _, c := range []struct {
+		capacity int64
+		windows  int
+		ok       bool
+	}{
+		{2, -1, false},
+		{2, 0, false},
+		{0, 8, false},
+		{-4, 8, false},
+		{1, 1, true},
+		{32, 8, true},
+	} {
+		if err := checkScale(c.capacity, c.windows); (err == nil) != c.ok {
+			t.Errorf("checkScale(%d, %d) = %v, want ok=%v", c.capacity, c.windows, err, c.ok)
+		}
+	}
+}
+
 // TestObserverMountsEverySystemOnce runs a multi-unit experiment through
 // the observer zrsim assembles and checks that every system it built got
 // its own "sysN/" mount: N runs from 0 to the number of systems, each

@@ -39,7 +39,7 @@ func (Layerpurity) Doc() string {
 
 // dramMutators is the charge-state-mutating slice of the rank contract:
 // the scalar methods, their line- and row-granular batched equivalents
-// (WriteLineWords, BeginRowWrite, RefreshGroup, FillRowWords), the bulk
+// (WriteLineWords, BeginRowWrite, RefreshGroup), the bulk
 // idle replay (ReplayRefreshGroup), which perform the same state
 // transitions a cacheline, row burst, refresh diagonal, or idle-window run
 // at a time, and CopyFrom, which overwrites a whole module's cells with
@@ -55,7 +55,6 @@ var dramMutators = map[string]bool{
 	"WriteLineWords":     true,
 	"BeginRowWrite":      true,
 	"RefreshGroup":       true,
-	"FillRowWords":       true,
 	"ReplayRefreshGroup": true,
 	"CopyFrom":           true,
 }

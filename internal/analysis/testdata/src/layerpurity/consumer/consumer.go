@@ -14,7 +14,6 @@ type backend interface {
 	Refresh(row int) bool
 	WriteLineWords(row int, words [8]uint64) bool
 	RefreshGroup(rows [8]int) uint16
-	FillRowWords(row int, words [8]uint64)
 	ReplayRefreshGroup(rows [8]int, windows int64)
 	BeginRowWrite(row int) dram.RowWrite
 }
@@ -25,7 +24,6 @@ func direct(m *dram.Module) bool {
 }
 
 func directBatched(m *dram.Module) bool {
-	m.FillRowWords(0, [8]uint64{})           // want "mutates DRAM cell state on concrete"
 	m.RefreshGroup([8]int{})                 // want "mutates DRAM cell state on concrete"
 	m.ReplayRefreshGroup([8]int{}, 4)        // want "mutates DRAM cell state on concrete"
 	return m.WriteLineWords(0, [8]uint64{1}) // want "mutates DRAM cell state on concrete"
@@ -56,7 +54,6 @@ func throughInterface(b backend) bool {
 	b.WriteWord(0, 1)
 	b.WriteLineWords(0, [8]uint64{1})
 	b.RefreshGroup([8]int{})
-	b.FillRowWords(0, [8]uint64{})
 	b.ReplayRefreshGroup([8]int{}, 4)
 	return b.Refresh(0)
 }

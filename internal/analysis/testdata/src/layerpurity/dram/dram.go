@@ -23,8 +23,6 @@ func (m *Module) ReadLineWords(row int) [8]uint64 { return [8]uint64{m.rows[row]
 
 func (m *Module) RefreshGroup(rows [8]int) uint16 { return 0 }
 
-func (m *Module) FillRowWords(row int, words [8]uint64) { m.rows[row] = words[0] }
-
 func (m *Module) ReplayRefreshGroup(rows [8]int, windows int64) {}
 
 // RowWrite is the row-burst cursor: it exists only as BeginRowWrite's

@@ -14,8 +14,8 @@ import (
 
 // cloneCase is one configuration the clone tests build: small cell groups
 // put anti-cell rows in every rank, and a raw transform stores the zero
-// line charged on them, so cleansing those pages aliases a copy-on-write
-// sentinel.
+// line charged on them, so cleansing those pages leaves them in arena
+// slots.
 type cloneCase struct {
 	name     string
 	ranks    int
@@ -176,10 +176,10 @@ func TestCloneMatchesFreshPopulate(t *testing.T) {
 // writes and windows, each next to a fresh twin driven the same way: a
 // store, a cleanse or a refresh on one side must leave the other's
 // metrics, bytes and trace untouched. Both sides write other values into
-// the same two pages: one held in arena slots, one whose rows share a
-// copy-on-write sentinel with the other system. Identical slot layouts
-// make both sides store into the same slot indices, so any storage the two
-// shared would show up as the other side's values.
+// the same two pages: a filled one and a cleansed one whose zero fill is
+// stored charged. Identical slot layouts make both sides store into the
+// same slot indices, so any storage the two shared would show up as the
+// other side's values.
 func TestCloneIsIndependent(t *testing.T) {
 	prof, _ := workload.ByName("sphinx3")
 	c := cloneCase{ranks: 1, raw: true, traced: true}
@@ -187,30 +187,27 @@ func TestCloneIsIndependent(t *testing.T) {
 	for _, sys := range []*System{x, fx, fy} {
 		populateForClone(t, sys, prof)
 	}
-	if x.MetricsSnapshot().Counter("rank0/dram.storage.cow_hits") == 0 {
-		t.Fatal("no cleanse aliased a sentinel; the shared-row case went untested")
-	}
 	y, err := x.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cleansed pages on anti-cell rows alias the zero sentinel, now in
-	// both x and y.
-	var shared []int
+	// The cleansed pages on anti-cell rows hold the raw zero line charged,
+	// in x's slots and in the copies of them y holds.
+	var cleansed []int
 	for p := 0; p < x.Pages(); p += 9 {
 		loc, err := x.Controller.AddressMap().Locate(x.PageAddr(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if x.DRAM.Config().CellTypeOf(loc.Row) == dram.AntiCell {
-			shared = append(shared, p)
+			cleansed = append(cleansed, p)
 		}
 	}
-	if len(shared) == 0 {
+	if len(cleansed) == 0 {
 		t.Fatal("no cleansed page lies on anti-cell rows")
 	}
 	drive := func(sys *System, version uint64) {
-		for _, page := range []int{shared[0], 1} {
+		for _, page := range []int{cleansed[0], 1} {
 			if err := sys.FillPageFromProfile(prof, page, 7, version); err != nil {
 				t.Fatal(err)
 			}

@@ -274,8 +274,8 @@ func NewSystem(cfg Config) (*System, error) {
 // every rank's DRAM cells and arena layout and refresh tables, every
 // counter and histogram, the clock, the timeline and the trace shards. It
 // is built by NewSystem(s.Config) and filled by per-layer copies, so it
-// allocates what a fresh system brought to the same state would, and
-// copy-on-write sentinel rows are shared read-only between the two.
+// allocates what a fresh system brought to the same state would and shares
+// no storage with s.
 //
 // The clone's tracer shards are new shards of Config.Trace, each holding a
 // copy of the matching original shard's ring restamped with its own id. A
@@ -330,22 +330,31 @@ func (s *System) Metrics() *metrics.Registry { return s.metrics }
 func (s *System) MetricsSnapshot() metrics.Snapshot { return s.metrics.Snapshot() }
 
 // rankOf routes a global byte address: ranks are interleaved at rank-
-// capacity granularity (rank = addr / perRankCapacity).
-func (s *System) rankOf(addr uint64) (unit RankUnit, local uint64) {
+// capacity granularity (rank = addr / perRankCapacity). An address at or
+// past the system's capacity is an error.
+func (s *System) rankOf(addr uint64) (unit RankUnit, local uint64, err error) {
 	per := uint64(s.DRAM.Config().Capacity())
-	r := int(addr / per)
-	return s.Ranks[r], addr % per
+	if addr/per >= uint64(len(s.Ranks)) {
+		return RankUnit{}, 0, fmt.Errorf("core: address %#x beyond capacity %#x", addr, per*uint64(len(s.Ranks)))
+	}
+	return s.Ranks[addr/per], addr % per, nil
 }
 
 // WriteLineAt and ReadLineAt route global addresses across ranks.
 func (s *System) WriteLineAt(addr uint64, data [64]byte) error {
-	u, local := s.rankOf(addr)
+	u, local, err := s.rankOf(addr)
+	if err != nil {
+		return err
+	}
 	return u.Controller.WriteLine(local, data, s.Clock)
 }
 
 // ReadLineAt reads the cacheline at a global address.
 func (s *System) ReadLineAt(addr uint64) ([64]byte, error) {
-	u, local := s.rankOf(addr)
+	u, local, err := s.rankOf(addr)
+	if err != nil {
+		return [64]byte{}, err
+	}
 	return u.Controller.ReadLine(local, s.Clock)
 }
 
@@ -365,7 +374,10 @@ func (s *System) PageAddr(page int) uint64 {
 // one row burst (Controller.WriteRow) with exactly the effects of one
 // WriteLineAt per line in line order.
 func (s *System) WritePage(page int, content func(line int) [64]byte) error {
-	u, local := s.rankOf(s.PageAddr(page))
+	u, local, err := s.rankOf(s.PageAddr(page))
+	if err != nil {
+		return err
+	}
 	return u.Controller.WriteRow(local, content, s.Clock)
 }
 
@@ -391,17 +403,13 @@ func (s *System) FillPage(gen *workload.LineGen, page int, version uint64) error
 }
 
 // CleansePage zero-fills a page through the datapath, as the OS's
-// free-time cleansing would (Section III-B). Pages coincide with
-// rank-level rows, so the cleanse is the controller's bulk WriteZeroRow:
-// the zero line is encoded once per row and, when the encoded pattern is
-// uniform and charged, the row aliases a shared copy-on-write sentinel
-// instead of storing every word — the accounting is charged per line
-// exactly as the slot-by-slot loop would charge it (pinned by the
-// memctrl differential twins).
+// free-time cleansing would (Section III-B): a WritePage of zero lines.
 func (s *System) CleansePage(page int) error {
-	u, local := s.rankOf(s.PageAddr(page))
-	return u.Controller.WriteZeroRow(local, s.Clock)
+	return s.WritePage(page, zeroLine)
 }
+
+// zeroLine is the content of every line of a cleansed page.
+func zeroLine(int) [64]byte { return [64]byte{} }
 
 // RunWindow executes one full retention window of refresh activity on
 // every rank and advances the clock to its end.

@@ -308,13 +308,45 @@ func TestMultiRankRejectsBadSplit(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree pins a page fill from a profile allocation-free
-// once the pages' rows are materialized: the line generator and the
-// per-line writes live on the stack.
+// TestBeyondCapacityIsAnError pins the address routing of a system: a line
+// or page at or past its capacity is an error on every datapath entry, as
+// an out-of-range address is for the controller, never a panic.
+func TestBeyondCapacityIsAnError(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig(2 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := workload.ByName("mcf")
+	capacity := uint64(2 << 20)
+	var line [64]byte
+	for _, addr := range []uint64{capacity, capacity + 64, 1 << 40} {
+		if err := sys.WriteLineAt(addr, line); err == nil {
+			t.Errorf("WriteLineAt(%#x) accepted", addr)
+		}
+		if _, err := sys.ReadLineAt(addr); err == nil {
+			t.Errorf("ReadLineAt(%#x) accepted", addr)
+		}
+	}
+	for _, page := range []int{sys.Pages(), -1} {
+		for name, op := range map[string]func() error{
+			"CleansePage":         func() error { return sys.CleansePage(page) },
+			"FillPageFromProfile": func() error { return sys.FillPageFromProfile(prof, page, 1, 0) },
+			"VerifyPage":          func() error { return sys.VerifyPage(prof, page, 1, 0) },
+			"ReadPageLine":        func() error { _, err := sys.ReadPageLine(page, 0); return err },
+		} {
+			if err := op(); err == nil {
+				t.Errorf("%s(page %d) accepted", name, page)
+			}
+		}
+	}
+}
+
 // TestSteadyStateAllocFree pins the write paths of a warmed system with
-// tracing off at 0 allocations per operation: a page fill (one row burst)
-// and a single line through WriteLineAt, whose controller write notes the
-// refresh engine's access bit.
+// tracing off at 0 allocations per operation: a page fill (one row burst),
+// a single line through WriteLineAt, whose controller write notes the
+// refresh engine's access bit, and a page cleanse. The warm-up fills,
+// cleanses and refills every page once, so the arena's free lists already
+// hold room for the slots a cleanse releases.
 func TestSteadyStateAllocFree(t *testing.T) {
 	sys, err := NewSystem(smallConfig())
 	if err != nil {
@@ -322,9 +354,12 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	prof, _ := workload.ByName("mcf")
 	const pages = 16
-	for p := 0; p < pages; p++ {
-		if err := sys.FillPageFromProfile(prof, p, 1, 0); err != nil {
-			t.Fatal(err)
+	fill := func(p int) error { return sys.FillPageFromProfile(prof, p, 1, 0) }
+	for _, op := range []func(int) error{fill, sys.CleansePage, fill} {
+		for p := 0; p < pages; p++ {
+			if err := op(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	line := lineWriteData()
@@ -335,6 +370,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}{
 		{"FillPageFromProfile", func() error { return sys.FillPageFromProfile(prof, n%pages, 1, uint64(n)) }},
 		{"WriteLineAt", func() error { return sys.WriteLineAt(uint64(n%1024)*64, line) }},
+		{"CleansePage", func() error { return sys.CleansePage(n % pages) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(200, func() {

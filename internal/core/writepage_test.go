@@ -2,28 +2,42 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/trace"
+	"zerorefresh/internal/transform"
 	"zerorefresh/internal/workload"
 )
 
 // TestFillPageMatchesLineWrites pins the row-burst page path against the
 // line loop it replaced, on a traced two-rank system whose small cell
-// groups put anti-cell rows in both ranks: FillPageFromProfile and
-// CleansePage must leave the same metrics snapshot, and export the same
-// NDJSON bytes, as one WriteLineAt per line. A refill after a skipped
-// retention window makes bursts open on decaying chip-rows, and the
-// cleanses of charged pages take the row burst's zero-fill route.
+// groups put anti-cell rows in both ranks, under every combination of
+// transform stages: FillPageFromProfile and CleansePage must leave the same
+// metrics snapshot, and export the same NDJSON bytes, as one WriteLineAt
+// per line. A refill after a skipped retention window makes bursts open on
+// decaying chip-rows, and every filled page is cleansed, on true- and
+// anti-cell rows alike, so the cleanse stores both the discharged and,
+// without the cell-aware stage, a charged zero pattern.
 func TestFillPageMatchesLineWrites(t *testing.T) {
+	for opt := 0; opt < 8; opt++ {
+		opts := transform.Options{EBDI: opt&1 != 0, BitPlane: opt&2 != 0, CellAware: opt&4 != 0}
+		t.Run(fmt.Sprintf("ebdi=%v,bitplane=%v,cellaware=%v", opts.EBDI, opts.BitPlane, opts.CellAware), func(t *testing.T) {
+			checkFillPageMatchesLineWrites(t, opts)
+		})
+	}
+}
+
+func checkFillPageMatchesLineWrites(t *testing.T, opts transform.Options) {
 	mk := func() (*System, *trace.Tracer) {
 		tr := trace.New(1 << 20)
 		cfg := DefaultConfig(2 << 20)
 		cfg.Ranks = 2
 		cfg.CellGroupRows = 8
 		cfg.Refresh.RowsPerAR = 4
+		cfg.Transform = opts
 		cfg.Trace = tr
 		sys, err := NewSystem(cfg)
 		if err != nil {
@@ -67,7 +81,7 @@ func TestFillPageMatchesLineWrites(t *testing.T) {
 		rows.RunWindow()
 		lines.RunWindow()
 	}
-	for _, p := range pages[:4] {
+	for _, p := range pages {
 		if err := rows.CleansePage(p); err != nil {
 			t.Fatal(err)
 		}

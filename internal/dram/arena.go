@@ -6,11 +6,11 @@ import (
 	"zerorefresh/internal/metrics"
 )
 
-// Per-bank row arenas, copy-on-write sentinel rows and word-level charge
-// bitmaps — the storage layer behind the sparse row representation.
+// Per-bank row arenas and word-level charge bitmaps — the storage layer
+// behind the sparse row representation.
 //
-// Three mechanisms, each observationally invisible (the scalar/dense twins
-// in batch_test.go and internal/memctrl pin bit-identical cell state,
+// Two mechanisms, each observationally invisible (the scalar twins in
+// batch_test.go and internal/memctrl pin bit-identical cell state,
 // counters, histograms and trace streams):
 //
 //  1. Arenas. Every materialized chip-row used to carry its own
@@ -24,16 +24,7 @@ import (
 //     rows it revisits are adjacent and refresh scans walk cache-linear
 //     memory.
 //
-//  2. Copy-on-write sentinels. A whole-row fill with one uniform charged
-//     word — the page-cleansing WriteZeroRow under transform combos whose
-//     encoded zero is not the discharged pattern, and the OS allocator's
-//     zero-on-free path above it — aliases one shared per-value sentinel
-//     row instead of writing WordsPerChipRow words. The first dirty write
-//     (or a spared-row remap) copies the sentinel into a private arena
-//     slot. Sentinel rows are read-only by construction: every mutation
-//     path materializes first.
-//
-//  3. Charge bitmaps. Per chip-bank, bit r of `charged` mirrors
+//  2. Charge bitmaps. Per chip-bank, bit r of `charged` mirrors
 //     rows[r].chargedWords > 0; per rank-level bank, bit r of the shared
 //     `liveAny` word is set once any chip materializes a row struct at r.
 //     Group refreshes and idle replays test a whole diagonal group with a
@@ -45,38 +36,31 @@ const (
 	// (clamped to the bank's row count for tiny geometries). 256 rows of
 	// the default 64-word chip-row are 128 KB per chunk.
 	arenaChunkRows = 256
-	// maxSentinels bounds the shared sentinel cache. A run that fills rows
-	// with more distinct uniform words than this falls back to eager
-	// materialization for the excess values, keeping the cache O(1)-sized.
-	maxSentinels = 64
-	// noSlot marks a row whose words are nil or alias a shared sentinel —
-	// either way no arena slot is owned.
+	// noSlot marks a row whose words are nil: it owns no arena slot.
 	noSlot = -1
 )
 
 // storageStats feeds the dram.storage.* metrics: the memory-footprint view
-// of the arena/CoW representation. The twin-differential tests compare
-// modules driven through different (but observationally equivalent) call
-// sequences, which legitimately reach different storage layouts, so these
-// samples are excluded from snapshot bit-identity comparisons.
+// of the arena representation.
 type storageStats struct {
-	materialized  int64 // chip-rows with words != nil (arena-backed or CoW)
+	materialized  int64 // chip-rows with words != nil
 	reservedBytes int64 // bytes of arena chunks allocated
 	usedBytes     int64 // bytes of arena slots currently owned by rows
 
 	gMaterialized *metrics.Gauge
 	gReserved     *metrics.Gauge
 	gUsed         *metrics.Gauge
-	cowHits       *metrics.Counter
 }
 
 func newStorageStats(reg *metrics.Registry) storageStats {
-	return storageStats{
+	s := storageStats{
 		gMaterialized: reg.Gauge("dram.storage.materialized_rows"),
 		gReserved:     reg.Gauge("dram.storage.arena_reserved_bytes"),
 		gUsed:         reg.Gauge("dram.storage.arena_used_bytes"),
-		cowHits:       reg.Counter("dram.storage.cow_hits"),
 	}
+	// Always 0 (no row aliases shared storage); kept because committed goldens list it.
+	reg.Counter("dram.storage.cow_hits")
+	return s
 }
 
 func (s *storageStats) noteMaterialized(d int64) {
@@ -261,26 +245,6 @@ func (a *bankArena) clearCharged(idx int32) {
 	a.charged[idx>>6] &^= 1 << (uint(idx) & 63)
 }
 
-// sentinel returns the shared read-only row holding the uniform word v,
-// creating it on first use. It returns nil when the cache is at capacity
-// and v is not in it — the caller then materializes eagerly, trading the
-// CoW win for bounded memory. The create-time make is the same sanctioned
-// lazy materialization pattern the arenas use.
-func (m *Module) sentinel(v uint64) []uint64 {
-	s := m.sentinels[v]
-	if s == nil {
-		if len(m.sentinels) >= maxSentinels {
-			return nil
-		}
-		s = make([]uint64, m.wordsPerRow)
-		for i := range s {
-			s[i] = v
-		}
-		m.sentinels[v] = s
-	}
-	return s
-}
-
 // CopyFrom makes m's cell state and storage layout equal to src's,
 // replacing whatever m held. m must be a module of src's Config; CopyFrom
 // returns an error otherwise. Every bank's word chunks, bump cursor and
@@ -288,10 +252,7 @@ func (m *Module) sentinel(v uint64) []uint64 {
 // dram.storage.* footprint and reuses slots in the same order src would.
 // The row structs are copied in pool order and re-pointed at m's slots and
 // arenas; the charge and live bitmaps, the live counts and the spared rows
-// are copied. Rows aliasing a copy-on-write sentinel keep aliasing it, and
-// m's sentinel cache holds the same sentinels: they are read-only, since
-// every mutation path copies a row into an owned slot first, so the two
-// modules may share them.
+// are copied, so m shares no storage with src.
 //
 // The operation counters live in m's registry (Metrics) and are not
 // touched: the composition root copies them with metrics.Registry.CopyFrom.
@@ -326,10 +287,6 @@ func (m *Module) CopyFrom(src *Module) error {
 	}
 	for i := range m.arenas {
 		copy(m.arenas[i].charged, src.arenas[i].charged)
-	}
-	m.sentinels = make(map[uint64][]uint64, len(src.sentinels))
-	for v, words := range src.sentinels {
-		m.sentinels[v] = words
 	}
 	m.spared = append([]uint64(nil), src.spared...)
 	m.storage.materialized = src.storage.materialized

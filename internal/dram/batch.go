@@ -18,11 +18,10 @@ import "fmt"
 // order — which the differential tests in batch_test.go and
 // internal/memctrl pin.
 //
-// On top of the batching, the arena/CoW storage layer (arena.go) gives the
-// group operations two sub-linear fast paths: RefreshGroup renews a group
+// On top of the batching, the storage layer's live bitmaps (arena.go) give
+// the group operations sub-linear fast paths: RefreshGroup renews a group
 // whose rows are provably untouched with a few bitmap loads, and
-// FillRowWords serves a whole-row fill with one uniform word by aliasing a
-// shared sentinel row instead of storing WordsPerChipRow words.
+// RefreshSpanDischarged does the same for a whole auto-refresh span.
 
 // checkLine bounds-checks one line-granular access. It is the single guard
 // a batched call performs, replacing the per-chip checkAddr/word checks of
@@ -108,13 +107,13 @@ func (w *RowWrite) Write(slot int, words [LineChips]uint64) bool {
 		}
 		before := r.chargedWords == 0
 		// writeWord's materialized fast path, specialized inline: the
-		// compiler cannot inline the full method (cost 152 vs budget 80)
-		// and the call per chip is the last per-word overhead left. The
-		// discharged-row and copy-on-write cases stay in the shared
-		// slow-path helper, so the semantics are writeWord's exactly.
+		// compiler cannot inline the full method and the call per chip is
+		// the last per-word overhead left. The discharged-row case stays
+		// in the shared slow-path helper, so the semantics are writeWord's
+		// exactly.
 		wv := words[chip]
 		var after bool
-		if r.words != nil && !r.cow {
+		if r.words != nil {
 			oldCharged := ct.ChargedBits(r.words[slot]) != 0
 			newCharged := ct.ChargedBits(wv) != 0
 			r.words[slot] = wv
@@ -320,123 +319,4 @@ func (m *Module) groupSpareMask(rows *[LineChips]int) uint16 {
 		}
 	}
 	return mask
-}
-
-// FillRowWords stores the same one-word-per-chip pattern into every word
-// slot of (bank, row) across all LineChips chips — the whole rank-level row
-// in one call. It is the batched equivalent of WriteLineWords per slot
-// (itself the batched WriteWord loop) and is the backend of the
-// controller's bulk page-cleansing path: the row is activated once per chip
-// and the fill then runs over cached row pointers with no per-word checks.
-// Counter totals and trace events match the scalar slot-major loop exactly.
-//
-// The fill itself is O(chips), not O(chips × words): a chip whose fill word
-// is the discharged pattern just releases its storage, and a charged fill
-// word aliases a shared sentinel row (copy-on-write; see arena.go) instead
-// of storing WordsPerChipRow copies.
-//
-// It reports whether it stored the fill. The one case whose trace output
-// depends on row *content* — a traced discharged fill over a live charged
-// row emits its charge transition at the slot where the row's last charged
-// word is overwritten — is declined: FillRowWords stores nothing and
-// reports false, and the caller writes the row slot by slot through a row
-// burst (BeginRowWrite), interleaving its own per-slot events.
-//
-//zr:hotpath
-func (m *Module) FillRowWords(bank, rowIdx int, words [LineChips]uint64, now Time) bool {
-	m.checkLine(bank, rowIdx, 0)
-	wordsPerRow := m.wordsPerRow
-	ct := m.cfg.CellTypeOf(rowIdx)
-	traced := m.tr != nil
-	if traced {
-		for chip := 0; chip < LineChips; chip++ {
-			if ct.ChargedBits(words[chip]) != 0 {
-				continue
-			}
-			if r := m.banks[chip*m.cfg.Banks+bank][rowIdx]; r != nil && r.chargedWords > 0 {
-				return false
-			}
-		}
-	}
-	var decays, cowHits int64
-	// One sentinel lookup covers the whole call in the dominant case: the
-	// controller's bulk fills scatter the same encoded line to every chip,
-	// so all eight fill words usually coincide.
-	var lastV uint64
-	var lastS []uint64
-	lastOK := false
-	stride := m.cfg.Banks
-	idx := bank
-	for chip := 0; chip < LineChips; chip++ {
-		b := m.banks[idx]
-		r := b[rowIdx]
-		if r == nil {
-			r = m.arenas[idx].newRow(rowIdx, now)
-			b[rowIdx] = r
-		} else if r.chargedWords > 0 && now-r.lastRecharge > m.cfg.Timing.TRET {
-			r.decay()
-			decays++
-			if traced {
-				m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
-			}
-		}
-		idx += stride
-		r.lastRecharge = now
-		wv := words[chip]
-		if ct.ChargedBits(wv) == 0 {
-			// Discharged fill: the row ends storage-free. A live charged row
-			// only reaches here untraced (the traced case was declined
-			// above), so no transition event is owed.
-			if r.words != nil {
-				r.chargedWords = 0
-				r.releaseWords()
-			}
-			continue
-		}
-		// Charged fill: the scalar loop's only transition fires right after
-		// the slot-0 write, per chip in chip order — exactly here.
-		if traced && r.chargedWords == 0 {
-			m.tr.Emit(traceChargeTransition(now, chip, bank, rowIdx, false))
-		}
-		if !lastOK || wv != lastV {
-			lastS, lastV, lastOK = m.sentinel(wv), wv, true
-		}
-		if lastS != nil {
-			r.attachSentinel(lastS, wordsPerRow)
-			cowHits++
-		} else {
-			r.fillOwned(wv, wordsPerRow)
-		}
-	}
-	m.activations.Add(int64(LineChips * wordsPerRow))
-	m.wordWrites.Add(int64(LineChips * wordsPerRow))
-	if cowHits != 0 {
-		m.storage.cowHits.Add(cowHits)
-	}
-	if decays != 0 {
-		m.decayEvents.Add(decays)
-	}
-	return true
-}
-
-// fillOwned stores the uniform charged word v into every slot of an owned
-// arena slot — the eager fill behind FillRowWords when the sentinel cache
-// is at capacity.
-func (r *row) fillOwned(v uint64, wordsPerRow int) {
-	if r.cow || r.words == nil {
-		ws, slot := r.arena.alloc()
-		if r.words == nil {
-			r.arena.st.noteMaterialized(1)
-		}
-		r.words = ws
-		r.slot = slot
-		r.cow = false
-	}
-	for i := range r.words {
-		r.words[i] = v
-	}
-	if r.chargedWords == 0 {
-		r.arena.setCharged(r.idx)
-	}
-	r.chargedWords = wordsPerRow
 }

@@ -3,11 +3,9 @@ package dram
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"zerorefresh/internal/attr"
-	"zerorefresh/internal/metrics"
 	"zerorefresh/internal/trace"
 )
 
@@ -40,7 +38,7 @@ func compareTwins(t *testing.T, a, b *Module, ta, tb *trace.Tracer) {
 	if sa, sb := a.Stats(), b.Stats(); sa != sb {
 		t.Fatalf("stats diverged:\nbatched %+v\nscalar  %+v", sa, sb)
 	}
-	if sa, sb := withoutStorageMetrics(a.Metrics().Snapshot()), withoutStorageMetrics(b.Metrics().Snapshot()); !reflect.DeepEqual(sa, sb) {
+	if sa, sb := a.Metrics().Snapshot(), b.Metrics().Snapshot(); !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("metrics snapshots diverged:\nbatched %+v\nscalar  %+v", sa, sb)
 	}
 	attr.MustMatch(t, "batched vs scalar", ta.Events(), tb.Events())
@@ -65,23 +63,6 @@ func compareTwins(t *testing.T, a, b *Module, ta, tb *trace.Tracer) {
 	}
 }
 
-// withoutStorageMetrics strips the dram.storage.* samples from a snapshot.
-// The memory-footprint view describes the storage *layout* — arena slots in
-// use, CoW sentinel aliases — which the batched and scalar drives reach by
-// different routes (a batched fill aliases a sentinel where the scalar loop
-// stores every word) even though the simulated cell state is identical.
-// Everything else in the snapshot must still match bit for bit.
-func withoutStorageMetrics(s metrics.Snapshot) metrics.Snapshot {
-	out := s
-	out.Samples = nil
-	for _, smp := range s.Samples {
-		if !strings.HasPrefix(smp.Name, "dram.storage.") {
-			out.Samples = append(out.Samples, smp)
-		}
-	}
-	return out
-}
-
 // scalarWriteLine is the scalar reference for WriteLineWords: eight
 // WriteWord calls plus the same all-discharged reduction.
 func scalarWriteLine(m *Module, bank, row, slot int, words [LineChips]uint64, now Time) bool {
@@ -96,22 +77,13 @@ func scalarWriteLine(m *Module, bank, row, slot int, words [LineChips]uint64, no
 }
 
 // burstFill stores words into every slot of (bank, row) through one row
-// burst: the slot-by-slot reference for FillRowWords, and the route the
-// controller takes for a fill FillRowWords declines.
+// burst, as the controller stores a page of identical lines.
 func burstFill(m *Module, bank, row int, words [LineChips]uint64, now Time) {
 	w := m.BeginRowWrite(bank, row, now)
 	for slot := 0; slot < m.wordsPerRow; slot++ {
 		w.Write(slot, words)
 	}
 	w.End()
-}
-
-// fillRow is FillRowWords completed the way the controller completes it: a
-// declined fill is stored through a row burst.
-func fillRow(m *Module, bank, row int, words [LineChips]uint64, now Time) {
-	if !m.FillRowWords(bank, row, words, now) {
-		burstFill(m, bank, row, words, now)
-	}
 }
 
 // scalarRefreshGroup is the scalar reference for RefreshGroup: the refresh
@@ -189,7 +161,7 @@ func TestBatchedOpsMatchScalar(t *testing.T) {
 					words[c] = v
 				}
 			}
-			fillRow(batched, bank, row, words, now)
+			burstFill(batched, bank, row, words, now)
 			for slot := 0; slot < wordsPerRow; slot++ {
 				for chip := 0; chip < LineChips; chip++ {
 					scalar.WriteWord(chip, bank, row, slot, words[chip], now)
@@ -244,33 +216,6 @@ func TestRowBurstMatchesScalar(t *testing.T) {
 		t.Fatal("no burst decayed a chip-row; the activation path went untested")
 	}
 	compareTwins(t, batched, scalar, tb, ts)
-}
-
-// TestFillRowWordsDeclinesContentDependentTrace pins the one fill the fast
-// path declines: a traced discharged fill over a live charged row, whose
-// charge-transition events fall at content-dependent slots. It must report
-// false and leave the module untouched; untraced, the same fill is stored.
-func TestFillRowWordsDeclinesContentDependentTrace(t *testing.T) {
-	cfg := testConfig()
-	for _, traced := range []bool{true, false} {
-		m := New(cfg)
-		tr := trace.New(1 << 10)
-		if traced {
-			m.SetTracer(tr.NewShard("rank"))
-		}
-		m.WriteLineWords(1, 5, 7, uniformLine(chargedFill), 0)
-		before, events := m.Stats(), len(tr.Events())
-		stored := m.FillRowWords(1, 5, dischargedLine(m, 5), 1)
-		if stored == traced {
-			t.Fatalf("traced=%v: FillRowWords stored=%v", traced, stored)
-		}
-		if traced && (m.Stats() != before || len(tr.Events()) != events || m.bankOf(0, 1)[5].discharged()) {
-			t.Fatal("a declined fill changed the module")
-		}
-		if !traced && !m.bankOf(0, 1)[5].discharged() {
-			t.Fatal("untraced discharged fill left the row charged")
-		}
-	}
 }
 
 // TestBatchedOpsUntracedMatchScalar re-runs a short differential drive with

@@ -14,79 +14,6 @@ func benchModule() *Module {
 	return New(testConfig())
 }
 
-// BenchmarkFillRowWords measures one whole-row fill (8 chips × 64 words).
-//
-//	cow:        uniform charged fill in steady state — every chip-row
-//	            re-aliases the shared sentinel (the bulk page-cleansing
-//	            fast path).
-//	discharged: uniform discharged fill over already-free rows — the
-//	            fast path's cheapest case, storage stays released.
-//	burst:      the same fill slot by slot through one row burst over
-//	            materialized rows — the route of a declined fill, and the
-//	            fast path's reference.
-func BenchmarkFillRowWords(b *testing.B) {
-	var line [LineChips]uint64
-
-	b.Run("cow", func(b *testing.B) {
-		m := benchModule()
-		for i := range line {
-			line[i] = chargedFill
-		}
-		rows := m.cfg.RowsPerBank
-		// Warm up: materialize the rows and populate the sentinel cache so
-		// the timed loop is pure steady state.
-		for r := 0; r < rows; r++ {
-			m.FillRowWords(0, r, line, 0)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.FillRowWords(0, i%rows, line, 0)
-		}
-	})
-
-	b.Run("discharged", func(b *testing.B) {
-		m := benchModule()
-		rows := m.cfg.RowsPerBank
-		for r := 0; r < rows; r++ {
-			line = dischargedLine(m, r)
-			m.FillRowWords(0, r, line, 0)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := i % rows
-			m.FillRowWords(0, r, dischargedLine(m, r), 0)
-		}
-	})
-
-	b.Run("burst", func(b *testing.B) {
-		m := benchModule()
-		for i := range line {
-			line[i] = chargedFill
-		}
-		rows := m.cfg.RowsPerBank
-		for r := 0; r < rows; r++ {
-			burstFill(m, 0, r, line, 0)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			burstFill(m, 0, i%rows, line, 0)
-		}
-	})
-}
-
-// dischargedLine builds the uniform fill that leaves row r storage-free:
-// every chip stores the discharged pattern of the row's cell type.
-func dischargedLine(m *Module, r int) (l [LineChips]uint64) {
-	d := m.cfg.CellTypeOf(r).DischargedWord()
-	for i := range l {
-		l[i] = d
-	}
-	return l
-}
-
 // diagonalGroup returns the staggered refresh group anchored at row base,
 // matching the engine's rows[c] = (base+c) mod RowsPerBank layout.
 func diagonalGroup(m *Module, base int) (rows [LineChips]int) {
@@ -121,7 +48,7 @@ func BenchmarkRefreshGroup(b *testing.B) {
 		}
 		rows := m.cfg.RowsPerBank
 		for r := 0; r < rows; r++ {
-			m.FillRowWords(0, r, line, 0)
+			burstFill(m, 0, r, line, 0)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -160,7 +87,7 @@ func BenchmarkReplayRefreshGroup(b *testing.B) {
 		}
 		rows := m.cfg.RowsPerBank
 		for r := 0; r < rows; r++ {
-			m.FillRowWords(0, r, line, 0)
+			burstFill(m, 0, r, line, 0)
 		}
 		// Advance first monotonically so every replayed window sees a
 		// fresh in-deadline age, never a decay.
@@ -184,7 +111,7 @@ func BenchmarkNextRetentionDeadline(b *testing.B) {
 		line[i] = chargedFill
 	}
 	for bank := 0; bank < m.cfg.Banks; bank++ {
-		m.FillRowWords(bank, (bank*37)%m.cfg.RowsPerBank, line, 0)
+		burstFill(m, bank, (bank*37)%m.cfg.RowsPerBank, line, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

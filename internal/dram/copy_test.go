@@ -7,10 +7,20 @@ import (
 	"testing"
 )
 
+// copyGeometries returns the two geometries the copy test pins: the
+// standard 8 MB test rank and a 4× taller one, so chunked arena growth and
+// multi-word bitmaps are both exercised.
+func copyGeometries() map[string]Config {
+	small := testConfig()
+	tall := DefaultConfig(32 << 20) // 1024 rows/bank: 4 bitmap words, 4 chunks
+	tall.CellGroupRows = 64
+	return map[string]Config{"8mb": small, "32mb": tall}
+}
+
 // driveOps applies ops [from, to) of a fixed random stream to m: uniform
-// fills from a small palette (so rows share sentinels), dirty line writes,
-// group refreshes and sparing, at a clock slow enough for untouched rows
-// to pass their retention deadline. Op k is the same on every module.
+// row fills from a small palette, dirty line writes, group refreshes and
+// sparing, at a clock slow enough for untouched rows to pass their
+// retention deadline. Op k is the same on every module.
 func driveOps(m *Module, from, to int) {
 	cfg := m.Config()
 	palette := []uint64{0, ^uint64(0), 0x0123456789ABCDEF, 0x5A5A5A5A5A5A5A5A}
@@ -20,7 +30,7 @@ func driveOps(m *Module, from, to int) {
 		bank, row := rng.Intn(cfg.Banks), rng.Intn(cfg.RowsPerBank)
 		switch rng.Intn(8) {
 		case 0, 1, 2:
-			fillRow(m, bank, row, uniformLine(palette[rng.Intn(len(palette))]), now)
+			burstFill(m, bank, row, uniformLine(palette[rng.Intn(len(palette))]), now)
 		case 3, 4, 5:
 			var line [LineChips]uint64
 			for i := range line {
@@ -37,7 +47,7 @@ func driveOps(m *Module, from, to int) {
 
 // requireSameModule fails unless a and b hold the same cells and the same
 // storage layout: every row's words, charge count, recharge time, decay
-// flag, sentinel aliasing and slot; every slab's cursor, free list and
+// flag and slot; every slab's cursor, free list and
 // chunk count; the charge and live bitmaps, live counts, spared rows and
 // footprint shadows.
 func requireSameModule(t *testing.T, a, b *Module) {
@@ -53,7 +63,7 @@ func requireSameModule(t *testing.T, a, b *Module) {
 			}
 			if !reflect.DeepEqual(ra.words, rb.words) || ra.chargedWords != rb.chargedWords ||
 				ra.lastRecharge != rb.lastRecharge || ra.everDecayed != rb.everDecayed ||
-				ra.cow != rb.cow || ra.slot != rb.slot || ra.idx != rb.idx {
+				ra.slot != rb.slot || ra.idx != rb.idx {
 				t.Fatalf("chip-bank %d row %d differs", i, row)
 			}
 		}
@@ -86,7 +96,7 @@ func requireSameModule(t *testing.T, a, b *Module) {
 // other ops (storage shared with the source would change under it), and
 // then stay equal to the twin as both are driven on alike.
 func TestCopyFromMatchesSource(t *testing.T) {
-	for name, cfg := range cowGeometries() {
+	for name, cfg := range copyGeometries() {
 		t.Run(name, func(t *testing.T) {
 			src, twin := New(cfg), New(cfg)
 			driveOps(src, 0, 3000)

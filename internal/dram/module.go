@@ -51,14 +51,11 @@ type Module struct {
 	// liveCnt[bank] counts the set bits of liveAny[bank]; see
 	// bankArena.liveCnt.
 	liveCnt []int32
-	// sentinels caches the shared read-only rows backing copy-on-write
-	// whole-row fills, keyed by the uniform word value.
-	sentinels map[uint64][]uint64
 	// wordsPerRow caches cfg.WordsPerChipRow() so the per-call hot paths
 	// skip its division chain.
 	wordsPerRow int
-	// storage tracks the memory footprint of the arena/CoW representation
-	// and feeds the dram.storage.* metrics.
+	// storage tracks the memory footprint of the arena representation and
+	// feeds the dram.storage.* metrics.
 	storage storageStats
 	// spared is a bitset over rank-level row indices remapped by row
 	// sparing for fault tolerance; refresh skipping must be disabled for
@@ -102,7 +99,6 @@ func New(cfg Config) *Module {
 		refreshedAge: reg.Histogram("dram.refresh_interval_ns"),
 	}
 	m.storage = newStorageStats(reg)
-	m.sentinels = make(map[uint64][]uint64)
 	m.wordsPerRow = cfg.WordsPerChipRow()
 	m.liveAny = make([][]uint64, cfg.Banks)
 	m.liveCnt = make([]int32, cfg.Banks)
@@ -147,20 +143,13 @@ func (m *Module) Stats() Stats {
 
 // MarkSpared records that the given rank-level row index is backed by a
 // spare row. Spared rows never report themselves as discharged so the
-// refresh engine cannot skip them. A spare physically relocates the row, so
-// any chip-row at this index still aliasing a shared sentinel is remapped
-// into its own arena slot.
+// refresh engine cannot skip them.
 func (m *Module) MarkSpared(rowIdx int) {
 	m.checkRow(rowIdx)
 	if m.spared == nil {
 		m.spared = make([]uint64, (m.cfg.RowsPerBank+63)/64)
 	}
 	m.spared[rowIdx/64] |= 1 << (rowIdx % 64)
-	for _, b := range m.banks {
-		if r := b[rowIdx]; r != nil && r.cow {
-			r.copyOnWrite()
-		}
-	}
 }
 
 // sparedRow is the unchecked bitset probe behind IsSpared, for callers that

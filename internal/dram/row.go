@@ -6,16 +6,13 @@ import "math/bits"
 // sparsely: a nil words slice means the row is in the fully discharged state
 // (the power-on state of a capacitor array, and also the state the OS's
 // zero-filled pages transform into). Backing storage for non-discharged rows
-// is not individually allocated: words is either a row-sized slot carved out
-// of the owning bank's arena slab (see arena.go) or an alias of a shared
-// read-only sentinel row (cow == true). This keeps multi-GB geometries cheap
-// as long as most of memory is idle, and keeps what *is* materialized
+// is not individually allocated: words is a row-sized slot carved out of the
+// owning bank's arena slab (see arena.go). This keeps multi-GB geometries
+// cheap as long as most of memory is idle, and keeps what *is* materialized
 // cache-linear.
 type row struct {
 	// words holds the logical 64-bit values of the row, or nil when the
-	// row is fully discharged. When cow is set it aliases a shared
-	// sentinel and must be copied into an owned arena slot before any
-	// mutation.
+	// row is fully discharged.
 	words []uint64
 	// chargedWords counts the words containing at least one charged
 	// cell. The row may skip refresh exactly when chargedWords == 0;
@@ -29,15 +26,11 @@ type row struct {
 	// everDecayed records that the row lost charged data at least once
 	// because its refresh deadline was missed.
 	everDecayed bool
-	// cow marks words as an alias of a shared sentinel row (copy-on-write
-	// whole-row fill); the row owns no arena slot while set.
-	cow bool
 	// arena is the chip-bank arena the row's struct and slot come from.
 	arena *bankArena
 	// idx is the row's index within its bank, for charge-bitmap updates.
 	idx int32
-	// slot is the arena slot backing words, or noSlot when words is nil
-	// or aliases a sentinel.
+	// slot is the arena slot backing words, or noSlot when words is nil.
 	slot int32
 }
 
@@ -57,7 +50,7 @@ func recountCharged(words []uint64, ct CellType) int {
 
 // popcountCharged returns the total number of charged cells in the row;
 // used by diagnostics and tests. Like recountCharged it operates on the
-// arena (or sentinel) view in place without copying.
+// arena view in place without copying.
 func popcountCharged(words []uint64, ct CellType) int {
 	n := 0
 	for _, w := range words {
@@ -80,49 +73,14 @@ func (r *row) materialize(ct CellType) {
 	r.arena.st.noteMaterialized(1)
 }
 
-// copyOnWrite migrates a sentinel-aliased row into an owned arena slot
-// ahead of its first mutation (or a spared-row remap). The materialized-row
-// count is unchanged: the row already counted as materialized while shared.
-func (r *row) copyOnWrite() {
-	ws, slot := r.arena.alloc()
-	copy(ws, r.words)
-	r.words = ws
-	r.slot = slot
-	r.cow = false
-}
-
-// attachSentinel points the row at the shared sentinel s — a whole-row fill
-// with one uniform charged word — releasing any owned slot. The caller
-// guarantees every word of s is charged, so chargedWords is the full row.
-func (r *row) attachSentinel(s []uint64, wordsPerRow int) {
-	if r.slot != noSlot {
-		r.arena.releaseSlot(r.slot)
-		r.slot = noSlot
-	}
-	if r.words == nil {
-		r.arena.st.noteMaterialized(1)
-	}
-	if r.chargedWords == 0 {
-		r.arena.setCharged(r.idx)
-	}
-	r.words = s
-	r.cow = true
-	r.chargedWords = wordsPerRow
-}
-
-// releaseWords drops the row back to the storage-free fully discharged
-// representation: the arena slot (if owned) returns to the free list, the
-// bank's charge bit clears. The caller has already zeroed chargedWords.
+// releaseWords drops a materialized row back to the storage-free fully
+// discharged representation: its arena slot returns to the free list and
+// the bank's charge bit clears. The caller has already zeroed chargedWords.
 func (r *row) releaseWords() {
-	if r.slot != noSlot {
-		r.arena.releaseSlot(r.slot)
-		r.slot = noSlot
-	}
-	if r.words != nil {
-		r.arena.st.noteMaterialized(-1)
-		r.words = nil
-	}
-	r.cow = false
+	r.arena.releaseSlot(r.slot)
+	r.arena.st.noteMaterialized(-1)
+	r.words = nil
+	r.slot = noSlot
 	r.arena.clearCharged(r.idx)
 }
 
@@ -138,10 +96,10 @@ func (r *row) readWord(i int, ct CellType) uint64 {
 // writeWord stores v into word slot i, maintaining the charged-word count.
 // It returns true if the row is fully discharged afterwards. The body is
 // split so this hot-path entry stays within the inlining budget; the
-// discharged-row and copy-on-write cases live in the slow-path helper, and
-// the count-adjustment crossing in adjustCharged.
+// discharged-row case lives in the slow-path helper, and the
+// count-adjustment crossing in adjustCharged.
 func (r *row) writeWord(i int, v uint64, ct CellType) bool {
-	if r.words == nil || r.cow {
+	if r.words == nil {
 		return r.writeWordSlow(i, v, ct)
 	}
 	oldCharged := ct.ChargedBits(r.words[i]) != 0
@@ -153,21 +111,16 @@ func (r *row) writeWord(i int, v uint64, ct CellType) bool {
 	return r.chargedWords == 0
 }
 
-// writeWordSlow handles the two stores writeWord's fast path cannot: a row
-// with no backing storage (the discharged pattern is a no-op, anything else
-// claims an arena slot first) and a sentinel-aliased row (copied into an
-// owned slot before the mutation lands).
+// writeWordSlow handles the store writeWord's fast path cannot: a row with
+// no backing storage. The discharged pattern is a no-op; anything else
+// claims an arena slot first.
 func (r *row) writeWordSlow(i int, v uint64, ct CellType) bool {
-	if r.words == nil {
-		if ct.ChargedBits(v) == 0 {
-			// Writing the discharged pattern into a discharged row leaves it
-			// discharged; no storage needed.
-			return true
-		}
-		r.materialize(ct)
-	} else {
-		r.copyOnWrite()
+	if ct.ChargedBits(v) == 0 {
+		// Writing the discharged pattern into a discharged row leaves it
+		// discharged; no storage needed.
+		return true
 	}
+	r.materialize(ct)
 	return r.writeWord(i, v, ct)
 }
 

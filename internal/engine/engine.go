@@ -1,10 +1,10 @@
 // Package engine defines the narrow interfaces between the simulator's
 // layers, so the assembled system (internal/core) and the experiment
 // drivers (internal/sim) depend on behaviour rather than on the concrete
-// dram / refresh / baseline / transform types. This is what lets refresh
-// policies be swapped uniformly (charge-aware vs Smart Refresh vs
-// RAIDR-style), codecs be ablated down to a raw passthrough, and per-rank
-// shards execute concurrently behind one stable contract.
+// dram / refresh / baseline / transform types. This is what lets the
+// window-stepped refresh baselines (Smart Refresh, RAIDR-style) share one
+// loop, the controller run any line codec, and per-rank shards execute
+// concurrently behind one stable contract.
 package engine
 
 import (
@@ -70,13 +70,6 @@ type MemoryBackend interface {
 	// (absent) trace events they would produce, provided nothing else
 	// touches the rows in between.
 	ReplayRefreshGroup(bank int, rows [dram.LineChips]int, first, period dram.Time, windows int64)
-	// FillRowWords stores words into every word slot of (bank, row)
-	// across all chips — the bulk page-cleansing fill. Equivalent to
-	// WriteLineWords for every slot of the row, except that a fill whose
-	// trace events depend on the row's content is declined: it stores
-	// nothing and reports false, and the caller fills the row through a
-	// row burst instead.
-	FillRowWords(bank, rowIdx int, words [dram.LineChips]uint64, now dram.Time) bool
 }
 
 // WriteNotifier receives write notifications from the controller datapath.
@@ -118,9 +111,9 @@ func (c CycleResult) NormalizedRefresh() float64 {
 
 // RefreshPolicy is one refresh-skipping scheme driven window by window:
 // it learns from write notifications and executes one full retention
-// window per RunPolicyCycle call. Implemented by the charge-aware engine
-// (internal/refresh), Smart Refresh and the RAIDR-style retention-aware
-// policy (internal/baseline).
+// window per RunPolicyCycle call. Implemented by Smart Refresh and the
+// RAIDR-style retention-aware policy (internal/baseline); the charge-aware
+// engine runs inside the full system simulation instead (core.System).
 type RefreshPolicy interface {
 	WriteNotifier
 	// RunPolicyCycle executes one retention window starting at start and
@@ -130,19 +123,13 @@ type RefreshPolicy interface {
 
 // LineCodec transforms cachelines between their CPU and in-DRAM
 // representations. Encode and Decode must be inverses for every rowIdx.
-// Implemented by transform.Pipeline (the ZERO-REFRESH value
-// transformation) and transform.Raw (the identity passthrough used by
-// conventional baselines and ablations).
+// transform.Pipeline (the ZERO-REFRESH value transformation, every stage
+// switchable for the ablations) is the production implementation; the
+// controller benchmarks swap in an identity codec to time the datapath
+// alone.
 type LineCodec interface {
 	// Encode transforms a cacheline for storage in rank-level row rowIdx.
 	Encode(l transform.Line, rowIdx int) transform.Line
-	// EncodeFill encodes one line destined to fill n identical slots of
-	// row rowIdx: the transform runs once but the accounting — transform
-	// ops, zero-word observations, codec-selection events — is charged n
-	// times, exactly as n Encode calls would, since the modelled hardware
-	// still pushes every line through the transform unit. The bulk
-	// page-cleansing path uses it to encode a row's zero fill once.
-	EncodeFill(l transform.Line, rowIdx, n int) transform.Line
 	// EncodeRow encodes the lines of one rank-level row in place, with
 	// the accounting — transform ops, zero-word observations,
 	// codec-selection events in line order — exactly as one Encode call

@@ -15,13 +15,25 @@ import (
 // isolate the datapath itself (no transform cost); the pipeline pairs show
 // the win in the context of the full encode/decode stack.
 
+// rawCodec is the identity line codec the raw-codec pairs swap in through
+// engine.LineCodec: no stage runs and no transform op is counted.
+type rawCodec struct{}
+
+func (rawCodec) Encode(l transform.Line, rowIdx int) transform.Line { return l }
+
+func (rawCodec) EncodeRow(lines []transform.Line, rowIdx int) {}
+
+func (rawCodec) Decode(l transform.Line, rowIdx int) transform.Line { return l }
+
+func (rawCodec) Ops() int64 { return 0 }
+
 func benchController(codec string) *Controller {
 	cfg := dram.DefaultConfig(8 << 20)
 	cfg.CellGroupRows = 64
 	mod := dram.New(cfg)
 	var pipe engine.LineCodec
 	if codec == "raw" {
-		pipe = transform.Raw{}
+		pipe = rawCodec{}
 	} else {
 		pipe = transform.NewPipeline(transform.DefaultOptions(), transform.ExactTypes{Cfg: cfg})
 	}
@@ -104,29 +116,6 @@ func BenchmarkReadLine(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteZeroRow(b *testing.B) {
-	for _, codec := range []string{"raw", "pipeline"} {
-		ctrl := benchController(codec)
-		addrs := benchAddrs(ctrl, 256)
-		b.Run(codec+"/scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := ctrl.writeZeroRowScalar(addrs[i%len(addrs)], 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(codec+"/batched", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := ctrl.WriteZeroRow(addrs[i%len(addrs)], 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkWriteRow measures one whole-row write (a 4 KB page, 64 lines):
 // the row burst against the same row stored by one WriteLine per line.
 func BenchmarkWriteRow(b *testing.B) {
@@ -158,9 +147,9 @@ func BenchmarkWriteRow(b *testing.B) {
 }
 
 // TestSteadyStateAllocFree pins the controller datapath allocation-free on
-// the benchmark fixtures: line writes, line reads, row writes and zero-row
-// fills through the raw and pipeline codecs, batched and through the scalar
-// twins, once every address of the working set has been touched.
+// the benchmark fixtures: line writes, line reads and row writes through the
+// raw and pipeline codecs, batched and through the scalar twins, once every
+// address of the working set has been touched.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const working = 64
 	lines := benchLines(working)
@@ -171,13 +160,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		next := func() int { k = (k + 1) % working; return k }
 		content := func(i int) [64]byte { return lines[i] }
 		checks := map[string]func() error{
-			"WriteRow/batched":     func() error { return ctrl.WriteRow(addrs[next()], content, 0) },
-			"WriteLine/batched":    func() error { i := next(); return ctrl.WriteLine(addrs[i], lines[i], 0) },
-			"WriteLine/scalar":     func() error { i := next(); return ctrl.writeLineScalar(addrs[i], lines[i], 0) },
-			"ReadLine/batched":     func() error { _, err := ctrl.ReadLine(addrs[next()], 0); return err },
-			"ReadLine/scalar":      func() error { _, err := ctrl.readLineScalar(addrs[next()], 0); return err },
-			"WriteZeroRow/batched": func() error { return ctrl.WriteZeroRow(addrs[next()], 0) },
-			"WriteZeroRow/scalar":  func() error { return ctrl.writeZeroRowScalar(addrs[next()], 0) },
+			"WriteRow/batched":  func() error { return ctrl.WriteRow(addrs[next()], content, 0) },
+			"WriteLine/batched": func() error { i := next(); return ctrl.WriteLine(addrs[i], lines[i], 0) },
+			"WriteLine/scalar":  func() error { i := next(); return ctrl.writeLineScalar(addrs[i], lines[i], 0) },
+			"ReadLine/batched":  func() error { _, err := ctrl.ReadLine(addrs[next()], 0); return err },
+			"ReadLine/scalar":   func() error { _, err := ctrl.readLineScalar(addrs[next()], 0); return err },
 		}
 		for name, fn := range checks {
 			op := func() {

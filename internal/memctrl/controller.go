@@ -14,9 +14,10 @@ import (
 // path. Writes are reported to the refresh policy's access-bit table.
 //
 // The controller is wired entirely through the narrow engine interfaces:
-// any row-granular backend, any line codec (the full ZERO-REFRESH pipeline
-// or the transform.Raw passthrough) and any write-notified refresh policy
-// compose without the controller knowing their concrete types.
+// any row-granular backend, any line codec (the ZERO-REFRESH pipeline with
+// any subset of its stages, or the benchmarks' identity codec) and any
+// write-notified refresh policy compose without the controller knowing
+// their concrete types.
 type Controller struct {
 	mod     engine.MemoryBackend
 	eng     engine.WriteNotifier
@@ -167,44 +168,4 @@ func (c *Controller) ReadLine(addr uint64, now dram.Time) ([64]byte, error) {
 	line := c.pipe.Decode(c.mapping.Gather(words, loc.Row), loc.Row)
 	c.linesRead.Inc()
 	return line.Bytes(), nil
-}
-
-// WriteZeroRow stores zero cachelines into every slot of the rank-level row
-// containing addr, as the OS page-cleansing path would. The zero line is
-// encoded once for the row's cell type (every slot of a row stores the same
-// encoded pattern) and the whole row is filled in one backend call; the
-// accounting — transform ops, write counters, trace events — is charged per
-// line exactly as the slot-by-slot datapath would charge it. A fill the
-// backend declines (its trace events depend on the row's content) is stored
-// through a row burst instead, each slot followed by its writeback event.
-//
-//zr:hotpath
-func (c *Controller) WriteZeroRow(addr uint64, now dram.Time) error {
-	loc, err := c.amap.Locate(c.amap.RowBase(addr))
-	if err != nil {
-		return err
-	}
-	lines := c.mod.Config().LinesPerRow()
-	enc := c.pipe.EncodeFill(transform.Line{}, loc.Row, lines)
-	words := c.mapping.Scatter(enc, loc.Row)
-	if c.mod.FillRowWords(loc.Bank, loc.Row, words, now) {
-		// The fill emitted only slot-0 events, which precede every
-		// writeback in the slot-by-slot order too.
-		if c.tr != nil {
-			for slot := 0; slot < lines; slot++ {
-				c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
-			}
-		}
-	} else {
-		w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
-		for slot := 0; slot < lines; slot++ {
-			w.Write(slot, words)
-			if c.tr != nil {
-				c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
-			}
-		}
-		w.End()
-	}
-	c.noteRowWritten(loc, lines)
-	return nil
 }

@@ -4,20 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"zerorefresh/internal/attr"
 	"zerorefresh/internal/dram"
-	"zerorefresh/internal/metrics"
 	"zerorefresh/internal/refresh"
 	"zerorefresh/internal/trace"
 	"zerorefresh/internal/transform"
 )
 
 // Full-stack differential test: the batched controller datapath
-// (WriteLine/ReadLine/WriteRow/WriteZeroRow over the line- and row-granular
-// backend calls) is driven against the retained scalar loops on a twin
+// (WriteLine/ReadLine/WriteRow over the line- and row-granular backend
+// calls) is driven against the retained scalar loops on a twin
 // stack, across every transform option combination, both cell types, spared
 // rows and decay windows. Both stacks must agree on every returned byte,
 // every metrics snapshot and the exact merged trace-event stream.
@@ -87,10 +85,7 @@ func compareStacks(t *testing.T, opts transform.Options, batched, scalar *diffSt
 		name string
 		a, b interface{}
 	}{
-		// The dram.storage.* samples describe the storage layout (arena
-		// slots vs CoW sentinel aliases), which the two drives legitimately
-		// reach by different routes; everything else must match bit for bit.
-		{"module", withoutStorageMetrics(batched.mod.Metrics().Snapshot()), withoutStorageMetrics(scalar.mod.Metrics().Snapshot())},
+		{"module", batched.mod.Metrics().Snapshot(), scalar.mod.Metrics().Snapshot()},
 		{"engine", batched.eng.Metrics().Snapshot(), scalar.eng.Metrics().Snapshot()},
 		{"pipeline", batched.pipe.Metrics().Snapshot(), scalar.pipe.Metrics().Snapshot()},
 		{"controller", batched.ctrl.Metrics().Snapshot(), scalar.ctrl.Metrics().Snapshot()},
@@ -113,19 +108,6 @@ func compareStacks(t *testing.T, opts transform.Options, batched, scalar *diffSt
 			}
 		}
 	}
-}
-
-// withoutStorageMetrics strips the dram.storage.* memory-footprint samples
-// from a module snapshot before twin comparison.
-func withoutStorageMetrics(s metrics.Snapshot) metrics.Snapshot {
-	out := s
-	out.Samples = nil
-	for _, smp := range s.Samples {
-		if !strings.HasPrefix(smp.Name, "dram.storage.") {
-			out.Samples = append(out.Samples, smp)
-		}
-	}
-	return out
 }
 
 func TestBatchedDatapathMatchesScalar(t *testing.T) {
@@ -177,11 +159,11 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 				if a != b {
 					t.Fatalf("op %d: read contents diverged at %#x", i, addr)
 				}
-			default: // cleanse a row
-				if err := batched.ctrl.WriteZeroRow(addr, now); err != nil {
+			default: // cleanse a row: a burst of zero lines
+				if err := batched.ctrl.WriteRow(addr, zeroLine, now); err != nil {
 					t.Fatal(err)
 				}
-				if err := scalar.ctrl.writeZeroRowScalar(addr, now); err != nil {
+				if err := scalar.ctrl.writeRowScalar(addr, zeroLine, now); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -207,12 +189,15 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWriteZeroRowTraceOrderSharedShard is the reproducer for cleansing a
-// row that holds charged content: each chip-row's charge transition belongs
-// to the slot that overwrites its last charged word, before that slot's
+// zeroLine is the content of a cleansed row: every line zero.
+func zeroLine(int) [64]byte { return [64]byte{} }
+
+// TestCleanseTraceOrderSharedShard is the reproducer for cleansing a row
+// that holds charged content: each chip-row's charge transition belongs to
+// the slot that overwrites its last charged word, before that slot's
 // writeback event. The per-line datapath emits them after writeback 62, in
 // the rank shard module, engine and controller share.
-func TestWriteZeroRowTraceOrderSharedShard(t *testing.T) {
+func TestCleanseTraceOrderSharedShard(t *testing.T) {
 	opts := transform.DefaultOptions()
 	batched, scalar := newDiffStack(opts), newDiffStack(opts)
 	rng := rand.New(rand.NewSource(3))
@@ -228,10 +213,10 @@ func TestWriteZeroRowTraceOrderSharedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batched.ctrl.WriteZeroRow(0, 1); err != nil {
+	if err := batched.ctrl.WriteRow(0, zeroLine, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := scalar.ctrl.writeZeroRowScalar(0, 1); err != nil {
+	if err := scalar.ctrl.writeRowScalar(0, zeroLine, 1); err != nil {
 		t.Fatal(err)
 	}
 	discharges := 0

@@ -50,16 +50,3 @@ func (c *Controller) readLineScalar(addr uint64, now dram.Time) ([64]byte, error
 	c.linesRead.Inc()
 	return line.Bytes(), nil
 }
-
-// writeZeroRowScalar is WriteZeroRow as a slot-by-slot loop of
-// writeLineScalar.
-func (c *Controller) writeZeroRowScalar(addr uint64, now dram.Time) error {
-	base := c.amap.RowBase(addr)
-	var zero [64]byte
-	for off := uint64(0); off < uint64(c.mod.Config().RowBytes); off += dram.LineBytes {
-		if err := c.writeLineScalar(base+off, zero, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -75,8 +75,8 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // ObserveN records the same observation n times in three atomic updates —
-// the batched form the hot paths use when one event repeats (a bulk row
-// fill observing one zero-word count per line). It leaves the histogram in
+// the batched form the hot paths use when one event repeats (a row burst
+// observing the same zero-word count for many lines). It leaves the histogram in
 // exactly the state n Observe calls would. n <= 0 records nothing.
 func (h *Histogram) ObserveN(v, n int64) {
 	if n <= 0 {

@@ -2,7 +2,6 @@ package refresh
 
 import (
 	"zerorefresh/internal/dram"
-	"zerorefresh/internal/engine"
 	"zerorefresh/internal/trace"
 )
 
@@ -121,24 +120,4 @@ func (e *Engine) RunCycle(start dram.Time) CycleStats {
 		})
 	}
 	return stats
-}
-
-// CycleResult converts the charge-aware cycle summary to the
-// policy-agnostic currency of engine.CycleResult. The status-table rows
-// count as refresh work (they are rows the design must refresh every
-// cycle), so NormalizedRefresh agrees between the two representations.
-func (c CycleStats) CycleResult() engine.CycleResult {
-	return engine.CycleResult{
-		Steps:     c.Steps,
-		Refreshed: c.Refreshed + c.TableRows,
-		Skipped:   c.Skipped,
-		Start:     c.Start,
-		End:       c.End,
-	}
-}
-
-// RunPolicyCycle implements engine.RefreshPolicy: one full retention
-// window through the charge-aware engine.
-func (e *Engine) RunPolicyCycle(start dram.Time) engine.CycleResult {
-	return e.RunCycle(start).CycleResult()
 }

@@ -9,12 +9,12 @@ import (
 	"zerorefresh/internal/workload"
 )
 
-// drivePolicy runs any refresh policy through the uniform engine contract:
-// `windows` retention windows, each preceded by the note callback feeding
-// write notifications (nil for policies driven without traffic), returning
-// the mean normalized refresh. Policy families that used to require their
-// own driver loops — access-aware, retention-aware, charge-aware — all run
-// through this one function now that they share engine.RefreshPolicy.
+// drivePolicy runs a window-driven refresh policy through the uniform
+// engine contract: `windows` retention windows, each preceded by the note
+// callback feeding write notifications (nil for policies driven without
+// traffic), returning the mean normalized refresh. The access-aware and
+// retention-aware baselines run through it; the charge-aware column comes
+// from the full system simulation (RunScenario).
 func drivePolicy(p engine.RefreshPolicy, windows int, note func(w int, n engine.WriteNotifier)) float64 {
 	var norm float64
 	var clock dram.Time

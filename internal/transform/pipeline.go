@@ -1,8 +1,6 @@
 package transform
 
 import (
-	"sync/atomic"
-
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/metrics"
 	"zerorefresh/internal/trace"
@@ -51,25 +49,6 @@ type Pipeline struct {
 	// and order by emission sequence — which is deterministic as long as
 	// the sink shard is only written from the sequential CPU-side driver.
 	tr trace.Sink
-
-	// fillMemo caches the last multi-slot EncodeFill result per destination
-	// cell type. The stages are pure functions of the input line and — via the
-	// cell-aware inversion — the row's cell type only, so a bulk-fill
-	// workload that cleanses page after page with the same (usually zero)
-	// line re-encodes nothing. Atomic pointers keep the concurrent-encode
-	// contract of the shared CPU-side pipeline race-free; accounting is
-	// replayed from the memo, leaving counters, histogram and events
-	// exactly as the un-memoized encode would.
-	fillMemo [2]atomic.Pointer[fillResult]
-}
-
-// fillResult is one memoized EncodeFill outcome: the input line it applies
-// to and everything EncodeFill derives from it for a fixed cell type.
-type fillResult struct {
-	in     Line
-	out    Line
-	zeros  int64
-	stages int64
 }
 
 // NewPipeline builds a pipeline. types supplies the (possibly imperfect)
@@ -104,42 +83,11 @@ func (p *Pipeline) Ops() int64 { return p.ops.Load() }
 
 // Encode transforms a cacheline for storage in the rank-level row rowIdx.
 func (p *Pipeline) Encode(l Line, rowIdx int) Line {
-	return p.EncodeFill(l, rowIdx, 1)
-}
-
-// EncodeFill encodes one line destined for n identical slots of row rowIdx.
-// The stages run once — the encoded bits are the same for every slot of a
-// row — but the accounting is charged n times, leaving the ops counter, the
-// zero-words histogram and the codec-event stream exactly as n Encode calls
-// would: the modelled transform hardware still processes every line.
-func (p *Pipeline) EncodeFill(l Line, rowIdx, n int) Line {
-	p.ops.Add(int64(n))
-	ct := p.types.TypeOf(rowIdx)
-	var memo *atomic.Pointer[fillResult]
-	var zeros, stages int64
-	hit := false
-	if n > 1 {
-		// Only multi-slot fills consult the memo: a single-line Encode of
-		// ever-changing content would miss (and refill) every time, and the
-		// refill's boxed fillResult must stay off the per-line write path.
-		memo = &p.fillMemo[ct&1]
-		if m := memo.Load(); m != nil && m.in == l {
-			l, zeros, stages = m.out, m.zeros, m.stages
-			hit = true
-		}
-	}
-	if !hit {
-		in := l
-		zeros, stages = p.encodeLine(&l, ct)
-		if memo != nil {
-			memo.Store(&fillResult{in: in, out: l, zeros: zeros, stages: stages}) //zr:allow(hotpath) memo refill on a fill-pattern change, amortized over the bulk fill run
-		}
-	}
-	p.zeroWords.ObserveN(zeros, int64(n))
+	p.ops.Inc()
+	zeros, stages := p.encodeLine(&l, p.types.TypeOf(rowIdx))
+	p.zeroWords.Observe(zeros)
 	if p.tr != nil {
-		for i := 0; i < n; i++ {
-			p.tr.Emit(codecEvent(rowIdx, stages, zeros))
-		}
+		p.tr.Emit(codecEvent(rowIdx, stages, zeros))
 	}
 	return l
 }
