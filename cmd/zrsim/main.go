@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -172,12 +173,17 @@ func main() {
 	}
 }
 
-// checkScale rejects a -capacity or -windows below 1. The experiments
+// checkScale rejects a -capacity or -windows below 1, and a -capacity
+// whose byte count (capacityMB << 20) overflows an int64. The experiments
 // would otherwise read 0 as "use the default" and run a negative count as
-// no windows at all, printing results they never simulated.
+// no windows at all, printing results they never simulated; an overflowed
+// capacity can shift to exactly 0.
 func checkScale(capacityMB int64, windows int) error {
 	if capacityMB < 1 {
 		return fmt.Errorf("-capacity must be at least 1 (MB), got %d", capacityMB)
+	}
+	if capacityMB > math.MaxInt64>>20 {
+		return fmt.Errorf("-capacity must be at most %d (MB), got %d", int64(math.MaxInt64>>20), capacityMB)
 	}
 	if windows < 1 {
 		return fmt.Errorf("-windows must be at least 1, got %d", windows)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -148,8 +149,9 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 // TestCheckScaleRejectsNonPositive pins the usage check zrsim runs before
-// any experiment: a capacity or window count below 1 is an error, and the
-// smallest valid values pass.
+// any experiment: a capacity or window count below 1 is an error, and so
+// is a capacity whose byte count overflows (1<<44 MB shifts to 0 bytes);
+// the smallest and largest valid values pass.
 func TestCheckScaleRejectsNonPositive(t *testing.T) {
 	for _, c := range []struct {
 		capacity int64
@@ -162,6 +164,10 @@ func TestCheckScaleRejectsNonPositive(t *testing.T) {
 		{-4, 8, false},
 		{1, 1, true},
 		{32, 8, true},
+		{math.MaxInt64 >> 20, 8, true},
+		{1 << 43, 8, false}, // math.MaxInt64>>20 + 1
+		{1 << 44, 8, false},
+		{math.MaxInt64, 8, false},
 	} {
 		if err := checkScale(c.capacity, c.windows); (err == nil) != c.ok {
 			t.Errorf("checkScale(%d, %d) = %v, want ok=%v", c.capacity, c.windows, err, c.ok)

@@ -364,16 +364,30 @@ func (s *System) Pages() int {
 	return len(s.Ranks) * int(s.DRAM.Config().Capacity()/int64(s.DRAM.Config().RowBytes))
 }
 
-// PageAddr returns the base physical address of a page.
+// PageAddr returns the base physical address of a page. It does not check
+// the page: an index outside [0, Pages()) can wrap onto another page's
+// address, so the page entry points below reject one first.
 func (s *System) PageAddr(page int) uint64 {
 	return uint64(page) * uint64(s.DRAM.Config().RowBytes)
+}
+
+// checkPage rejects a page index outside [0, Pages()).
+func (s *System) checkPage(page int) error {
+	if n := s.Pages(); page < 0 || page >= n {
+		return fmt.Errorf("core: page %d outside [0,%d)", page, n)
+	}
+	return nil
 }
 
 // WritePage stores one full page through the datapath, fetching each line
 // from content(lineIdx). A page is one rank-level row, so it is stored as
 // one row burst (Controller.WriteRow) with exactly the effects of one
-// WriteLineAt per line in line order.
+// WriteLineAt per line in line order. A page outside [0, Pages()) is an
+// error.
 func (s *System) WritePage(page int, content func(line int) [64]byte) error {
+	if err := s.checkPage(page); err != nil {
+		return err
+	}
 	u, local, err := s.rankOf(s.PageAddr(page))
 	if err != nil {
 		return err
@@ -462,8 +476,15 @@ func (s *System) mergeWindow(perRank []refresh.CycleStats) refresh.CycleStats {
 	return total
 }
 
-// ReadPageLine reads one line of a page through the datapath.
+// ReadPageLine reads one line of a page through the datapath. A page
+// outside [0, Pages()) or a line outside [0, RowBytes/64) is an error.
 func (s *System) ReadPageLine(page, line int) ([64]byte, error) {
+	if err := s.checkPage(page); err != nil {
+		return [64]byte{}, err
+	}
+	if n := s.DRAM.Config().RowBytes / dram.LineBytes; line < 0 || line >= n {
+		return [64]byte{}, fmt.Errorf("core: line %d outside [0,%d)", line, n)
+	}
 	return s.ReadLineAt(s.PageAddr(page) + uint64(line)*dram.LineBytes)
 }
 

@@ -310,13 +310,18 @@ func TestMultiRankRejectsBadSplit(t *testing.T) {
 
 // TestBeyondCapacityIsAnError pins the address routing of a system: a line
 // or page at or past its capacity is an error on every datapath entry, as
-// an out-of-range address is for the controller, never a panic.
+// an out-of-range address is for the controller, never a panic. So is a
+// page whose address wraps onto page 0 (1<<52 pages of 4 KB is 2^64
+// bytes) and a line outside its page, which would alias a neighbour's.
 func TestBeyondCapacityIsAnError(t *testing.T) {
 	sys, err := NewSystem(DefaultConfig(2 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof, _ := workload.ByName("mcf")
+	if err := sys.FillPageFromProfile(prof, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
 	capacity := uint64(2 << 20)
 	var line [64]byte
 	for _, addr := range []uint64{capacity, capacity + 64, 1 << 40} {
@@ -327,7 +332,7 @@ func TestBeyondCapacityIsAnError(t *testing.T) {
 			t.Errorf("ReadLineAt(%#x) accepted", addr)
 		}
 	}
-	for _, page := range []int{sys.Pages(), -1} {
+	for _, page := range []int{sys.Pages(), -1, 1 << 52} {
 		for name, op := range map[string]func() error{
 			"CleansePage":         func() error { return sys.CleansePage(page) },
 			"FillPageFromProfile": func() error { return sys.FillPageFromProfile(prof, page, 1, 0) },
@@ -338,6 +343,16 @@ func TestBeyondCapacityIsAnError(t *testing.T) {
 				t.Errorf("%s(page %d) accepted", name, page)
 			}
 		}
+	}
+	// Line 64 of page 0 is line 0 of page 1, and line -1 of page 1 is
+	// line 63 of page 0.
+	for _, c := range []struct{ page, line int }{{0, 64}, {1, -1}} {
+		if _, err := sys.ReadPageLine(c.page, c.line); err == nil {
+			t.Errorf("ReadPageLine(%d, %d) accepted", c.page, c.line)
+		}
+	}
+	if err := sys.VerifyPage(prof, 0, 1, 0); err != nil {
+		t.Errorf("page 0 after the rejected writes: %v", err)
 	}
 }
 

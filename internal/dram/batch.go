@@ -229,6 +229,9 @@ func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
 	rpb := uint(m.cfg.RowsPerBank)
 	var mask uint16
 	var decays int64
+	// The refresh ages are observed in runs of equal consecutive ages, one
+	// ObserveN per run: a group's rows usually share a recharge time.
+	var age, run int64
 	stride := m.cfg.Banks
 	idx := bank
 	for chip := 0; chip < LineChips; chip++ {
@@ -253,12 +256,17 @@ func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
 				m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
 			}
 		}
-		m.refreshedAge.Observe(int64(now - r.lastRecharge))
+		if a := int64(now - r.lastRecharge); a != age {
+			m.refreshedAge.ObserveN(age, run)
+			age, run = a, 0
+		}
+		run++
 		r.lastRecharge = now
 		if r.chargedWords == 0 && !m.sparedRow(rowIdx) {
 			mask |= 1 << chip
 		}
 	}
+	m.refreshedAge.ObserveN(age, run)
 	m.refreshes.Add(LineChips)
 	if decays != 0 {
 		m.decayEvents.Add(decays)

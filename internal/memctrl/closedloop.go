@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math"
 	"sort"
 
 	"zerorefresh/internal/dram"
@@ -172,50 +173,144 @@ func refreshWindows(cfg PerfConfig, sched RefreshSchedule, horizon dram.Time) []
 
 type window struct{ start, end dram.Time }
 
-// SimulateClosedLoop runs the closed-loop model until the horizon.
+// slotTree is a winner tree over the request slots' next issue times. Node
+// size+j is slot j's leaf; every inner node n holds the winner of its
+// children 2n and 2n+1 — the earlier time, the lower slot on a tie — so
+// node 1 names the slot a scan over every slot for the first strict
+// minimum would pick. Leaves past the slot count pad the tree to a power
+// of two with the latest representable time: as the highest slots they
+// lose even a tie, so they never win.
+type slotTree struct {
+	size int
+	node []slotEntry
+}
+
+// slotEntry is a slot and its next issue time.
+type slotEntry struct {
+	at   dram.Time
+	slot int
+}
+
+// newSlotTree builds the tree over slots slots, slot j first issuing at
+// start(j), in buf if it has room.
+func newSlotTree(buf []slotEntry, slots int, start func(j int) dram.Time) slotTree {
+	size := 1
+	for size < slots {
+		size <<= 1
+	}
+	t := slotTree{size: size, node: sized(buf, 2*size)}
+	for j := 0; j < size; j++ {
+		t.node[size+j] = slotEntry{math.MaxInt64, j}
+		if j < slots {
+			t.node[size+j].at = start(j)
+		}
+	}
+	for n := size - 1; n >= 1; n-- {
+		l, r := t.node[2*n], t.node[2*n+1]
+		if r.at < l.at {
+			l = r
+		}
+		t.node[n] = l
+	}
+	return t
+}
+
+// next returns the winning slot and its issue time.
+func (t *slotTree) next() (int, dram.Time) {
+	return t.node[1].slot, t.node[1].at
+}
+
+// set moves slot s to time v and replays the matches on its leaf's path to
+// the root. Every sibling subtree on that path is unchanged, so each match
+// is the path's winner so far against the sibling's stored winner.
+func (t *slotTree) set(s int, v dram.Time) {
+	w := slotEntry{v, s}
+	n := t.size + s
+	t.node[n] = w
+	for ; n > 1; n >>= 1 {
+		o := t.node[n^1]
+		// The sibling wins if it is earlier, or tied and the left child
+		// (n odd), whose slots are the lower ones. The match is a coin
+		// flip, so it is written without && and || to compile to
+		// conditional moves rather than a branch that mispredicts.
+		if b2u(o.at < w.at)|b2u(o.at == w.at)&uint(n&1) != 0 {
+			w = o
+		}
+		t.node[n>>1] = w
+	}
+}
+
+// bankQueue is one bank's state in the closed loop.
+type bankQueue struct {
+	ws   []window  // the bank's refresh windows, in time order
+	next int       // the first window that can still delay a request
+	free dram.Time // when the bank finishes its queued work
+	// closed and lastServed track refresh-induced row-buffer misses: a
+	// refresh closes the open row, so the first access to a bank after
+	// any refresh window pays the miss latency even if it would have
+	// hit (Section III-A: "after refreshing, the next data access is
+	// likely to have a row buffer miss"). closed is the first window not
+	// yet known to have ended; lastServed is when the bank last
+	// completed a request.
+	closed     int
+	lastServed dram.Time
+}
+
+// sized returns buf[:n] if buf has room for n elements, else a new slice.
+func sized[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// SimulateClosedLoop runs the closed-loop model until the horizon. Each
+// request goes to the slot with the earliest next issue time, the lowest
+// slot on a tie, picked from a winner tree in O(log slots).
 func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time) ClosedLoopResult {
 	slots := cfg.Cores * cfg.MLP
 	if slots <= 0 {
 		return ClosedLoopResult{Horizon: horizon}
 	}
 	busy := refreshWindows(cfg.Perf, sched, horizon)
-	nextWin := make([]int, cfg.Perf.Banks)
-	bankFree := make([]dram.Time, cfg.Perf.Banks)
-	// lastServed and refWin track refresh-induced row-buffer misses: a
-	// refresh closes the open row, so the first access to a bank after
-	// any refresh window pays the miss latency even if it would have
-	// hit (Section III-A: "after refreshing, the next data access is
-	// likely to have a row buffer miss").
-	lastServed := make([]dram.Time, cfg.Perf.Banks)
-	refWin := make([]int, cfg.Perf.Banks)
-	nextIssue := make([]dram.Time, slots)
-	for i := range nextIssue {
-		// Stagger slot starts across one think period.
-		nextIssue[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
+	// The default geometry's 8 banks and Figure 17's 16 slots fit in
+	// these without a heap allocation; larger loops allocate.
+	var bankBuf [8]bankQueue
+	var nodeBuf [32]slotEntry
+	banks := sized(bankBuf[:], cfg.Perf.Banks)
+	for b := range banks {
+		banks[b].ws = busy[b]
 	}
+	// Stagger slot starts across one think period.
+	tree := newSlotTree(nodeBuf[:], slots, func(j int) dram.Time {
+		return dram.Time(float64(j) * cfg.ThinkNs / float64(slots))
+	})
 	rnd := rng.NewSplitMix(cfg.Seed ^ 0xc105ed100b)
 	res := ClosedLoopResult{Horizon: horizon}
+	// Piggyback a writeback with probability wf/(1-wf) (write traffic
+	// share of total); it occupies the bank but does not stall the core.
+	wf := cfg.WriteFrac
+	writebacks, wbProb := wf > 0 && wf < 1, wf/(1-wf)
+	hitSvc, missSvc := cfg.Perf.HitService, cfg.Perf.MissService
 
 	for {
-		// Next slot to issue.
-		s := 0
-		for i := 1; i < slots; i++ {
-			if nextIssue[i] < nextIssue[s] {
-				s = i
-			}
-		}
-		arrive := nextIssue[s]
+		s, arrive := tree.next()
 		if arrive >= horizon {
 			break
 		}
-		bank := rnd.Intn(cfg.Perf.Banks)
+		q := &banks[rnd.Intn(len(banks))]
 		rowHit := rnd.Float64() < cfg.RowHitRate
-		start := arrive
-		if bankFree[bank] > start {
-			start = bankFree[bank]
-		}
-		ws := busy[bank]
-		i := nextWin[bank]
+		start := max(arrive, q.free)
+		ws := q.ws
+		i := q.next
 		for i < len(ws) {
 			w := ws[i]
 			if w.end <= start {
@@ -224,14 +319,14 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 			}
 			// Service-time check below uses the miss latency bound,
 			// conservative for hits.
-			if w.start >= start+cfg.Perf.MissService {
+			if w.start >= start+missSvc {
 				break
 			}
 			res.RefreshWait += w.end - start
 			start = w.end
 			i++
 		}
-		nextWin[bank] = i
+		q.next = i
 		// Any refresh window that ended since the bank's last service
 		// closed its open row: the access pays a row miss. This only
 		// bites when the bank was in active use — an idle bank's row
@@ -239,40 +334,37 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		// policy regardless, and that case is already priced into the
 		// average RowHitRate.
 		const openRowWindow = 500 // ns of bank inactivity before idle precharge
-		j := refWin[bank]
+		j := q.closed
 		for j < len(ws) && ws[j].end <= start {
 			j++
 		}
-		if j > refWin[bank] && ws[refWin[bank]].end > lastServed[bank] &&
-			start-lastServed[bank] < openRowWindow {
+		if j > q.closed && ws[q.closed].end > q.lastServed &&
+			start-q.lastServed < openRowWindow {
 			rowHit = false
 			res.RefreshRowMisses++
 		}
-		refWin[bank] = j
-		svc := cfg.Perf.MissService
+		q.closed = j
+		svc := missSvc
 		if rowHit {
-			svc = cfg.Perf.HitService
+			svc = hitSvc
 		}
 		complete := start + svc
-		bankFree[bank] = complete
-		lastServed[bank] = complete
+		q.free = complete
+		q.lastServed = complete
 		res.Reads++
 		res.TotalLatency += complete - arrive
 		if cfg.Perf.LatencyHist != nil {
 			cfg.Perf.LatencyHist.Observe(int64(complete - arrive))
 		}
-		// Piggyback a writeback with probability wf/(1-wf) (write
-		// traffic share of total); it occupies the bank but does not
-		// stall the core.
-		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rnd.Float64() < wf/(1-wf) {
-			bankFree[bank] += cfg.Perf.HitService
+		if writebacks && rnd.Float64() < wbProb {
+			q.free += hitSvc
 			res.Writebacks++
 		}
 		// Jitter the think time +/-25%: instruction counts between
 		// misses vary, and a deterministic gap can phase-lock with the
 		// refresh cadence and overstate (or hide) interference.
 		think := cfg.ThinkNs * (0.75 + 0.5*rnd.Float64())
-		nextIssue[s] = complete + dram.Time(think)
+		tree.set(s, complete+dram.Time(think))
 	}
 	return res
 }

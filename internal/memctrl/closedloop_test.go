@@ -1,10 +1,14 @@
 package memctrl
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"zerorefresh/internal/cpu"
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/metrics"
+	"zerorefresh/internal/rng"
 )
 
 func clConfig() ClosedLoopConfig {
@@ -324,4 +328,317 @@ func TestClosedLoopLatencyHist(t *testing.T) {
 		t.Fatalf("histogram count/sum = %d/%d, want %d/%d",
 			h.Count(), h.Sum(), plain.Reads, plain.TotalLatency)
 	}
+}
+
+// The winner tree against the scan reference. Every result field and
+// every latency observation must be equal, for any slot count (padded
+// trees included), for ties (a zero think time starts every slot at 0),
+// and for every schedule shape.
+
+// fig17Profiles restates the closed-loop parameters of the bench suite's
+// four benchmarks (mcf, sphinx3, omnetpp and tpch-q1, as workload.ByName
+// defines them; workload imports memctrl, so a memctrl test cannot look
+// them up).
+var fig17Profiles = []struct {
+	name                                 string
+	mpki, baseCPI, rowHitRate, writeFrac float64
+}{
+	{"mcf", 55, .80, .30, .30},
+	{"sphinx3", 12, .60, .65, .30},
+	{"omnetpp", 20, .75, .35, .40},
+	{"tpch-q1", 8, .50, .80, .25},
+}
+
+// fig17TRFCpb is the per-bank AR busy time of the Figure 17 model
+// (sim.PerfTRFCns: half the 32 Gb all-bank tRFC).
+const fig17TRFCpb = 440
+
+// fig17Horizon is the length of one Figure 17 closed-loop run.
+const fig17Horizon = 2 * dram.Millisecond
+
+// fig17Config is the Figure 17 closed loop for fig17Profiles[i]
+// (sim.closedLoopConfig) over the 8 MB rank's banks at the paper-scale
+// per-bank cadence: 4 cores of MLP outstanding misses each, with the think
+// time that retires at the profile's base CPI on a perfect memory.
+func fig17Config(i int, seed uint64) ClosedLoopConfig {
+	p := fig17Profiles[i]
+	ccfg := cpu.DefaultCoreConfig()
+	return ClosedLoopConfig{
+		Perf:       DefaultPerfConfig(dram.DefaultConfig(8<<20), 8192),
+		Cores:      4,
+		MLP:        int(ccfg.MLP),
+		ThinkNs:    ccfg.MLP * (1000 / p.mpki) * p.baseCPI / ccfg.FreqGHz,
+		RowHitRate: p.rowHitRate,
+		WriteFrac:  p.writeFrac,
+		Seed:       seed,
+	}
+}
+
+// recordedSchedule has the shape of a recorded ZERO-REFRESH schedule:
+// sets busy times per bank, each AR busy for the fraction of its 16 rows a
+// draw from seed says it refreshed. With zeros, about a quarter of the
+// commands are skipped outright.
+func recordedSchedule(banks, sets int, busy dram.Time, seed uint64, zeros bool) SliceSchedule {
+	rnd := rng.NewSplitMix(seed)
+	s := SliceSchedule{Busy: make([][]dram.Time, banks)}
+	for b := range s.Busy {
+		s.Busy[b] = make([]dram.Time, sets)
+		for k := range s.Busy[b] {
+			rows := 1 + rnd.Intn(16)
+			if zeros && rnd.Intn(4) == 0 {
+				rows = 0
+			}
+			s.Busy[b][k] = dram.Time(float64(busy) * float64(rows) / 16)
+		}
+	}
+	return s
+}
+
+// checkMatchesScan runs cfg through the tree and the scan, each with its
+// own latency histogram when hist is set, and fails unless the results and
+// the histograms are equal.
+func checkMatchesScan(t *testing.T, cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time, hist bool) {
+	t.Helper()
+	var res [2]ClosedLoopResult
+	var snap [2]metrics.Snapshot
+	for i, simulate := range []func(ClosedLoopConfig, RefreshSchedule, dram.Time) ClosedLoopResult{
+		SimulateClosedLoop, simulateClosedLoopScan,
+	} {
+		c := cfg
+		reg := metrics.NewRegistry()
+		if hist {
+			c.Perf.LatencyHist = reg.Histogram("perf.latency_ns")
+		}
+		res[i] = simulate(c, sched, horizon)
+		snap[i] = reg.Snapshot()
+	}
+	if res[0] != res[1] {
+		t.Fatalf("tree %+v, scan %+v", res[0], res[1])
+	}
+	if !reflect.DeepEqual(snap[0], snap[1]) {
+		t.Fatalf("latency histograms differ:\ntree %+v\nscan %+v", snap[0], snap[1])
+	}
+}
+
+// TestSlotTreePicksFirstEarliest checks the tree's pick against a scan for
+// the first strictly earliest slot after every move, for slot counts on
+// and off a power of two, with times from a range narrow enough that most
+// picks break a tie. The closed loop's results cannot show the tie rule:
+// a slot holds nothing but its time, so tied slots are interchangeable.
+func TestSlotTreePicksFirstEarliest(t *testing.T) {
+	for slots := 1; slots <= 70; slots++ {
+		rnd := rng.NewSplitMix(uint64(slots))
+		at := make([]dram.Time, slots)
+		for j := range at {
+			at[j] = dram.Time(rnd.Intn(4))
+		}
+		tree := newSlotTree(nil, slots, func(j int) dram.Time { return at[j] })
+		for step := 0; step < 500; step++ {
+			want := 0
+			for j := range at {
+				if at[j] < at[want] {
+					want = j
+				}
+			}
+			if s, v := tree.next(); s != want || v != at[want] {
+				t.Fatalf("%d slots, step %d: tree picks slot %d at %d, scan slot %d at %d", slots, step, s, v, want, at[want])
+			}
+			// Move the winner, as the closed loop does, or any other slot.
+			j := want
+			if rnd.Intn(2) == 0 {
+				j = rnd.Intn(slots)
+			}
+			at[j] += dram.Time(rnd.Intn(3))
+			tree.set(j, at[j])
+		}
+	}
+}
+
+func TestClosedLoopMatchesScan(t *testing.T) {
+	type tc struct {
+		name    string
+		cfg     ClosedLoopConfig
+		sched   RefreshSchedule
+		horizon dram.Time
+		hist    bool
+	}
+	var cases []tc
+	for i, p := range fig17Profiles {
+		cfg := fig17Config(i, 1)
+		cases = append(cases,
+			tc{p.name + "/constant", cfg, ConstantSchedule{Busy: fig17TRFCpb}, fig17Horizon, false},
+			tc{p.name + "/recorded", cfg, recordedSchedule(8, 16, fig17TRFCpb, uint64(i), false), fig17Horizon, false})
+	}
+	for _, slots := range []int{1, 3, 16, 17, 64} {
+		cfg := clConfig()
+		cfg.Cores, cfg.MLP = 1, slots
+		cases = append(cases, tc{fmt.Sprintf("slots=%d", slots), cfg, ConstantSchedule{Busy: 350}, 500_000, false})
+	}
+	tied := clConfig()
+	tied.ThinkNs = 0
+	cases = append(cases, tc{"think=0", tied, ConstantSchedule{Busy: 350}, 500_000, false})
+	allBank := clConfig()
+	allBank.Perf.AllBank = true
+	cases = append(cases,
+		tc{"allbank", allBank, recordedSchedule(8, 8, 880, 7, true), 500_000, false},
+		tc{"zero-busy", clConfig(), recordedSchedule(8, 16, 880, 3, true), 500_000, false},
+		tc{"hist", clConfig(), recordedSchedule(8, 16, 880, 5, true), 500_000, true})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkMatchesScan(t, c.cfg, c.sched, c.horizon, c.hist) })
+	}
+}
+
+// FuzzClosedLoopMatchesScan drives the tree and the scan over bounded
+// random loops: 1-64 slots over 1-8 banks, think times with ties at 0,
+// any hit and write rates, recorded schedules with skipped commands, and
+// either refresh policy.
+func FuzzClosedLoopMatchesScan(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(4), uint8(8), uint16(400), uint8(30), uint8(30), uint16(440), false)
+	f.Add(uint64(2), uint8(1), uint8(17), uint8(3), uint16(0), uint8(100), uint8(0), uint16(880), true)
+	f.Add(uint64(3), uint8(8), uint8(8), uint8(1), uint16(4000), uint8(0), uint8(99), uint16(0), false)
+	f.Fuzz(func(t *testing.T, seed uint64, cores, mlp, banks uint8, think uint16, hitPct, writePct uint8, busy uint16, allBank bool) {
+		cfg := ClosedLoopConfig{
+			Perf: PerfConfig{
+				Banks: 1 + int(banks%8), ARInterval: 3906, AllBank: allBank,
+				HitService: 15, MissService: 37,
+			},
+			Cores:      1 + int(cores%8),
+			MLP:        1 + int(mlp%8),
+			ThinkNs:    float64(think%4000) / 4,
+			RowHitRate: float64(hitPct%101) / 100,
+			WriteFrac:  float64(writePct%101) / 100,
+			Seed:       seed,
+		}
+		sched := recordedSchedule(cfg.Perf.Banks, 1+int(seed%16), dram.Time(busy%2000), seed, true)
+		checkMatchesScan(t, cfg, sched, 100_000, true)
+	})
+}
+
+// BenchmarkSimulateClosedLoop times one Figure 17 closed-loop run of mcf
+// (16 slots over 2 ms, about 300 k requests) under the conventional
+// constant schedule and under a schedule shaped like a recorded one.
+func BenchmarkSimulateClosedLoop(b *testing.B) {
+	cfg := fig17Config(0, 1)
+	for _, c := range []struct {
+		name  string
+		sched RefreshSchedule
+	}{
+		{"constant", ConstantSchedule{Busy: fig17TRFCpb}},
+		{"recorded", recordedSchedule(8, 16, fig17TRFCpb, 0, false)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var reads int64
+			for i := 0; i < b.N; i++ {
+				reads += SimulateClosedLoop(cfg, c.sched, fig17Horizon).Reads
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reads), "ns/request")
+		})
+	}
+}
+
+// simulateClosedLoopScan is the closed-loop model with each request's slot
+// found by scanning every slot for the first strictly earliest next issue
+// time: the reference SimulateClosedLoop must match bit for bit.
+func simulateClosedLoopScan(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time) ClosedLoopResult {
+	slots := cfg.Cores * cfg.MLP
+	if slots <= 0 {
+		return ClosedLoopResult{Horizon: horizon}
+	}
+	busy := refreshWindows(cfg.Perf, sched, horizon)
+	nextWin := make([]int, cfg.Perf.Banks)
+	bankFree := make([]dram.Time, cfg.Perf.Banks)
+	// lastServed and refWin track refresh-induced row-buffer misses: a
+	// refresh closes the open row, so the first access to a bank after
+	// any refresh window pays the miss latency even if it would have
+	// hit (Section III-A: "after refreshing, the next data access is
+	// likely to have a row buffer miss").
+	lastServed := make([]dram.Time, cfg.Perf.Banks)
+	refWin := make([]int, cfg.Perf.Banks)
+	nextIssue := make([]dram.Time, slots)
+	for i := range nextIssue {
+		// Stagger slot starts across one think period.
+		nextIssue[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
+	}
+	rnd := rng.NewSplitMix(cfg.Seed ^ 0xc105ed100b)
+	res := ClosedLoopResult{Horizon: horizon}
+
+	for {
+		// Next slot to issue.
+		s := 0
+		for i := 1; i < slots; i++ {
+			if nextIssue[i] < nextIssue[s] {
+				s = i
+			}
+		}
+		arrive := nextIssue[s]
+		if arrive >= horizon {
+			break
+		}
+		bank := rnd.Intn(cfg.Perf.Banks)
+		rowHit := rnd.Float64() < cfg.RowHitRate
+		start := arrive
+		if bankFree[bank] > start {
+			start = bankFree[bank]
+		}
+		ws := busy[bank]
+		i := nextWin[bank]
+		for i < len(ws) {
+			w := ws[i]
+			if w.end <= start {
+				i++
+				continue
+			}
+			// Service-time check below uses the miss latency bound,
+			// conservative for hits.
+			if w.start >= start+cfg.Perf.MissService {
+				break
+			}
+			res.RefreshWait += w.end - start
+			start = w.end
+			i++
+		}
+		nextWin[bank] = i
+		// Any refresh window that ended since the bank's last service
+		// closed its open row: the access pays a row miss. This only
+		// bites when the bank was in active use — an idle bank's row
+		// would have been closed by the controller's idle-precharge
+		// policy regardless, and that case is already priced into the
+		// average RowHitRate.
+		const openRowWindow = 500 // ns of bank inactivity before idle precharge
+		j := refWin[bank]
+		for j < len(ws) && ws[j].end <= start {
+			j++
+		}
+		if j > refWin[bank] && ws[refWin[bank]].end > lastServed[bank] &&
+			start-lastServed[bank] < openRowWindow {
+			rowHit = false
+			res.RefreshRowMisses++
+		}
+		refWin[bank] = j
+		svc := cfg.Perf.MissService
+		if rowHit {
+			svc = cfg.Perf.HitService
+		}
+		complete := start + svc
+		bankFree[bank] = complete
+		lastServed[bank] = complete
+		res.Reads++
+		res.TotalLatency += complete - arrive
+		if cfg.Perf.LatencyHist != nil {
+			cfg.Perf.LatencyHist.Observe(int64(complete - arrive))
+		}
+		// Piggyback a writeback with probability wf/(1-wf) (write
+		// traffic share of total); it occupies the bank but does not
+		// stall the core.
+		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rnd.Float64() < wf/(1-wf) {
+			bankFree[bank] += cfg.Perf.HitService
+			res.Writebacks++
+		}
+		// Jitter the think time +/-25%: instruction counts between
+		// misses vary, and a deterministic gap can phase-lock with the
+		// refresh cadence and overstate (or hide) interference.
+		think := cfg.ThinkNs * (0.75 + 0.5*rnd.Float64())
+		nextIssue[s] = complete + dram.Time(think)
+	}
+	return res
 }

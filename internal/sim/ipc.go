@@ -6,6 +6,7 @@ import (
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/memctrl"
+	"zerorefresh/internal/ostrace"
 	"zerorefresh/internal/workload"
 )
 
@@ -52,32 +53,25 @@ const paperARs = 8192
 // fig17Cores is the core count of the Figure 17 machine.
 const fig17Cores = 4
 
-// steadyStateSchedule is the content phase of Figure 17: it fills the rank
-// with prof's content, runs one learning window and two windows with write
-// traffic, and converts the per-set refreshed counts into per-AR busy
-// times scaled from PerfTRFCns. The returned system supplies the geometry
-// and refresh configuration.
+// steadyStateSchedule is the content phase of Figure 17: the first three
+// windows of the benchmark's 100% allocation scenario. It populates the
+// whole rank with prof's content, runs one learning window and two windows
+// with write traffic (whatever o.Warmup and o.Windows say), and converts
+// the per-set refreshed counts into per-AR busy times scaled from
+// PerfTRFCns. The returned system supplies the geometry and refresh
+// configuration.
 func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctrl.SliceSchedule, error) {
 	sys, err := o.newSystem()
 	if err != nil {
 		return nil, memctrl.SliceSchedule{}, err
 	}
 	gen := prof.Lines(o.Seed)
-	for p := 0; p < sys.Pages(); p++ {
-		if err := sys.FillPage(&gen, p, 0); err != nil {
-			return nil, memctrl.SliceSchedule{}, err
-		}
+	allocated, err := populate(sys, ostrace.NewAllocator(sys.Pages()), &gen, 1.0)
+	if err != nil {
+		return nil, memctrl.SliceSchedule{}, err
 	}
-	sys.RunWindow() // learn
-	allPages := make([]int, sys.Pages())
-	for i := range allPages {
-		allPages[i] = i
-	}
-	for w := 0; w < 2; w++ { // steady state with write traffic
-		if err := applyWindowWrites(sys, prof, &gen, allPages, o.Seed, w); err != nil {
-			return nil, memctrl.SliceSchedule{}, err
-		}
-		sys.RunWindow()
+	if _, err := runWindows(sys, prof, &gen, allocated, o.Seed, 1, 2); err != nil {
+		return nil, memctrl.SliceSchedule{}, err
 	}
 	counts := sys.Engine.SetRefreshedCounts()
 	rowsPerAR := sys.Engine.Config().RowsPerAR

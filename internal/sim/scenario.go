@@ -252,18 +252,14 @@ func populate(sys *core.System, alloc *ostrace.Allocator, gen *workload.LineGen,
 // measure runs the warm-up and the measured windows of one scenario on a
 // populated system and fills in res.
 func measure(o Options, sys *core.System, prof workload.Profile, gen *workload.LineGen, allocated []int, res *ScenarioResult) error {
-	// Every measured window receives a write burst, so the dense loop is
-	// the whole schedule: there are no idle windows to fast-forward.
-	for w := 0; w < o.Warmup; w++ {
-		sys.RunWindow()
-	}
+	// The warm-up writes nothing, so the pipeline's ops from here on are
+	// the measured windows' writes.
 	opsBefore := sys.Pipeline.Ops()
-	for w := 0; w < o.Windows; w++ {
-		if err := applyWindowWrites(sys, prof, gen, allocated, o.Seed, w); err != nil {
-			return err
-		}
-		res.Cycles.Add(sys.RunWindow())
+	cycles, err := runWindows(sys, prof, gen, allocated, o.Seed, o.Warmup, o.Windows)
+	if err != nil {
+		return err
 	}
+	res.Cycles = cycles
 
 	// Energy accounting: the EBDI module runs on writes (counted by the
 	// pipeline) and on reads; reads are estimated from the profile's
@@ -288,6 +284,25 @@ func measure(o Options, sys *core.System, prof workload.Profile, gen *workload.L
 		return fmt.Errorf("sim: %d retention failures under %s", res.Decays, prof.Name)
 	}
 	return nil
+}
+
+// runWindows runs warmup learning windows on a populated system, then
+// windows windows each after its write burst over the allocated pages, and
+// returns the statistics of the windows with writes. Every one of those
+// receives a write burst, so the dense loop is the whole schedule: there
+// are no idle windows to fast-forward.
+func runWindows(sys *core.System, prof workload.Profile, gen *workload.LineGen, allocated []int, seed uint64, warmup, windows int) (refresh.CycleStats, error) {
+	var cycles refresh.CycleStats
+	for w := 0; w < warmup; w++ {
+		sys.RunWindow()
+	}
+	for w := 0; w < windows; w++ {
+		if err := applyWindowWrites(sys, prof, gen, allocated, seed, w); err != nil {
+			return cycles, err
+		}
+		cycles.Add(sys.RunWindow())
+	}
+	return cycles, nil
 }
 
 // RunMetricsDump runs one fully-allocated scenario (the first configured
