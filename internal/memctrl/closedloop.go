@@ -134,22 +134,29 @@ func (r ClosedLoopResult) Record(reg *metrics.Registry) {
 }
 
 // refreshWindows precomputes each bank's busy windows up to the horizon,
-// honouring the all-bank policy by merging.
+// honouring the all-bank policy by merging. Every bank's slice is cut
+// from one array sized for a window per AR command.
 func refreshWindows(cfg PerfConfig, sched RefreshSchedule, horizon dram.Time) [][]window {
 	busy := make([][]window, cfg.Banks)
+	cmds := 0
+	if horizon > 0 {
+		cmds = int((horizon + cfg.ARInterval - 1) / cfg.ARInterval)
+	}
+	backing := make([]window, cfg.Banks*cmds)
+	total := 0
 	for b := 0; b < cfg.Banks; b++ {
-		for k := 0; ; k++ {
+		ws := backing[b*cmds : b*cmds : (b+1)*cmds]
+		for k := 0; k < cmds; k++ {
 			start := dram.Time(k) * cfg.ARInterval
-			if start >= horizon {
-				break
-			}
 			if d := sched.ARBusy(b, k); d > 0 {
-				busy[b] = append(busy[b], window{start, start + d})
+				ws = append(ws, window{start, start + d})
 			}
 		}
+		busy[b] = ws
+		total += len(ws)
 	}
 	if cfg.AllBank {
-		var all []window
+		all := make([]window, 0, total)
 		for _, ws := range busy {
 			all = append(all, ws...)
 		}

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"zerorefresh/internal/cpu"
@@ -536,6 +537,74 @@ func BenchmarkSimulateClosedLoop(b *testing.B) {
 	}
 }
 
+// refreshWindowsAppend is the reference for refreshWindows: each bank's
+// windows grown by append, one AR command at a time until the horizon.
+func refreshWindowsAppend(cfg PerfConfig, sched RefreshSchedule, horizon dram.Time) [][]window {
+	busy := make([][]window, cfg.Banks)
+	for b := 0; b < cfg.Banks; b++ {
+		for k := 0; ; k++ {
+			start := dram.Time(k) * cfg.ARInterval
+			if start >= horizon {
+				break
+			}
+			if d := sched.ARBusy(b, k); d > 0 {
+				busy[b] = append(busy[b], window{start, start + d})
+			}
+		}
+	}
+	if cfg.AllBank {
+		var all []window
+		for _, ws := range busy {
+			all = append(all, ws...)
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].start < all[j].start })
+		merged := make([]window, 0, len(all))
+		for _, w := range all {
+			if n := len(merged); n > 0 && w.start <= merged[n-1].end {
+				if w.end > merged[n-1].end {
+					merged[n-1].end = w.end
+				}
+				continue
+			}
+			merged = append(merged, w)
+		}
+		for b := range busy {
+			busy[b] = merged
+		}
+	}
+	return busy
+}
+
+// TestRefreshWindowsMatchAppend holds the presized windows equal to the
+// appended reference's, for horizons on and off the AR cadence, schedules
+// that skip commands, and both refresh policies.
+func TestRefreshWindowsMatchAppend(t *testing.T) {
+	for _, allBank := range []bool{false, true} {
+		cfg := perfConfig()
+		cfg.AllBank = allBank
+		for _, sched := range []RefreshSchedule{ConstantSchedule{Busy: 100}, ConstantSchedule{}, recordedSchedule(4, 5, 1500, 9, true)} {
+			for _, horizon := range []dram.Time{-1, 0, 1, 999, 1000, 1001, 5000, 123457} {
+				got, want := refreshWindows(cfg, sched, horizon), refreshWindowsAppend(cfg, sched, horizon)
+				for b := range want {
+					if len(got[b]) != len(want[b]) || len(want[b]) > 0 && !reflect.DeepEqual(got[b], want[b]) {
+						t.Fatalf("all-bank %v, %+v, horizon %d, bank %d: windows %v, want %v", allBank, sched, horizon, b, got[b], want[b])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClosedLoopAllocs pins a Figure 17 closed-loop run's allocations:
+// the banks' window slices and the one array they are cut from.
+func TestClosedLoopAllocs(t *testing.T) {
+	cfg := fig17Config(0, 1)
+	var sched RefreshSchedule = recordedSchedule(8, 16, fig17TRFCpb, 0, true)
+	if got := testing.AllocsPerRun(5, func() { SimulateClosedLoop(cfg, sched, fig17Horizon) }); got > 2 {
+		t.Fatalf("a Figure 17 closed-loop run allocates %v times, want at most 2", got)
+	}
+}
+
 // simulateClosedLoopScan is the closed-loop model with each request's slot
 // found by scanning every slot for the first strictly earliest next issue
 // time: the reference SimulateClosedLoop must match bit for bit.
@@ -544,7 +613,7 @@ func simulateClosedLoopScan(cfg ClosedLoopConfig, sched RefreshSchedule, horizon
 	if slots <= 0 {
 		return ClosedLoopResult{Horizon: horizon}
 	}
-	busy := refreshWindows(cfg.Perf, sched, horizon)
+	busy := refreshWindowsAppend(cfg.Perf, sched, horizon)
 	nextWin := make([]int, cfg.Perf.Banks)
 	bankFree := make([]dram.Time, cfg.Perf.Banks)
 	// lastServed and refWin track refresh-induced row-buffer misses: a

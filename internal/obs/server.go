@@ -235,22 +235,16 @@ func (p *Plane) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "]}\n")
 }
 
-// eventNDJSON renders one trace event as a single NDJSON line (without
-// the trailing newline). The encoding lives in trace.EventNDJSON — the
-// one implementation shared with zrsim's .ndjson trace export — so a
-// captured tail is byte-compatible with an exported trace file and the
-// offline reader (internal/attr) parses both.
-func eventNDJSON(e trace.Event) string {
-	return trace.EventNDJSON(e)
-}
-
 // handleTail streams live events as NDJSON until the client disconnects
-// (or after `max` events when the max parameter is set). The subscription
-// is drop-and-count: a client that reads slower than the simulation
-// emits loses events rather than slowing the simulation, and the final
-// flight/status dropped counters say how many. Parameters: kind filters
-// by event kind name ("refresh.skipped"), max closes the stream after N
-// matching events, buf sizes the subscriber channel.
+// (or after `max` events when the max parameter is set). Each line is
+// trace.AppendNDJSON's encoding — the one shared with zrsim's .ndjson
+// trace export — so a captured tail is byte-compatible with an exported
+// trace file and the offline reader (internal/attr) parses both. The
+// subscription is drop-and-count: a client that reads slower than the
+// simulation emits loses events rather than slowing the simulation, and
+// the final flight/status dropped counters say how many. Parameters: kind
+// filters by event kind name ("refresh.skipped"), max closes the stream
+// after N matching events, buf sizes the subscriber channel.
 func (p *Plane) handleTail(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	kindFilter := q.Get("kind")
@@ -268,6 +262,7 @@ func (p *Plane) handleTail(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var sent int64
+	var line []byte
 	for {
 		select {
 		case <-r.Context().Done():
@@ -276,7 +271,8 @@ func (p *Plane) handleTail(w http.ResponseWriter, r *http.Request) {
 			if kindFilter != "" && e.Kind.String() != kindFilter {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s\n", eventNDJSON(e)); err != nil {
+			line = append(trace.AppendNDJSON(line[:0], e), '\n')
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 			if flusher != nil {

@@ -220,19 +220,6 @@ func TestHandlerTailStream(t *testing.T) {
 	}
 }
 
-// TestEventNDJSON pins the tail line format.
-func TestEventNDJSON(t *testing.T) {
-	e := trace.Event{Kind: trace.KindRefreshSkipped, Shard: 2, Time: 42, Chip: 1, Bank: 3, Row: 4, A: 5, B: 6, Seq: 7}
-	got := eventNDJSON(e)
-	want := `{"kind":"refresh.skipped","shard":2,"time_ns":42,"chip":1,"bank":3,"row":4,"a":5,"b":6,"seq":7}`
-	if got != want {
-		t.Errorf("eventNDJSON:\ngot  %s\nwant %s", got, want)
-	}
-	if !json.Valid([]byte(got)) {
-		t.Error("eventNDJSON output is not valid JSON")
-	}
-}
-
 // TestHandlerMetricsMatchesWriter checks /metrics serves exactly what
 // WritePrometheus renders for the same registry state.
 func TestHandlerMetricsMatchesWriter(t *testing.T) {

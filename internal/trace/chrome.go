@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"strconv"
 )
 
 // Chrome trace-event exporter. The output is the JSON Object Format of the
@@ -19,42 +18,74 @@ import (
 // WriteChrome writes every event currently held by the tracer, in the
 // deterministic merged order of Tracer.Events.
 func WriteChrome(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	for _, s := range t.Shards() {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
+	shards := t.Shards()
+	head := []byte("{\"traceEvents\":[\n")
+	for i, s := range shards {
+		if i > 0 {
+			head = append(head, ",\n"...)
 		}
-		first = false
-		if _, err := fmt.Fprintf(bw,
-			`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%q}}`,
-			s.id, s.label); err != nil {
-			return err
-		}
+		head = append(head, `{"name":"thread_name","ph":"M","pid":0,"tid":`...)
+		head = strconv.AppendInt(head, int64(s.ID()), 10)
+		head = append(head, `,"args":{"name":`...)
+		head = strconv.AppendQuote(head, s.Label())
+		head = append(head, "}}"...)
 	}
-	for _, e := range t.Events() {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		if _, err := fmt.Fprintf(bw,
-			`{"name":%q,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%d.%03d,"args":{"chip":%d,"bank":%d,"row":%d,"a":%d,"b":%d,"seq":%d}}`,
-			e.Kind.String(), e.Shard, e.Time/1000, e.Time%1000,
-			e.Chip, e.Bank, e.Row, e.A, e.B, e.Seq); err != nil {
-			return err
-		}
+	// Every event follows its shard's thread_name record, so each one
+	// opens with the separator.
+	events := mergeShards(shards)
+	tail := strconv.AppendUint([]byte("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"), t.Dropped(), 10)
+	tail = append(tail, "}}\n"...)
+	return writeBlocks(w, head, events, appendChromeRecord, tail)
+}
+
+// appendChromeRecord appends a record separator and the event's Chrome
+// trace-event record: an instant event on its shard's thread, the kind as
+// its name and the remaining fields as its args.
+func appendChromeRecord(dst []byte, e Event) []byte {
+	dst = append(dst, ",\n{\"name\":"...)
+	dst = append(dst, quotedKindNames[min(e.Kind, numKinds)]...)
+	dst = append(dst, `,"ph":"i","s":"t","pid":0,"tid":`...)
+	dst = strconv.AppendInt(dst, int64(e.Shard), 10)
+	dst = append(dst, `,"ts":`...)
+	dst = appendMicros(dst, e.Time)
+	dst = append(dst, `,"args":{"chip":`...)
+	dst = strconv.AppendInt(dst, int64(e.Chip), 10)
+	dst = append(dst, `,"bank":`...)
+	dst = strconv.AppendInt(dst, int64(e.Bank), 10)
+	dst = append(dst, `,"row":`...)
+	dst = strconv.AppendInt(dst, int64(e.Row), 10)
+	dst = append(dst, `,"a":`...)
+	dst = strconv.AppendInt(dst, e.A, 10)
+	dst = append(dst, `,"b":`...)
+	dst = strconv.AppendInt(dst, e.B, 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	return append(dst, "}}"...)
+}
+
+// quotedKindNames holds each kind's name as %q renders it, and at
+// numKinds the name every out-of-range kind shares.
+var quotedKindNames = func() (q [numKinds + 1]string) {
+	for k := range q {
+		q[k] = strconv.Quote(Kind(k).String())
 	}
-	if _, err := fmt.Fprintf(bw,
-		"\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":%d}}\n",
-		t.Dropped()); err != nil {
-		return err
+	return q
+}()
+
+// appendMicros appends a nanosecond time as microseconds the way
+// fmt's "%d.%03d" renders ns/1000 and ns%1000. For a negative time the
+// remainder is negative too, and fmt pads it after its sign to three
+// characters in all: -5 ns is "0.-05", -1500 ns is "-1.-500".
+func appendMicros(dst []byte, ns int64) []byte {
+	dst = strconv.AppendInt(dst, ns/1000, 10)
+	dst = append(dst, '.')
+	frac := ns % 1000
+	if frac < 0 {
+		dst = append(dst, '-')
+		if frac > -10 {
+			dst = append(dst, '0')
+		}
+		return strconv.AppendInt(dst, -frac, 10)
 	}
-	return bw.Flush()
+	return append(dst, byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

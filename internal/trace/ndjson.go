@@ -11,7 +11,7 @@ import (
 // NDJSON event encoding: one JSON object per line, the exact format the
 // introspection plane's /trace/tail endpoint streams. This file is the
 // single implementation — internal/obs renders tail lines through
-// EventNDJSON, zrsim -trace writes .ndjson files through WriteNDJSON, and
+// AppendNDJSON, zrsim -trace writes .ndjson files through WriteNDJSON, and
 // the offline analytics reader (internal/attr) parses both through
 // ReadNDJSON — so a captured tail and an exported trace file are
 // byte-compatible by construction.
@@ -46,12 +46,6 @@ func AppendNDJSON(dst []byte, e Event) []byte {
 	return dst
 }
 
-// EventNDJSON renders one event as a single NDJSON line (without the
-// trailing newline).
-func EventNDJSON(e Event) string {
-	return string(AppendNDJSON(make([]byte, 0, 112), e))
-}
-
 // KindByName returns the kind with the given exporter name (the inverse of
 // Kind.String).
 func KindByName(name string) (Kind, bool) {
@@ -69,21 +63,21 @@ func KindByName(name string) (Kind, bool) {
 // ({"kind":"meta.shard",...}); event lines are byte-identical to what the
 // live tail streams for the same events.
 func WriteNDJSON(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range t.Shards() {
-		if _, err := fmt.Fprintf(bw, "{\"kind\":\"meta.shard\",\"shard\":%d,\"name\":%q}\n", s.id, s.label); err != nil {
-			return err
-		}
+	shards := t.Shards()
+	var head []byte
+	for _, s := range shards {
+		head = append(head, `{"kind":"meta.shard","shard":`...)
+		head = strconv.AppendInt(head, int64(s.ID()), 10)
+		head = append(head, `,"name":`...)
+		head = strconv.AppendQuote(head, s.Label())
+		head = append(head, "}\n"...)
 	}
-	buf := make([]byte, 0, 128)
-	for _, e := range t.Events() {
-		buf = AppendNDJSON(buf[:0], e)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeBlocks(w, head, mergeShards(shards), appendNDJSONLine, nil)
+}
+
+// appendNDJSONLine appends the event's NDJSON line, newline included.
+func appendNDJSONLine(dst []byte, e Event) []byte {
+	return append(AppendNDJSON(dst, e), '\n')
 }
 
 // ndjsonLine mirrors the encoder's field set for decoding; meta.shard

@@ -11,18 +11,18 @@ import (
 // offline reader all share this line format.
 func TestEventNDJSONFormat(t *testing.T) {
 	e := Event{Kind: KindRefreshSkipped, Shard: 2, Time: 42, Chip: 1, Bank: 3, Row: 4, A: 5, B: 6, Seq: 7}
-	got := EventNDJSON(e)
-	want := `{"kind":"refresh.skipped","shard":2,"time_ns":42,"chip":1,"bank":3,"row":4,"a":5,"b":6,"seq":7}`
+	got := string(AppendNDJSON([]byte("prefix:"), e))
+	want := `prefix:{"kind":"refresh.skipped","shard":2,"time_ns":42,"chip":1,"bank":3,"row":4,"a":5,"b":6,"seq":7}`
 	if got != want {
-		t.Errorf("EventNDJSON:\ngot  %s\nwant %s", got, want)
+		t.Errorf("AppendNDJSON:\ngot  %s\nwant %s", got, want)
 	}
-	if !json.Valid([]byte(got)) {
-		t.Error("EventNDJSON output is not valid JSON")
+	if !json.Valid([]byte(strings.TrimPrefix(got, "prefix:"))) {
+		t.Error("AppendNDJSON output is not valid JSON")
 	}
 	neg := Event{Kind: KindWindowRollover, Shard: 1, Time: 32000000, Chip: -1, Bank: -1, Row: -1, A: 2048, B: 0, Seq: 2049}
 	wantNeg := `{"kind":"refresh.window_rollover","shard":1,"time_ns":32000000,"chip":-1,"bank":-1,"row":-1,"a":2048,"b":0,"seq":2049}`
-	if got := EventNDJSON(neg); got != wantNeg {
-		t.Errorf("EventNDJSON negative coords:\ngot  %s\nwant %s", got, wantNeg)
+	if got := string(AppendNDJSON(nil, neg)); got != wantNeg {
+		t.Errorf("AppendNDJSON negative coords:\ngot  %s\nwant %s", got, wantNeg)
 	}
 }
 

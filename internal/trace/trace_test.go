@@ -140,38 +140,52 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestShardCopyFromRestamps copies a wrapped ring into a shard of another
-// tracer: the copy holds the same events, sequence numbers and drop count,
-// stamped with its own id, and later emissions continue the sequence.
+// TestShardCopyFromRestamps copies rings into shards of another tracer
+// that already hold events: a wrapped ring, a partly filled one, one
+// filled exactly to its end and an empty one. The copy holds the same
+// events, sequence numbers and drop count, stamped with its own id, and
+// later emissions continue the sequence.
 func TestShardCopyFromRestamps(t *testing.T) {
+	for _, emitted := range []int{6, 2, 4, 0} {
+		src := New(4).NewShard("rank0")
+		for i := 0; i < emitted; i++ {
+			src.Emit(Event{Kind: KindWriteback, Time: int64(i)})
+		}
+		other := New(4)
+		other.NewShard("cpu")
+		dst := other.NewShard("rank0")
+		for i := 0; i < 3; i++ {
+			dst.Emit(Event{Kind: KindRefreshIssued, Time: int64(100 + i)})
+		}
+		if err := dst.CopyFrom(src); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Dropped() != src.Dropped() || dst.Len() != src.Len() {
+			t.Fatalf("%d emitted: copy holds %d (dropped %d), source %d (dropped %d)", emitted, dst.Len(), dst.Dropped(), src.Len(), src.Dropped())
+		}
+		want := src.Events()
+		for i := range want {
+			want[i].Shard = dst.ID()
+		}
+		if got := dst.Events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d emitted: copied events %+v, want %+v", emitted, got, want)
+		}
+		dst.Emit(Event{Kind: KindWriteback, Time: int64(emitted)})
+		evs := dst.Events()
+		if last := evs[len(evs)-1]; last.Seq != uint64(emitted) || last.Shard != dst.ID() {
+			t.Fatalf("%d emitted: emission after the copy = %+v, want seq %d on shard %d", emitted, last, emitted, dst.ID())
+		}
+		if want = append(want, evs[len(evs)-1]); len(want) > 4 {
+			want = want[1:]
+		}
+		if !reflect.DeepEqual(evs, want) {
+			t.Fatalf("%d emitted: after one more emission the copy holds %+v, want %+v", emitted, evs, want)
+		}
+		if n := min(emitted, 4); src.Len() != n || n > 0 && src.Events()[n-1].Time != int64(emitted-1) {
+			t.Fatalf("%d emitted: emitting into the copy changed the source", emitted)
+		}
+	}
 	src := New(4).NewShard("rank0")
-	for i := 0; i < 6; i++ {
-		src.Emit(Event{Kind: KindWriteback, Time: int64(i)})
-	}
-	other := New(4)
-	other.NewShard("cpu")
-	dst := other.NewShard("rank0")
-	if err := dst.CopyFrom(src); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Dropped() != src.Dropped() || dst.Len() != src.Len() {
-		t.Fatalf("copy holds %d (dropped %d), source %d (dropped %d)", dst.Len(), dst.Dropped(), src.Len(), src.Dropped())
-	}
-	want := src.Events()
-	for i := range want {
-		want[i].Shard = dst.ID()
-	}
-	if got := dst.Events(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("copied events %+v, want %+v", got, want)
-	}
-	dst.Emit(Event{Kind: KindWriteback, Time: 6})
-	evs := dst.Events()
-	if last := evs[len(evs)-1]; last.Seq != 6 || last.Shard != dst.ID() {
-		t.Fatalf("emission after the copy = %+v, want seq 6 on shard %d", last, dst.ID())
-	}
-	if src.Len() != 4 || src.Events()[3].Time != 5 {
-		t.Fatal("emitting into the copy changed the source")
-	}
 	if err := New(8).NewShard("rank0").CopyFrom(src); err == nil {
 		t.Fatal("copy between rings of different capacities succeeded")
 	}
