@@ -336,13 +336,13 @@ func (t *Timeline) WriteChromeSpans(w *strings.Builder) {
 	}
 	var lines []string
 	for _, id := range ids {
-		lines = append(lines, fmt.Sprintf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%s}}", id, jsonStr(t.Label(id))))
+		lines = append(lines, fmt.Sprintf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%s}}", id, trace.JSONString(t.Label(id))))
 	}
 	lines = append(lines, fmt.Sprintf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"windows\"}}", winTid))
 	span := func(name string, tid int32, start, end int64, args string) {
 		dur := end - start
 		lines = append(lines, fmt.Sprintf("{\"name\":%s,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d.%03d,\"dur\":%d.%03d,\"args\":{%s}}",
-			jsonStr(name), tid, start/1000, start%1000, dur/1000, dur%1000, args))
+			trace.JSONString(name), tid, start/1000, start%1000, dur/1000, dur%1000, args))
 	}
 	for _, win := range t.Windows {
 		span(fmt.Sprintf("window %d", win.Index), winTid, win.StartNs, win.EndNs,

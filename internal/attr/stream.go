@@ -162,31 +162,3 @@ func chromeTsNs(ts string) (int64, error) {
 	}
 	return u*1000 + f, nil
 }
-
-// jsonStr renders a JSON string with the same minimal escaping the
-// simulator's hand-rolled exporters use.
-func jsonStr(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			b.WriteString(`\"`)
-		case c == '\\':
-			b.WriteString(`\\`)
-		case c == '\n':
-			b.WriteString(`\n`)
-		case c == '\r':
-			b.WriteString(`\r`)
-		case c == '\t':
-			b.WriteString(`\t`)
-		case c < 0x20:
-			fmt.Fprintf(&b, `\u%04x`, c)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}

@@ -300,9 +300,4 @@ func TestRunEventsAndScheduledProbes(t *testing.T) {
 	if want := []dram.Time{tret, 3 * tret}; !reflect.DeepEqual(probes, want) {
 		t.Fatalf("probes fired at %v, want %v", probes, want)
 	}
-	// A deadline exists while rows hold charge, and lies within TRET of
-	// the last recharge.
-	if dl, ok := sys.DRAM.NextRetentionDeadline(); !ok || dl > sys.Clock+tret {
-		t.Fatalf("NextRetentionDeadline = %d,%v with clock %d", dl, ok, sys.Clock)
-	}
 }

@@ -16,12 +16,10 @@ import "fmt"
 // are observationally identical to the scalar loops they replace — same
 // final cell state, same counter totals, same trace events in the same
 // order — which the differential tests in batch_test.go and
-// internal/memctrl pin.
-//
-// On top of the batching, the storage layer's live bitmaps (arena.go) give
-// the group operations sub-linear fast paths: RefreshGroup renews a group
-// whose rows are provably untouched with a few bitmap loads, and
-// RefreshSpanDischarged does the same for a whole auto-refresh span.
+// internal/memctrl pin. A refresh takes the same loop whether or not a row
+// was ever touched: an untouched row is a nil pointer that senses fully
+// discharged, like the wired-OR detector of Section IV-B on a row that
+// never held charge.
 
 // checkLine bounds-checks one line-granular access. It is the single guard
 // a batched call performs, replacing the per-chip checkAddr/word checks of
@@ -93,7 +91,7 @@ func (w *RowWrite) Write(slot int, words [LineChips]uint64) bool {
 			idx := chip*m.cfg.Banks + w.bank
 			b := m.banks[idx]
 			if r = b[w.rowIdx]; r == nil {
-				r = m.arenas[idx].newRow(w.rowIdx, w.now)
+				r = m.slabs[w.bank].newRow(chip, w.rowIdx, w.now)
 				b[w.rowIdx] = r
 			} else if r.chargedWords > 0 && w.now-r.lastRecharge > m.cfg.Timing.TRET {
 				r.decay()
@@ -182,7 +180,7 @@ func (m *Module) ReadLineWords(bank, rowIdx, slot int, now Time) [LineChips]uint
 		b := banks[idx]
 		r := b[rowIdx]
 		if r == nil {
-			r = m.arenas[idx].newRow(rowIdx, now)
+			r = m.slabs[bank].newRow(chip, rowIdx, now)
 			b[rowIdx] = r
 		} else if r.chargedWords > 0 && now-r.lastRecharge > tret {
 			r.decay()
@@ -209,20 +207,10 @@ func (m *Module) ReadLineWords(bank, rowIdx, slot int, now Time) [LineChips]uint
 // remapped by row sparing. It is the batched equivalent of the refresh
 // engine's scalar loop of Refresh + IsSpared per chip.
 //
-// When the bank's liveAny bitmap proves no chip ever materialized a row
-// struct at any of the group's indices — the dominant case on a mostly
-// discharged bank — the whole group resolves with a few bitmap loads: no
-// row probes, no histogram observations (never-touched rows record none),
-// just the counter bump and the spare-aware status mask.
-//
 //zr:hotpath
 func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
-	}
-	if m.liveAnyGroupEmpty(bank, &rows) {
-		m.refreshes.Add(LineChips)
-		return m.groupSpareMask(&rows)
 	}
 	traced := m.tr != nil
 	tret := m.cfg.Timing.TRET
@@ -270,61 +258,6 @@ func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
 	m.refreshes.Add(LineChips)
 	if decays != 0 {
 		m.decayEvents.Add(decays)
-	}
-	return mask
-}
-
-// RefreshSpanDischarged attempts the span-level refresh fast path: if no
-// chip of the rank ever materialized a row struct in rows [lo, hi) of the
-// bank, it accounts the `groups` diagonal-group refreshes (LineChips chip-rows
-// each) the caller's step-by-step sweep over the span would perform —
-// never-touched rows mutate nothing and record no histogram age, so the
-// counter is the sweep's entire effect — and reports true. Otherwise it
-// does nothing and reports false, leaving the caller to run its per-step
-// loop. `groups` is passed separately because a staggered sweep's probe
-// span is block-aligned and can be slightly wider than the steps it
-// covers. The refresh engine uses this to resolve one whole auto-refresh
-// command over a discharged span in O(span/64) bitmap words.
-//
-//zr:hotpath
-func (m *Module) RefreshSpanDischarged(bank, lo, hi, groups int) bool {
-	if bank < 0 || bank >= m.cfg.Banks {
-		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
-	}
-	if lo < 0 || hi > m.cfg.RowsPerBank || lo >= hi {
-		return false
-	}
-	if m.liveCnt[bank] != 0 {
-		la := m.liveAny[bank]
-		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			word := la[w]
-			if w == lo>>6 {
-				word &^= 1<<(uint(lo)&63) - 1
-			}
-			if w == (hi-1)>>6 && uint(hi)&63 != 0 {
-				word &= 1<<(uint(hi)&63) - 1
-			}
-			if word != 0 {
-				return false
-			}
-		}
-	}
-	m.refreshes.Add(int64(groups) * LineChips)
-	return true
-}
-
-// groupSpareMask builds the status mask of an all-never-touched diagonal
-// group: every chip-row is discharged, so only row sparing can hold a bit
-// low. The rows are already bounds-checked by liveAnyGroupEmpty.
-func (m *Module) groupSpareMask(rows *[LineChips]int) uint16 {
-	if m.spared == nil {
-		return 1<<LineChips - 1
-	}
-	var mask uint16
-	for chip := 0; chip < LineChips; chip++ {
-		if !m.sparedRow(rows[chip]) {
-			mask |= 1 << chip
-		}
 	}
 	return mask
 }

@@ -23,12 +23,13 @@ func diagonalGroup(m *Module, base int) (rows [LineChips]int) {
 	return rows
 }
 
-// BenchmarkRefreshGroup measures one diagonal group refresh (8 chip-rows).
+// BenchmarkRefreshGroup measures one diagonal group refresh (8 chip-rows)
+// through the dense loop.
 //
-//	discharged: a bank no operation ever touched — the liveAny bitmap
-//	            fast path resolves the group with a few word loads.
-//	charged:    every group row holds charged data, so the dense loop
-//	            recharges and observes each chip-row.
+//	discharged: a bank no operation ever touched — each chip-row is a nil
+//	            pointer that senses discharged.
+//	charged:    every group row holds charged data, so the loop recharges
+//	            and observes each chip-row.
 func BenchmarkRefreshGroup(b *testing.B) {
 	b.Run("discharged", func(b *testing.B) {
 		m := benchModule()
@@ -61,8 +62,8 @@ func BenchmarkRefreshGroup(b *testing.B) {
 // BenchmarkReplayRefreshGroup measures one bulk idle-window replay of 64
 // refresh windows for a diagonal group.
 //
-//	discharged: untouched bank — the whole 64-window run collapses to a
-//	            bitmap test and one counter add.
+//	discharged: untouched bank — the per-chip loop finds eight nil rows,
+//	            so only the refresh counter moves.
 //	charged:    materialized charged rows — the per-chip closed form with
 //	            batched histogram observations.
 func BenchmarkReplayRefreshGroup(b *testing.B) {
@@ -99,25 +100,4 @@ func BenchmarkReplayRefreshGroup(b *testing.B) {
 			now += Time(windows) * period
 		}
 	})
-}
-
-// BenchmarkNextRetentionDeadline measures the event-probe scan on a rank
-// where one row per bank is charged — the sparse occupancy the charged
-// bitmaps are built for (64 discharged rows per zero-word test).
-func BenchmarkNextRetentionDeadline(b *testing.B) {
-	m := benchModule()
-	var line [LineChips]uint64
-	for i := range line {
-		line[i] = chargedFill
-	}
-	for bank := 0; bank < m.cfg.Banks; bank++ {
-		burstFill(m, bank, (bank*37)%m.cfg.RowsPerBank, line, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := m.NextRetentionDeadline(); !ok {
-			b.Fatal("expected a charged row")
-		}
-	}
 }

@@ -9,10 +9,10 @@ import (
 
 // copyGeometries returns the two geometries the copy test pins: the
 // standard 8 MB test rank and a 4× taller one, so chunked arena growth and
-// multi-word bitmaps are both exercised.
+// multi-word spared bitsets are both exercised.
 func copyGeometries() map[string]Config {
 	small := testConfig()
-	tall := DefaultConfig(32 << 20) // 1024 rows/bank: 4 bitmap words, 4 chunks
+	tall := DefaultConfig(32 << 20) // 1024 rows/bank: 4 bitset words, 4 chunks
 	tall.CellGroupRows = 64
 	return map[string]Config{"8mb": small, "32mb": tall}
 }
@@ -47,9 +47,8 @@ func driveOps(m *Module, from, to int) {
 
 // requireSameModule fails unless a and b hold the same cells and the same
 // storage layout: every row's words, charge count, recharge time, decay
-// flag and slot; every slab's cursor, free list and
-// chunk count; the charge and live bitmaps, live counts, spared rows and
-// footprint shadows.
+// flag, position and slot; every slab's cursor, free list and chunk count;
+// the spared rows and footprint shadows.
 func requireSameModule(t *testing.T, a, b *Module) {
 	t.Helper()
 	for i := range a.banks {
@@ -63,12 +62,9 @@ func requireSameModule(t *testing.T, a, b *Module) {
 			}
 			if !reflect.DeepEqual(ra.words, rb.words) || ra.chargedWords != rb.chargedWords ||
 				ra.lastRecharge != rb.lastRecharge || ra.everDecayed != rb.everDecayed ||
-				ra.slot != rb.slot || ra.idx != rb.idx {
+				ra.slot != rb.slot || ra.idx != rb.idx || ra.chip != rb.chip {
 				t.Fatalf("chip-bank %d row %d differs", i, row)
 			}
-		}
-		if !reflect.DeepEqual(a.arenas[i].charged, b.arenas[i].charged) {
-			t.Fatalf("chip-bank %d: charge bitmaps differ", i)
 		}
 	}
 	for i := range a.slabs {
@@ -77,9 +73,6 @@ func requireSameModule(t *testing.T, a, b *Module) {
 			len(sa.chunks) != len(sb.chunks) || sa.structNext != sb.structNext {
 			t.Fatalf("bank %d: slab layouts differ", i)
 		}
-	}
-	if !reflect.DeepEqual(a.liveAny, b.liveAny) || !reflect.DeepEqual(a.liveCnt, b.liveCnt) {
-		t.Fatal("live bitmaps differ")
 	}
 	if !slices.Equal(a.spared, b.spared) {
 		t.Fatal("spared rows differ")

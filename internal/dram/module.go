@@ -35,22 +35,12 @@ type Stats struct {
 type Module struct {
 	cfg Config
 	// banks[chip*cfg.Banks+bank][row] holds per-row storage; nil until
-	// a row first needs materialized state. Row structs and word storage
-	// come from the matching entry of arenas (see arena.go).
+	// a row is first activated. Row structs and word storage come from
+	// slabs[bank] (see arena.go).
 	banks [][]*row
 	// slabs[bank] is the word/struct storage pool shared by all chips of
 	// that rank-level bank; see bankSlab.
 	slabs []bankSlab
-	// arenas[chip*cfg.Banks+bank] owns the chip-bank's row structs, word
-	// slab and charge bitmap.
-	arenas []bankArena
-	// liveAny[bank] is the per-rank-level-bank "any chip has a struct
-	// here" bitset shared by that bank's arenas across all chips; see
-	// bankArena.liveAny.
-	liveAny [][]uint64
-	// liveCnt[bank] counts the set bits of liveAny[bank]; see
-	// bankArena.liveCnt.
-	liveCnt []int32
 	// wordsPerRow caches cfg.WordsPerChipRow() so the per-call hot paths
 	// skip its division chain.
 	wordsPerRow int
@@ -100,20 +90,12 @@ func New(cfg Config) *Module {
 	}
 	m.storage = newStorageStats(reg)
 	m.wordsPerRow = cfg.WordsPerChipRow()
-	m.liveAny = make([][]uint64, cfg.Banks)
-	m.liveCnt = make([]int32, cfg.Banks)
-	for b := range m.liveAny {
-		m.liveAny[b] = make([]uint64, (cfg.RowsPerBank+63)/64)
-	}
 	m.slabs = make([]bankSlab, cfg.Banks)
 	for b := range m.slabs {
 		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
 	}
-	m.arenas = make([]bankArena, LineChips*cfg.Banks)
 	for i := range m.banks {
 		m.banks[i] = make([]*row, cfg.RowsPerBank)
-		m.arenas[i].init(&m.storage, cfg.WordsPerChipRow(), cfg.RowsPerBank,
-			&m.slabs[i%cfg.Banks], m.liveAny[i%cfg.Banks], &m.liveCnt[i%cfg.Banks])
 	}
 	return m
 }
@@ -199,7 +181,7 @@ func (m *Module) activate(chip, bank, rowIdx int, now Time) *row {
 	b := m.bankOf(chip, bank)
 	r := b[rowIdx]
 	if r == nil {
-		r = m.arenas[chip*m.cfg.Banks+bank].newRow(rowIdx, now)
+		r = m.slabs[bank].newRow(chip, rowIdx, now)
 		b[rowIdx] = r
 	}
 	m.expire(r, chip, bank, rowIdx, now)

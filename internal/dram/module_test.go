@@ -213,6 +213,18 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// recountCharged recomputes a row's charged-word count from scratch, the
+// reference the incremental chargedWords bookkeeping is checked against.
+func recountCharged(words []uint64, ct CellType) int {
+	n := 0
+	for _, w := range words {
+		if ct.ChargedBits(w) != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Property: for any sequence of word writes within the retention window, a
 // read returns exactly the last value written to that slot, regardless of
 // cell type, and the charged-word bookkeeping matches a recount.

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Bulk idle-window replay.
 //
@@ -39,13 +36,6 @@ func (m *Module) ReplayRefreshGroup(bank int, rows [LineChips]int, first, period
 	}
 	if period <= 0 {
 		panic(fmt.Sprintf("dram: replay period %d must be positive", period))
-	}
-	if m.liveAnyGroupEmpty(bank, &rows) {
-		// No chip ever materialized a row struct at any group index: every
-		// replayed refresh senses never-touched rows, which record no
-		// histogram age and mutate nothing. Only the counter moves.
-		m.refreshes.Add(LineChips * windows)
-		return
 	}
 	tret := m.cfg.Timing.TRET
 	traced := m.tr != nil
@@ -109,34 +99,4 @@ func (m *Module) ReplayRefreshGroup(bank int, rows [LineChips]int, first, period
 	if decays != 0 {
 		m.decayEvents.Add(decays)
 	}
-}
-
-// NextRetentionDeadline returns the earliest instant at which a currently
-// charged chip-row will pass its retention deadline — the natural firing
-// time for an event-driven retention-expiry probe — and whether any such
-// row exists. Rows already past their deadline report their (elapsed)
-// deadline unchanged; a probe scheduled "now or earlier" should fire
-// immediately.
-//
-// The scan walks each chip-bank's charged bitmap rather than the row
-// pointers: 64 discharged rows fall to one zero-word test, so the probe
-// cost tracks the number of charged rows, not the geometry.
-func (m *Module) NextRetentionDeadline() (Time, bool) {
-	best := Time(0)
-	found := false
-	for i, b := range m.banks {
-		charged := m.arenas[i].charged
-		for wi, w := range charged {
-			for w != 0 {
-				rowIdx := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				deadline := b[rowIdx].lastRecharge + m.cfg.Timing.TRET
-				if !found || deadline < best {
-					best = deadline
-					found = true
-				}
-			}
-		}
-	}
-	return best, found
 }

@@ -26,31 +26,21 @@ type row struct {
 	// everDecayed records that the row lost charged data at least once
 	// because its refresh deadline was missed.
 	everDecayed bool
-	// arena is the chip-bank arena the row's struct and slot come from.
-	arena *bankArena
-	// idx is the row's index within its bank, for charge-bitmap updates.
-	idx int32
+	// chip and idx locate the row (its chip, and its index within the
+	// bank) for Module.CopyFrom. chip sits in everDecayed's padding, so
+	// the struct stays 64 bytes.
+	chip uint8
+	// slab is the rank-level bank slab the row's struct and slot come
+	// from.
+	slab *bankSlab
+	idx  int32
 	// slot is the arena slot backing words, or noSlot when words is nil.
 	slot int32
 }
 
-// recountCharged recomputes the charged-word count of a row from scratch;
-// used by tests and by mutation paths that rewrite the whole row. It reads
-// the words slice in place — for arena-backed rows that is a view straight
-// into the bank slab, no copy is ever taken.
-func recountCharged(words []uint64, ct CellType) int {
-	n := 0
-	for _, w := range words {
-		if ct.ChargedBits(w) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // popcountCharged returns the total number of charged cells in the row;
-// used by diagnostics and tests. Like recountCharged it operates on the
-// arena view in place without copying.
+// used by diagnostics and tests. It reads the arena view in place without
+// copying.
 func popcountCharged(words []uint64, ct CellType) int {
 	n := 0
 	for _, w := range words {
@@ -63,25 +53,24 @@ func popcountCharged(words []uint64, ct CellType) int {
 // pattern for the row's cell type. Slots are recycled, so every word is
 // rewritten — stale content from a previous tenant must never show through.
 func (r *row) materialize(ct CellType) {
-	ws, slot := r.arena.alloc()
+	ws, slot := r.slab.alloc()
 	d := ct.DischargedWord()
 	for i := range ws {
 		ws[i] = d
 	}
 	r.words = ws
 	r.slot = slot
-	r.arena.st.noteMaterialized(1)
+	r.slab.st.noteMaterialized(1)
 }
 
 // releaseWords drops a materialized row back to the storage-free fully
-// discharged representation: its arena slot returns to the free list and
-// the bank's charge bit clears. The caller has already zeroed chargedWords.
+// discharged representation: its arena slot returns to the free list. The
+// caller has already zeroed chargedWords.
 func (r *row) releaseWords() {
-	r.arena.releaseSlot(r.slot)
-	r.arena.st.noteMaterialized(-1)
+	r.slab.releaseSlot(r.slot)
+	r.slab.st.noteMaterialized(-1)
 	r.words = nil
 	r.slot = noSlot
-	r.arena.clearCharged(r.idx)
 }
 
 // readWord returns the logical value of word slot i, treating a nil row as
@@ -126,15 +115,9 @@ func (r *row) writeWordSlow(i int, v uint64, ct CellType) bool {
 
 // adjustCharged moves the charged-word count after a word crossed between
 // charged and discharged, releasing the backing slot when the row reaches
-// the fully discharged state again and maintaining the bank's charge bit at
-// both edges.
+// the fully discharged state again.
 func (r *row) adjustCharged(nowCharged bool) bool {
 	if nowCharged {
-		if r.chargedWords == 0 {
-			// 0 -> 1 only happens on the first charged word right after
-			// materialize; steady-state stores never take this branch.
-			r.arena.setCharged(r.idx)
-		}
 		r.chargedWords++
 		return false
 	}

@@ -24,9 +24,8 @@ type Tracer = trace.Sink
 // MemoryBackend is the hardware contract a refresh engine and a
 // memory-controller datapath need from a DRAM rank: line-granular reads and
 // writes (which activate, and therefore recharge, the rows), refresh of one
-// staggered diagonal group with discharged-row sensing, the span and
-// idle-window bulk refreshes, and the row-sparing predicate that gates skip
-// eligibility. Every method acts on all dram.LineChips chips of the rank at
+// staggered diagonal group with discharged-row sensing, the idle-window
+// bulk refresh, and the row-sparing predicate that gates skip eligibility. Every method acts on all dram.LineChips chips of the rank at
 // once, except Refresh, which the per-chip-status design variant issues
 // chip by chip. *dram.Module is the one production implementation; the
 // differential tests put a per-chip scalar twin behind the same contract.
@@ -58,11 +57,6 @@ type MemoryBackend interface {
 	// was fully discharged and not remapped by row sparing. Equivalent to
 	// a Refresh + IsSpared loop over the chips.
 	RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16
-	// RefreshSpanDischarged attempts the span-level refresh fast path:
-	// if no chip ever materialized a row in [lo, hi) of the bank, it
-	// accounts `groups` diagonal-group refreshes and reports true;
-	// otherwise it does nothing and the caller runs its per-step loop.
-	RefreshSpanDischarged(bank, lo, hi, groups int) bool
 	// ReplayRefreshGroup fast-forwards refresh across idle windows: one
 	// call applies `windows` evenly spaced RefreshGroup calls of a
 	// diagonal group — first at time `first`, then every `period` — with

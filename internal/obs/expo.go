@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"zerorefresh/internal/metrics"
+	"zerorefresh/internal/trace"
 )
 
 // splitSample splits a snapshot sample name into its shard prefix (the
@@ -197,43 +198,6 @@ func WritePrometheus(w io.Writer, snap metrics.Snapshot) error {
 	return err
 }
 
-// jsonString renders s as a JSON string literal (quotes, backslashes,
-// newlines and other control characters escaped).
-func jsonString(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			b.WriteString(`\"`)
-		case c == '\\':
-			b.WriteString(`\\`)
-		case c == '\n':
-			b.WriteString(`\n`)
-		case c == '\r':
-			b.WriteString(`\r`)
-		case c == '\t':
-			b.WriteString(`\t`)
-		case c < 0x20:
-			fmt.Fprintf(&b, `\u%04x`, c)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
-// jsonFloat renders a float64 as a JSON value; NaN and the infinities,
-// which JSON cannot carry, render as null.
-func jsonFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteMetricsJSON renders the snapshot as deterministic JSON: one object
 // per sample in snapshot (registration) order, each carrying its full
 // name, shard/metric split, kind, and kind-specific values. Histograms
@@ -248,27 +212,27 @@ func WriteMetricsJSON(w io.Writer, snap metrics.Snapshot) error {
 		}
 		shard, metric := splitSample(smp.Name)
 		b.WriteString("{\"name\":")
-		b.WriteString(jsonString(smp.Name))
+		b.WriteString(trace.JSONString(smp.Name))
 		if shard != "" {
 			b.WriteString(",\"shard\":")
-			b.WriteString(jsonString(shard))
+			b.WriteString(trace.JSONString(shard))
 		}
 		b.WriteString(",\"metric\":")
-		b.WriteString(jsonString(metric))
+		b.WriteString(trace.JSONString(metric))
 		switch smp.Kind {
 		case metrics.KindCounter:
 			fmt.Fprintf(&b, ",\"kind\":\"counter\",\"value\":%d", smp.Int)
 		case metrics.KindGauge:
 			b.WriteString(",\"kind\":\"gauge\",\"value\":")
-			b.WriteString(jsonFloat(smp.Float))
+			b.WriteString(trace.JSONFloat(smp.Float))
 		case metrics.KindHistogram:
 			fmt.Fprintf(&b, ",\"kind\":\"histogram\",\"count\":%d,\"sum\":%d", smp.Int, smp.Sum)
 			b.WriteString(",\"mean\":")
-			b.WriteString(jsonFloat(smp.Mean()))
+			b.WriteString(trace.JSONFloat(smp.Mean()))
 			b.WriteString(",\"p50\":")
-			b.WriteString(jsonFloat(smp.Quantile(0.50)))
+			b.WriteString(trace.JSONFloat(smp.Quantile(0.50)))
 			b.WriteString(",\"p99\":")
-			b.WriteString(jsonFloat(smp.Quantile(0.99)))
+			b.WriteString(trace.JSONFloat(smp.Quantile(0.99)))
 			b.WriteString(",\"buckets\":[")
 			for j, c := range smp.Buckets {
 				if j > 0 {

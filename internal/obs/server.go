@@ -222,7 +222,7 @@ func (p *Plane) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			fmt.Fprint(w, ",")
 		}
-		fmt.Fprintf(w, "{\"rule\":%s,\"fired\":%d,\"firing\":%t}", jsonString(rl.String()), fired[i], firing[i])
+		fmt.Fprintf(w, "{\"rule\":%s,\"fired\":%d,\"firing\":%t}", trace.JSONString(rl.String()), fired[i], firing[i])
 	}
 	fmt.Fprint(w, "],\"alerts\":[")
 	for i, a := range alerts {
@@ -230,7 +230,7 @@ func (p *Plane) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprint(w, ",")
 		}
 		fmt.Fprintf(w, "{\"rule\":%s,\"window\":%d,\"time_ns\":%d,\"value\":%s,\"threshold\":%s}",
-			jsonString(a.Rule), a.Window, int64(a.Time), jsonFloat(a.Value), jsonFloat(a.Threshold))
+			trace.JSONString(a.Rule), a.Window, int64(a.Time), trace.JSONFloat(a.Value), trace.JSONFloat(a.Threshold))
 	}
 	fmt.Fprint(w, "]}\n")
 }

@@ -63,11 +63,15 @@ func ParseRule(s string) (Rule, error) {
 	if err != nil {
 		return r, fmt.Errorf("obs: rule %q: bad threshold: %v", s, err)
 	}
+	if math.IsNaN(thr) {
+		// No value compares true against NaN: the rule could never fire.
+		return r, fmt.Errorf("obs: rule %q: threshold is NaN", s)
+	}
 	r.Threshold = thr
 	expr := rest[:op]
 	if expr, q, ok := cutLast(expr, '~'); ok {
 		qv, err := strconv.ParseFloat(q, 64)
-		if err != nil || qv <= 0 || qv > 1 {
+		if err != nil || !(qv > 0 && qv <= 1) { // NaN fails both comparisons
 			return r, fmt.Errorf("obs: rule %q: bad quantile %q (want (0,1])", s, q)
 		}
 		r.Quantile = qv

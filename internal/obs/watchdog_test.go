@@ -53,12 +53,40 @@ func TestParseRuleErrors(t *testing.T) {
 		"x:~0.5>1",          // empty metric
 		"x:m~1.5>1",         // quantile out of range
 		"x:m~zero>1",        // non-numeric quantile
+		"x:m~NaN>1",         // NaN quantile
+		"x:m>NaN",           // NaN threshold: could never fire
 		":m>1",              // empty name
 	} {
 		if _, err := ParseRule(s); err == nil {
 			t.Errorf("ParseRule(%q) succeeded, want error", s)
 		}
 	}
+}
+
+// FuzzParseRule feeds arbitrary text to the rule parser: no input may
+// panic, and every accepted rule must re-parse from its String form to an
+// equal Rule.
+func FuzzParseRule(f *testing.F) {
+	for _, s := range []string{
+		"violations:dram.decay_events>0",
+		"skiprate:refresh.steps_skipped/refresh.steps_considered<0.2",
+		"runlen99:refresh.discharged_run_len~0.99>4096",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRule(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseRule(r.String())
+		if err != nil {
+			t.Fatalf("ParseRule(%q) = %+v, but its String %q fails: %v", s, r, r.String(), err)
+		}
+		if back != r {
+			t.Fatalf("ParseRule(%q) = %+v, re-parsed from %q as %+v", s, r, r.String(), back)
+		}
+	})
 }
 
 // captureSink records alert events for assertions (test-only sink).

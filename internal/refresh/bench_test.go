@@ -50,10 +50,9 @@ func autoRefreshFixture(mode string, charged bool) func() {
 }
 
 // BenchmarkAutoRefreshSetDischarged measures one auto-refresh command over
-// a module no operation ever touched: the whole command resolves through
-// the DRAM module's liveAny bitmap span probe without materializing or
-// visiting a single row. This is the steady state of a mostly discharged
-// bank, the case the charged-bitmap storage layer is built for.
+// a module no operation ever touched: every step runs the dense per-group
+// loop over rows that are nil pointers and sense discharged, without
+// materializing a single row.
 func BenchmarkAutoRefreshSetDischarged(b *testing.B) {
 	for _, mode := range []string{"scalar", "batched"} {
 		op := autoRefreshFixture(mode, false)

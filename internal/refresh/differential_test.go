@@ -11,16 +11,15 @@ import (
 )
 
 // Differential test for the batched refresh step: an engine on a
-// *dram.Module, whose RefreshGroup and span calls serve a diagonal group or
-// a whole command at once, is driven against a twin on scalarBackend, the
-// per-chip oracle, under identical write traffic with spared rows,
-// per-chip-status and all-bank variants. Every AR result, counter, trace
-// event and module state must match.
+// *dram.Module, whose RefreshGroup call serves a whole diagonal group at
+// once, is driven against a twin on scalarBackend, the per-chip oracle,
+// under identical write traffic with spared rows, per-chip-status and
+// all-bank variants. Every AR result, counter, trace event and module state
+// must match.
 
 // scalarBackend is the per-chip oracle behind the backend contract: it
-// wraps a *dram.Module, refreshes a diagonal group with one Refresh +
-// IsSpared call per chip, and never takes the span fast path, so an engine
-// on it runs the per-step sweep the batched calls must reproduce.
+// wraps a *dram.Module and refreshes a diagonal group with one Refresh +
+// IsSpared call per chip, the loop the batched call must reproduce.
 type scalarBackend struct{ *dram.Module }
 
 func (b scalarBackend) RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16 {
@@ -32,8 +31,6 @@ func (b scalarBackend) RefreshGroup(bank int, rows [dram.LineChips]int, now dram
 	}
 	return mask
 }
-
-func (scalarBackend) RefreshSpanDischarged(bank, lo, hi, groups int) bool { return false }
 
 func diffEngines(t *testing.T, cfg Config, sparedEvery int) (batched, scalar *Engine, mods [2]*dram.Module, trs [2]*trace.Tracer) {
 	t.Helper()
@@ -121,13 +118,11 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRefreshSpanFastMatchesScalar drives the untraced batched engine —
-// the only configuration in which the whole-command discharged-span fast
-// path may engage — against the untraced scalar twin, over traffic sparse
-// enough that most auto-refresh commands cover fully discharged spans.
-// Counters, statuses and module state must be indistinguishable from the
-// per-step sweep.
-func TestRefreshSpanFastMatchesScalar(t *testing.T) {
+// TestUntracedSparseMatchesScalar drives the untraced batched engine
+// against the untraced scalar twin, over traffic sparse enough that most
+// auto-refresh commands cover only never-touched rows. Counters, statuses
+// and module state must be indistinguishable from the per-chip sweep.
+func TestUntracedSparseMatchesScalar(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"staggered":   {Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true},
 		"unstaggered": {Skip: true, RowsPerAR: 32, StatusInDRAM: true},
@@ -145,8 +140,8 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 			rng := rand.New(rand.NewSource(71))
 			now := dram.Time(0)
 			for cycle := 0; cycle < 5; cycle++ {
-				// Sparse writes: most AR commands keep a fully discharged
-				// span, a few get live rows and fall back per-step.
+				// Sparse writes: most AR commands cover only untouched
+				// rows, a few cover live ones.
 				for i := 0; i < 6; i++ {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)

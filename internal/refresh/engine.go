@@ -8,7 +8,6 @@ package refresh
 
 import (
 	"fmt"
-	"math/bits"
 
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/engine"
@@ -377,72 +376,6 @@ func (e *Engine) noteRefresh(bank, n, chipRows int, now dram.Time) {
 	}
 }
 
-// refreshSpanFast resolves one whole learning-pass auto-refresh command at
-// once when the DRAM module proves the command's entire row span
-// discharged and unmaterialized: every refresh step would hit a
-// never-touched diagonal group, so the per-step sweep reduces to the
-// module's span-level counter accounting plus spare-aware status masks the
-// engine can derive from the sparing bitset alone. Returns false — leaving
-// the caller's per-step loop to run — when tracing is on (the loop owns
-// per-step event emission) or when the backend finds a live row in the
-// span.
-func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
-	if e.tr != nil {
-		return false
-	}
-	steps := e.cfg.RowsPerAR
-	lo, hi := first, first+steps
-	if e.cfg.Stagger {
-		// Staggered steps permute rows within blocks of LineChips, so the
-		// probe span is the block-aligned hull of the step range.
-		lo = lo / dram.LineChips * dram.LineChips
-		hi = (hi + dram.LineChips - 1) / dram.LineChips * dram.LineChips
-	}
-	if !e.mod.RefreshSpanDischarged(bank, lo, hi, steps) {
-		return false
-	}
-	status := e.status[bank]
-	runs := e.skipRun[bank]
-	if e.cfg.Stagger {
-		curBlock := -1
-		var q uint8
-		for n := first; n < first+steps; n++ {
-			if b := n / dram.LineChips * dram.LineChips; b != curBlock {
-				curBlock = b
-				q = 0
-				for j := 0; j < dram.LineChips; j++ {
-					if !e.mod.IsSpared(b + j) {
-						q |= 1 << j
-					}
-				}
-			}
-			// Step n's chip c refreshes row block+(c+n)%LineChips, so its
-			// status mask is the block's non-spared pattern rotated by
-			// the stagger offset.
-			status[n] = uint16(bits.RotateLeft8(q, -(n % dram.LineChips)))
-			if runs[n] > 0 {
-				e.dischargedRunLen.Observe(int64(runs[n]))
-				runs[n] = 0
-			}
-		}
-	} else {
-		for n := first; n < first+steps; n++ {
-			if e.mod.IsSpared(n) {
-				status[n] = 0
-			} else {
-				status[n] = fullMask
-			}
-			if runs[n] > 0 {
-				e.dischargedRunLen.Observe(int64(runs[n]))
-				runs[n] = 0
-			}
-		}
-	}
-	res.Refreshed = steps
-	res.ChipRefreshed = steps * dram.LineChips
-	return true
-}
-
 // AutoRefreshSet executes one auto-refresh command for the given AR set of
 // one bank (Section IV-B):
 //
@@ -461,16 +394,11 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 	var res ARResult
 	first := set * e.cfg.RowsPerAR
 	if e.accessBit(bank, set) {
-		if e.refreshSpanFast(bank, first, &res) {
-			// Whole-command fast path: statuses, skip runs and counters
-			// are already accounted; fall through to the shared tail.
-		} else {
-			for n := first; n < first+e.cfg.RowsPerAR; n++ {
-				e.status[bank][n] = e.refreshStep(bank, n, now)
-				e.noteRefresh(bank, n, dram.LineChips, now)
-				res.Refreshed++
-				res.ChipRefreshed += dram.LineChips
-			}
+		for n := first; n < first+e.cfg.RowsPerAR; n++ {
+			e.status[bank][n] = e.refreshStep(bank, n, now)
+			e.noteRefresh(bank, n, dram.LineChips, now)
+			res.Refreshed++
+			res.ChipRefreshed += dram.LineChips
 		}
 		e.clearAccessBit(bank, set)
 		if e.cfg.StatusInDRAM {

@@ -8,6 +8,7 @@ import (
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/memctrl"
 	"zerorefresh/internal/metrics"
+	"zerorefresh/internal/trace"
 )
 
 // The observability experiments: a small end-to-end smoke run whose trace
@@ -106,7 +107,7 @@ func TimelineCSV(epochs []core.Epoch) string {
 			ep.Window, ep.Start, ep.End,
 			ep.Stats.Steps, ep.Stats.Refreshed, ep.Stats.Skipped,
 			ep.Stats.TableRows, ep.Stats.ARCommands, ep.Stats.FullySkippedARs,
-			jsonFloat(ep.Stats.NormalizedRefresh()))
+			trace.JSONFloat(ep.Stats.NormalizedRefresh()))
 		byName := make(map[string]metrics.Sample, len(ep.Delta.Samples))
 		for _, smp := range ep.Delta.Samples {
 			byName[smp.Name] = smp
@@ -115,7 +116,7 @@ func TimelineCSV(epochs []core.Epoch) string {
 			b.WriteByte(',')
 			smp := byName[name]
 			if smp.Kind == metrics.KindGauge {
-				b.WriteString(jsonFloat(smp.Float))
+				b.WriteString(trace.JSONFloat(smp.Float))
 			} else {
 				fmt.Fprintf(&b, "%d", smp.Int)
 			}
@@ -141,16 +142,16 @@ func TimelineJSON(epochs []core.Epoch) string {
 			ep.Window, ep.Start, ep.End,
 			ep.Stats.Steps, ep.Stats.Refreshed, ep.Stats.Skipped, ep.Stats.TableRows,
 			ep.Stats.ARCommands, ep.Stats.FullySkippedARs,
-			jsonFloat(ep.Stats.NormalizedRefresh()))
+			trace.JSONFloat(ep.Stats.NormalizedRefresh()))
 		for j, smp := range ep.Delta.Samples {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(jsonString(smp.Name))
+			b.WriteString(trace.JSONString(smp.Name))
 			b.WriteByte(':')
 			switch smp.Kind {
 			case metrics.KindGauge:
-				b.WriteString(jsonFloat(smp.Float))
+				b.WriteString(trace.JSONFloat(smp.Float))
 			case metrics.KindHistogram:
 				fmt.Fprintf(&b, "{\"count\":%d,\"sum\":%d,\"buckets\":[", smp.Int, smp.Sum)
 				for k, c := range smp.Buckets {

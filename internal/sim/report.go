@@ -8,12 +8,11 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 
 	"zerorefresh/internal/core"
 	"zerorefresh/internal/metrics"
+	"zerorefresh/internal/trace"
 )
 
 // Table is a generic experiment result: named rows of float columns.
@@ -179,13 +178,13 @@ func csvEscape(s string) string {
 func (t *Table) JSON() string {
 	var b strings.Builder
 	b.WriteString("{\"title\":")
-	b.WriteString(jsonString(t.Title))
+	b.WriteString(trace.JSONString(t.Title))
 	b.WriteString(",\"columns\":[")
 	for i, c := range t.Columns {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(jsonString(c))
+		b.WriteString(trace.JSONString(c))
 	}
 	b.WriteString("],\"rows\":[")
 	for i, r := range t.Rows {
@@ -193,57 +192,20 @@ func (t *Table) JSON() string {
 			b.WriteByte(',')
 		}
 		b.WriteString("{\"name\":")
-		b.WriteString(jsonString(r.Name))
+		b.WriteString(trace.JSONString(r.Name))
 		b.WriteString(",\"values\":[")
 		for j, v := range r.Values {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(jsonFloat(v))
+			b.WriteString(trace.JSONFloat(v))
 		}
 		b.WriteString("]}")
 	}
 	b.WriteString("],\"note\":")
-	b.WriteString(jsonString(t.Note))
+	b.WriteString(trace.JSONString(t.Note))
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// jsonString quotes s as a JSON string with only the escapes JSON defines.
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
-// jsonFloat formats v as a JSON number. JSON has no NaN/Inf; they render
-// as null, which unmarshals to a zero float.
-func jsonFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Experiment is one entry of the experiment catalogue: every reported

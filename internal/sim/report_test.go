@@ -104,26 +104,26 @@ func TestMetricsTableExpandsHistograms(t *testing.T) {
 	}
 }
 
+// TestJSONStringEscapes checks that every string field of a table's JSON
+// escapes quotes, backslashes and control characters.
 func TestJSONStringEscapes(t *testing.T) {
-	got := jsonString("a\"b\\c\nd\te\rf\x01g")
-	want := `"a\"b\\c\nd\te\rf\u0001g"`
-	if got != want {
-		t.Fatalf("jsonString = %q, want %q", got, want)
+	s := "a\"b\\c\nd\te\rf\x01g"
+	tb := &Table{Title: s, Columns: []string{s}, Note: s}
+	tb.AddRow(s)
+	q := `"a\"b\\c\nd\te\rf\u0001g"`
+	want := `{"title":` + q + `,"columns":[` + q + `],"rows":[{"name":` + q + `,"values":[]}],"note":` + q + "}\n"
+	if got := tb.JSON(); got != want {
+		t.Fatalf("JSON() = %q, want %q", got, want)
 	}
 }
 
+// TestJSONFloat checks a table's JSON values: shortest round-trip numbers,
+// and null for NaN and the infinities, which JSON cannot carry.
 func TestJSONFloat(t *testing.T) {
-	cases := map[float64]string{
-		0.5:          "0.5",
-		3:            "3",
-		math.NaN():   "null",
-		math.Inf(1):  "null",
-		math.Inf(-1): "null",
-		1.0 / 3:      "0.3333333333333333", // shortest round-trip form
-	}
-	for v, want := range cases {
-		if got := jsonFloat(v); got != want {
-			t.Fatalf("jsonFloat(%v) = %q, want %q", v, got, want)
-		}
+	tb := &Table{}
+	tb.AddRow("r", 0.5, 3, math.NaN(), math.Inf(1), math.Inf(-1), 1.0/3)
+	want := `{"title":"","columns":[],"rows":[{"name":"r","values":[0.5,3,null,null,null,0.3333333333333333]}],"note":""}` + "\n"
+	if got := tb.JSON(); got != want {
+		t.Fatalf("JSON() = %q, want %q", got, want)
 	}
 }

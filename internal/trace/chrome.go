@@ -27,7 +27,7 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 		head = append(head, `{"name":"thread_name","ph":"M","pid":0,"tid":`...)
 		head = strconv.AppendInt(head, int64(s.ID()), 10)
 		head = append(head, `,"args":{"name":`...)
-		head = strconv.AppendQuote(head, s.Label())
+		head = append(head, JSONString(s.Label())...)
 		head = append(head, "}}"...)
 	}
 	// Every event follows its shard's thread_name record, so each one
@@ -63,11 +63,11 @@ func appendChromeRecord(dst []byte, e Event) []byte {
 	return append(dst, "}}"...)
 }
 
-// quotedKindNames holds each kind's name as %q renders it, and at
+// quotedKindNames holds each kind's name as a JSON string literal, and at
 // numKinds the name every out-of-range kind shares.
 var quotedKindNames = func() (q [numKinds + 1]string) {
 	for k := range q {
-		q[k] = strconv.Quote(Kind(k).String())
+		q[k] = JSONString(Kind(k).String())
 	}
 	return q
 }()

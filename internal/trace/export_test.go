@@ -48,7 +48,7 @@ func eventsBySort(t *Tracer) []Event {
 func writeNDJSONSerial(w io.Writer, t *Tracer) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range t.Shards() {
-		if _, err := fmt.Fprintf(bw, "{\"kind\":\"meta.shard\",\"shard\":%d,\"name\":%q}\n", s.id, s.label); err != nil {
+		if _, err := fmt.Fprintf(bw, "{\"kind\":\"meta.shard\",\"shard\":%d,\"name\":%s}\n", s.id, JSONString(s.label)); err != nil {
 			return err
 		}
 	}
@@ -65,7 +65,7 @@ func writeNDJSONSerial(w io.Writer, t *Tracer) error {
 
 // writeChromeFmt is the reference Chrome writer: one fmt.Fprintf per
 // record, over the reference merge. appendChromeRecord must match its
-// bytes exactly, including %q names and %d.%03d for negative times.
+// bytes exactly, including %q kind names and %d.%03d for negative times.
 func writeChromeFmt(w io.Writer, t *Tracer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
@@ -80,8 +80,8 @@ func writeChromeFmt(w io.Writer, t *Tracer) error {
 		}
 		first = false
 		if _, err := fmt.Fprintf(bw,
-			`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%q}}`,
-			s.id, s.label); err != nil {
+			`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%s}}`,
+			s.id, JSONString(s.label)); err != nil {
 			return err
 		}
 	}

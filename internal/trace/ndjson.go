@@ -69,7 +69,7 @@ func WriteNDJSON(w io.Writer, t *Tracer) error {
 		head = append(head, `{"kind":"meta.shard","shard":`...)
 		head = strconv.AppendInt(head, int64(s.ID()), 10)
 		head = append(head, `,"name":`...)
-		head = strconv.AppendQuote(head, s.Label())
+		head = append(head, JSONString(s.Label())...)
 		head = append(head, "}\n"...)
 	}
 	return writeBlocks(w, head, mergeShards(shards), appendNDJSONLine, nil)
