@@ -15,6 +15,14 @@
 // Every renderer in this package is byte-deterministic: integer
 // formatting throughout, floats in Go's shortest round-trip form, fixed
 // iteration orders. The golden tests pin the exact bytes.
+//
+// A Chrome document round-trips only times that are non-negative or whole
+// microseconds: trace.WriteChrome renders a negative time with a remainder
+// the way fmt's "%d.%03d" does (-5 ns as 0.-05), which is not a JSON
+// number, so Read rejects the document. A ts in JSON's own negative form
+// (-0.005) reads exactly. The simulator's clock starts at 0 and only
+// advances, so no export it writes holds a negative time; NDJSON carries
+// any time exactly.
 package attr
 
 import (
@@ -22,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -141,24 +150,34 @@ func readChrome(data []byte) (*Stream, error) {
 	return s, nil
 }
 
-// chromeTsNs reconstructs the nanosecond timestamp from the exporter's
-// fixed "<us>.<3-digit-frac>" microsecond form with integer arithmetic,
-// so the round trip through Chrome JSON is exact.
+// chromeTsNs reconstructs the nanosecond timestamp from a Chrome "ts" in
+// microseconds with at most three decimals — the exporter writes exactly
+// three — with integer arithmetic, so the round trip through Chrome JSON is
+// exact. A leading minus sign negates the whole value; a ts finer than a
+// nanosecond or beyond the int64 nanosecond range is an error.
 func chromeTsNs(ts string) (int64, error) {
-	us, frac := ts, "0"
-	if i := strings.IndexByte(ts, '.'); i >= 0 {
-		us, frac = ts[:i], ts[i+1:]
-	}
-	u, err := strconv.ParseInt(us, 10, 64)
-	if err != nil {
+	digits, neg := strings.CutPrefix(ts, "-")
+	us, frac, _ := strings.Cut(digits, ".")
+	u, err := strconv.ParseUint(us, 10, 64)
+	if err != nil || u > math.MaxInt64/1000 || len(frac) > 3 {
 		return 0, fmt.Errorf("bad ts %q", ts)
 	}
-	f, err := strconv.ParseInt(frac, 10, 64)
-	if err != nil || f < 0 {
+	ns := u * 1000
+	if frac != "" {
+		f, err := strconv.ParseUint(frac, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("bad ts %q", ts)
+		}
+		for d := len(frac); d < 3; d++ {
+			f *= 10
+		}
+		ns += f
+	}
+	if ns > math.MaxInt64 {
 		return 0, fmt.Errorf("bad ts %q", ts)
 	}
-	for d := len(frac); d < 3; d++ {
-		f *= 10
+	if neg {
+		return -int64(ns), nil
 	}
-	return u*1000 + f, nil
+	return int64(ns), nil
 }

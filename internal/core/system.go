@@ -379,12 +379,13 @@ func (s *System) checkPage(page int) error {
 	return nil
 }
 
-// WritePage stores one full page through the datapath, fetching each line
-// from content(lineIdx). A page is one rank-level row, so it is stored as
-// one row burst (Controller.WriteRow) with exactly the effects of one
-// WriteLineAt per line in line order. A page outside [0, Pages()) is an
+// WritePage stores one full page through the datapath. fill writes every
+// word of the page's lines, in line order, straight into the controller's
+// staging row: one call per page. A page is one rank-level row, so it is
+// stored as one row burst (Controller.WriteRow) with exactly the effects of
+// one WriteLineAt per line in line order. A page outside [0, Pages()) is an
 // error.
-func (s *System) WritePage(page int, content func(line int) [64]byte) error {
+func (s *System) WritePage(page int, fill func(lines []transform.Line)) error {
 	if err := s.checkPage(page); err != nil {
 		return err
 	}
@@ -392,7 +393,7 @@ func (s *System) WritePage(page int, content func(line int) [64]byte) error {
 	if err != nil {
 		return err
 	}
-	return u.Controller.WriteRow(local, content, s.Clock)
+	return u.Controller.WriteRow(local, fill, s.Clock)
 }
 
 // FillPageFromProfile writes benchmark content into a page, addressing the
@@ -408,22 +409,24 @@ func (s *System) FillPageFromProfile(prof workload.Profile, page int, contentSee
 // FillPage is FillPageFromProfile with the caller's generator: a run that
 // fills many pages holds one, so consecutive pages continue its last
 // chunk's class instead of each resolving its first chunk from scratch.
+// The generator writes each line's words into the staging row.
 func (s *System) FillPage(gen *workload.LineGen, page int, version uint64) error {
-	lines := uint64(s.DRAM.Config().RowBytes / dram.LineBytes)
-	base := uint64(page) * lines
-	return s.WritePage(page, func(ln int) [64]byte {
-		return gen.Line(base+uint64(ln), version)
+	base := uint64(page) * uint64(s.DRAM.Config().LinesPerRow())
+	return s.WritePage(page, func(lines []transform.Line) {
+		for i := range lines {
+			gen.LineWords(&lines[i], base+uint64(i), version)
+		}
 	})
 }
 
 // CleansePage zero-fills a page through the datapath, as the OS's
 // free-time cleansing would (Section III-B): a WritePage of zero lines.
 func (s *System) CleansePage(page int) error {
-	return s.WritePage(page, zeroLine)
+	return s.WritePage(page, clearLines)
 }
 
-// zeroLine is the content of every line of a cleansed page.
-func zeroLine(int) [64]byte { return [64]byte{} }
+// clearLines fills a cleansed page: every line zero.
+func clearLines(lines []transform.Line) { clear(lines) }
 
 // RunWindow executes one full retention window of refresh activity on
 // every rank and advances the clock to its end.

@@ -112,3 +112,31 @@ func checkFillPageMatchesLineWrites(t *testing.T, opts transform.Options) {
 		t.Fatalf("NDJSON exports diverged (%d vs %d bytes)", a.Len(), b.Len())
 	}
 }
+
+// BenchmarkFillPage times production's page fill on one 16 MB system:
+// content generation into the staging row, the transform's encode, the
+// chip mapping's scatter and the row burst, pages in order as a sweep's
+// populate writes them with one held generator. A first pass materializes
+// every row, so the loop measures the steady state; each later pass refills
+// with a new version.
+func BenchmarkFillPage(b *testing.B) {
+	sys, err := NewSystem(DefaultConfig(16 << 20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, _ := workload.ByName("mcf")
+	gen := prof.Lines(1)
+	n := sys.Pages()
+	for p := 0; p < n; p++ {
+		if err := sys.FillPage(&gen, p, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.FillPage(&gen, i%n, uint64(1+i/n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

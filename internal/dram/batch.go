@@ -68,12 +68,13 @@ func (m *Module) BeginRowWrite(bank, rowIdx int, now Time) RowWrite {
 }
 
 // Write stores words[c] into word slot `slot` of the burst's row in chip c
-// — one scattered cacheline — and reports whether every chip-row is fully
-// discharged afterwards. It is the one store loop of the batched datapath:
-// WriteLineWords is a one-slot burst.
+// — one scattered cacheline, read through the pointer in place — and
+// reports whether every chip-row is fully discharged afterwards. It is the
+// one store loop of the batched datapath: WriteLineWords is a one-slot
+// burst.
 //
 //zr:hotpath
-func (w *RowWrite) Write(slot int, words [LineChips]uint64) bool {
+func (w *RowWrite) Write(slot int, words *[LineChips]uint64) bool {
 	m := w.m
 	if uint(slot) >= uint(m.wordsPerRow) {
 		m.checkLine(w.bank, w.rowIdx, slot) // out of range: the bounds panic
@@ -156,7 +157,7 @@ func (w *RowWrite) End() {
 //zr:hotpath
 func (m *Module) WriteLineWords(bank, rowIdx, slot int, words [LineChips]uint64, now Time) bool {
 	w := m.BeginRowWrite(bank, rowIdx, now)
-	all := w.Write(slot, words)
+	all := w.Write(slot, &words)
 	w.End()
 	return all
 }

@@ -81,7 +81,7 @@ func scalarWriteLine(m *Module, bank, row, slot int, words [LineChips]uint64, no
 func burstFill(m *Module, bank, row int, words [LineChips]uint64, now Time) {
 	w := m.BeginRowWrite(bank, row, now)
 	for slot := 0; slot < m.wordsPerRow; slot++ {
-		w.Write(slot, words)
+		w.Write(slot, &words)
 	}
 	w.End()
 }
@@ -206,7 +206,7 @@ func TestRowBurstMatchesScalar(t *testing.T) {
 					words[c] = rng.Uint64()
 				}
 			}
-			if gb, gs := w.Write(slot, words), scalarWriteLine(scalar, bank, row, slot, words, now); gb != gs {
+			if gb, gs := w.Write(slot, &words), scalarWriteLine(scalar, bank, row, slot, words, now); gb != gs {
 				t.Fatalf("burst %d slot %d: all-discharged %v, scalar %v", i, slot, gb, gs)
 			}
 		}
@@ -259,7 +259,7 @@ func TestBatchedBoundsPanics(t *testing.T) {
 		"bad slot": func() { m.WriteLineWords(0, 0, m.Config().WordsPerChipRow(), [LineChips]uint64{}, 0) },
 		"bad burst slot": func() {
 			w := m.BeginRowWrite(0, 0, 0)
-			w.Write(-1, [LineChips]uint64{})
+			w.Write(-1, &[LineChips]uint64{})
 		},
 		"bad group row": func() {
 			m.RefreshGroup(0, [LineChips]int{0, 1, 2, 3, 4, 5, 6, -1}, 0)

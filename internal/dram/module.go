@@ -35,8 +35,9 @@ type Stats struct {
 type Module struct {
 	cfg Config
 	// banks[chip*cfg.Banks+bank][row] holds per-row storage; nil until
-	// a row is first activated. Row structs and word storage come from
-	// slabs[bank] (see arena.go).
+	// a row is first activated. The chip-banks' slices share one backing
+	// array. Row structs and word storage come from slabs[bank] (see
+	// arena.go).
 	banks [][]*row
 	// slabs[bank] is the word/struct storage pool shared by all chips of
 	// that rank-level bank; see bankSlab.
@@ -94,8 +95,14 @@ func New(cfg Config) *Module {
 	for b := range m.slabs {
 		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
 	}
+	// Every chip-bank's row pointers come from one backing array, cut into
+	// full slices of it: one allocation per module, so the collector
+	// paces one large allocation instead of growing its goal through
+	// LineChips*Banks of them.
+	rows := make([]*row, len(m.banks)*cfg.RowsPerBank)
 	for i := range m.banks {
-		m.banks[i] = make([]*row, cfg.RowsPerBank)
+		lo, hi := i*cfg.RowsPerBank, (i+1)*cfg.RowsPerBank
+		m.banks[i] = rows[lo:hi:hi]
 	}
 	return m
 }

@@ -23,21 +23,20 @@ type Tracer = trace.Sink
 
 // MemoryBackend is the hardware contract a refresh engine and a
 // memory-controller datapath need from a DRAM rank: line-granular reads and
-// writes (which activate, and therefore recharge, the rows), refresh of one
-// staggered diagonal group with discharged-row sensing, the idle-window
-// bulk refresh, and the row-sparing predicate that gates skip eligibility. Every method acts on all dram.LineChips chips of the rank at
-// once, except Refresh, which the per-chip-status design variant issues
-// chip by chip. *dram.Module is the one production implementation; the
-// differential tests put a per-chip scalar twin behind the same contract.
+// writes (which activate, and therefore recharge, the rows), row bursts,
+// refresh of one staggered diagonal group with discharged-row sensing that
+// leaves spared rows (row sparing's remapped rows, which must never skip
+// refresh) out of the status mask, and the idle-window bulk refresh. Every
+// method acts on all dram.LineChips chips of the rank at once, except
+// Refresh, which the per-chip-status design variant issues chip by chip.
+// *dram.Module is the one production implementation; the differential
+// tests put a per-chip scalar twin behind the same contract.
 type MemoryBackend interface {
 	// Config returns the rank geometry.
 	Config() dram.Config
 	// Refresh recharges one chip-row and reports whether it was fully
 	// discharged.
 	Refresh(chip, bank, rowIdx int, now dram.Time) (discharged bool)
-	// IsSpared reports whether the rank-level row is remapped by row
-	// sparing (spared rows must never skip refresh).
-	IsSpared(rowIdx int) bool
 
 	// WriteLineWords stores words[c] into word slot `slot` of (bank, row)
 	// in chip c for all chips at once — one scattered cacheline — and
@@ -55,7 +54,7 @@ type MemoryBackend interface {
 	// RefreshGroup refreshes rows[c] in chip c — one staggered refresh
 	// diagonal — and returns the status mask: bit c set iff chip c's row
 	// was fully discharged and not remapped by row sparing. Equivalent to
-	// a Refresh + IsSpared loop over the chips.
+	// a loop over the chips of Refresh and dram.Module.IsSpared.
 	RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16
 	// ReplayRefreshGroup fast-forwards refresh across idle windows: one
 	// call applies `windows` evenly spaced RefreshGroup calls of a

@@ -59,6 +59,16 @@ func benchLines(n int) [][64]byte {
 	return lines
 }
 
+// rowFill returns a WriteRow fill that copies lines, as words, into the
+// staging row.
+func rowFill(lines [][64]byte) func([]transform.Line) {
+	words := make([]transform.Line, len(lines))
+	for i := range lines {
+		words[i] = transform.LineFromBytes(&lines[i])
+	}
+	return func(row []transform.Line) { copy(row, words) }
+}
+
 func BenchmarkWriteLine(b *testing.B) {
 	const working = 1024
 	lines := benchLines(working)
@@ -123,7 +133,7 @@ func BenchmarkWriteRow(b *testing.B) {
 		ctrl := benchController(codec)
 		addrs := benchAddrs(ctrl, 256)
 		row := benchLines(ctrl.Module().Config().LinesPerRow())
-		content := func(i int) [64]byte { return row[i] }
+		fill := rowFill(row)
 		b.Run(codec+"/lines", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -138,7 +148,7 @@ func BenchmarkWriteRow(b *testing.B) {
 		b.Run(codec+"/row", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := ctrl.WriteRow(addrs[i%len(addrs)], content, 0); err != nil {
+				if err := ctrl.WriteRow(addrs[i%len(addrs)], fill, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -158,9 +168,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		addrs := benchAddrs(ctrl, working)
 		k := 0
 		next := func() int { k = (k + 1) % working; return k }
-		content := func(i int) [64]byte { return lines[i] }
+		fill := rowFill(lines[:ctrl.Module().Config().LinesPerRow()])
 		checks := map[string]func() error{
-			"WriteRow/batched":  func() error { return ctrl.WriteRow(addrs[next()], content, 0) },
+			"WriteRow/batched":  func() error { return ctrl.WriteRow(addrs[next()], fill, 0) },
 			"WriteLine/batched": func() error { i := next(); return ctrl.WriteLine(addrs[i], lines[i], 0) },
 			"WriteLine/scalar":  func() error { i := next(); return ctrl.writeLineScalar(addrs[i], lines[i], 0) },
 			"ReadLine/batched":  func() error { _, err := ctrl.ReadLine(addrs[next()], 0); return err },

@@ -29,8 +29,9 @@ type Controller struct {
 	linesRead    *metrics.Counter
 	linesWritten *metrics.Counter
 
-	// row stages one rank-level row of lines for WriteRow, which encodes
-	// it in place.
+	// row stages one rank-level row of lines for WriteRow, which fills,
+	// encodes and scatters it in place and stores it from there; WriteLine
+	// stages its one line in row[0].
 	row []transform.Line
 
 	// tr receives writeback events when tracing is enabled; nil otherwise.
@@ -76,9 +77,10 @@ func (c *Controller) LinesRead() int64 { return c.linesRead.Load() }
 func (c *Controller) LinesWritten() int64 { return c.linesWritten.Load() }
 
 // WriteLine stores a 64-byte cacheline at the line-aligned physical
-// address, transforming and rotating it on the way. The scattered words
-// reach the rank through one batched backend call; the differential tests
-// pin it against a scalar twin that issues one WriteWord per chip.
+// address, transforming and rotating it on the way: the line is scattered
+// as a one-line row. The scattered words reach the rank through one
+// batched backend call; the differential tests pin it against a scalar
+// twin that issues one WriteWord per chip.
 //
 //zr:hotpath
 func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error {
@@ -86,8 +88,10 @@ func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error 
 	if err != nil {
 		return err
 	}
-	enc := c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
-	c.mod.WriteLineWords(loc.Bank, loc.Row, loc.Slot, c.mapping.Scatter(enc, loc.Row), now)
+	line := c.row[:1]
+	line[0] = c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
+	c.mapping.Scatter(line, loc.Row)
+	c.mod.WriteLineWords(loc.Bank, loc.Row, loc.Slot, line[0], now)
 	c.noteLineWritten(loc, now)
 	return nil
 }
@@ -122,9 +126,12 @@ func writeback(bank, row, slot int, now dram.Time) trace.Event {
 	}
 }
 
-// WriteRow stores a whole rank-level row — the row containing addr, line i
-// from content(i) — as one row burst: the row's lines are encoded in place
-// in one EncodeRow call, each chip-row is activated once, and the
+// WriteRow stores a whole rank-level row — the row containing addr — as
+// one row burst that copies no line. fill writes every word of the row's
+// lines, in line order, straight into the controller's staging row; the
+// lines are then encoded in place in one EncodeRow call, scattered in place
+// in one Scatter call, and each slot's chip words are stored through a
+// pointer into the staging row. Each chip-row is activated once, and the
 // bookkeeping is one address translation, one refresh-policy notification
 // and one counter Add per row. Cell state, counters and the per-shard trace
 // order are exactly those of one WriteLine per slot in slot order: each
@@ -132,20 +139,18 @@ func writeback(bank, row, slot int, now dram.Time) trace.Event {
 // tests pin it against the scalar line loop.
 //
 //zr:hotpath
-func (c *Controller) WriteRow(addr uint64, content func(line int) [64]byte, now dram.Time) error {
+func (c *Controller) WriteRow(addr uint64, fill func(lines []transform.Line), now dram.Time) error {
 	loc, err := c.amap.Locate(c.amap.RowBase(addr))
 	if err != nil {
 		return err
 	}
 	lines := c.row
-	for i := range lines {
-		b := content(i)
-		lines[i] = transform.LineFromBytes(&b)
-	}
+	fill(lines)
 	c.pipe.EncodeRow(lines, loc.Row)
+	c.mapping.Scatter(lines, loc.Row)
 	w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
-	for slot, l := range lines {
-		w.Write(slot, c.mapping.Scatter(l, loc.Row))
+	for slot := range lines {
+		w.Write(slot, (*[dram.LineChips]uint64)(&lines[slot]))
 		if c.tr != nil {
 			c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
 		}

@@ -185,7 +185,7 @@ func TestZeroRowFullySkips(t *testing.T) {
 		}
 	}
 	eng.RunCycle(0)
-	if err := ctrl.WriteRow(ctrl.AddressMap().Address(Location{Bank: 3, Row: 40, Slot: 0}), zeroLine, tret); err != nil {
+	if err := ctrl.WriteRow(ctrl.AddressMap().Address(Location{Bank: 3, Row: 40, Slot: 0}), clearLines, tret); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunCycle(tret) // full refresh of the written set; learns zeros

@@ -55,7 +55,7 @@ func newDiffStack(opts transform.Options) *diffStack {
 
 // randomLine mixes the content classes the transform cares about: zero
 // lines, value-local lines (small deltas around a base) and uniform noise.
-func randomLine(rng *rand.Rand) [64]byte {
+func randomLine(rng *rand.Rand) transform.Line {
 	var l transform.Line
 	switch rng.Intn(4) {
 	case 0: // zero
@@ -70,7 +70,7 @@ func randomLine(rng *rand.Rand) [64]byte {
 			l[i] = rng.Uint64()
 		}
 	}
-	return l.Bytes()
+	return l
 }
 
 func compareStacks(t *testing.T, opts transform.Options, batched, scalar *diffStack) {
@@ -119,8 +119,8 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 		cfg := batched.mod.Config()
 		tret := cfg.Timing.TRET
 		capacity := uint64(cfg.Capacity())
-		row := make([][64]byte, cfg.LinesPerRow())
-		content := func(i int) [64]byte { return row[i] }
+		row := make([]transform.Line, cfg.LinesPerRow())
+		fill := func(lines []transform.Line) { copy(lines, row) }
 		now := dram.Time(0)
 		window := 0
 		var rowDecays int64
@@ -133,17 +133,17 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 					row[j] = randomLine(rng)
 				}
 				before := batched.mod.Stats().DecayEvents
-				if err := batched.ctrl.WriteRow(addr, content, now); err != nil {
+				if err := batched.ctrl.WriteRow(addr, fill, now); err != nil {
 					t.Fatal(err)
 				}
-				if err := scalar.ctrl.writeRowScalar(addr, content, now); err != nil {
+				if err := scalar.ctrl.writeRowScalar(addr, fill, now); err != nil {
 					t.Fatal(err)
 				}
 				rowDecays += batched.mod.Stats().DecayEvents - before
 			case 12: // idle past the retention deadline: the next burst's first slot decays
 				now += tret + dram.Time(rng.Int63n(int64(tret)))
 			case 0, 1, 2, 3, 4, 5, 6: // write a line
-				data := randomLine(rng)
+				data := randomLine(rng).Bytes()
 				if err := batched.ctrl.WriteLine(addr, data, now); err != nil {
 					t.Fatal(err)
 				}
@@ -160,10 +160,10 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 					t.Fatalf("op %d: read contents diverged at %#x", i, addr)
 				}
 			default: // cleanse a row: a burst of zero lines
-				if err := batched.ctrl.WriteRow(addr, zeroLine, now); err != nil {
+				if err := batched.ctrl.WriteRow(addr, clearLines, now); err != nil {
 					t.Fatal(err)
 				}
-				if err := scalar.ctrl.writeRowScalar(addr, zeroLine, now); err != nil {
+				if err := scalar.ctrl.writeRowScalar(addr, clearLines, now); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -189,8 +189,8 @@ func TestBatchedDatapathMatchesScalar(t *testing.T) {
 	}
 }
 
-// zeroLine is the content of a cleansed row: every line zero.
-func zeroLine(int) [64]byte { return [64]byte{} }
+// clearLines fills a cleansed row: every line zero.
+func clearLines(lines []transform.Line) { clear(lines) }
 
 // TestCleanseTraceOrderSharedShard is the reproducer for cleansing a row
 // that holds charged content: each chip-row's charge transition belongs to
@@ -213,10 +213,10 @@ func TestCleanseTraceOrderSharedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batched.ctrl.WriteRow(0, zeroLine, 1); err != nil {
+	if err := batched.ctrl.WriteRow(0, clearLines, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := scalar.ctrl.writeRowScalar(0, zeroLine, 1); err != nil {
+	if err := scalar.ctrl.writeRowScalar(0, clearLines, 1); err != nil {
 		t.Fatal(err)
 	}
 	discharges := 0

@@ -16,19 +16,25 @@ func (c *Controller) writeLineScalar(addr uint64, data [64]byte, now dram.Time) 
 		return err
 	}
 	mod := c.mod.(*dram.Module)
-	enc := c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
-	for chip, w := range c.mapping.Scatter(enc, loc.Row) {
+	line := c.row[:1]
+	line[0] = c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
+	c.mapping.Scatter(line, loc.Row)
+	for chip, w := range line[0] {
 		mod.WriteWord(chip, loc.Bank, loc.Row, loc.Slot, w, now)
 	}
 	c.noteLineWritten(loc, now)
 	return nil
 }
 
-// writeRowScalar is WriteRow as a slot-by-slot loop of writeLineScalar.
-func (c *Controller) writeRowScalar(addr uint64, content func(line int) [64]byte, now dram.Time) error {
+// writeRowScalar is WriteRow as a slot-by-slot loop of writeLineScalar:
+// fill stages the row in a fresh slice, and each line is stored from its
+// 64-byte image.
+func (c *Controller) writeRowScalar(addr uint64, fill func(lines []transform.Line), now dram.Time) error {
+	lines := make([]transform.Line, c.mod.Config().LinesPerRow())
+	fill(lines)
 	base := c.amap.RowBase(addr)
-	for ln := 0; ln < c.mod.Config().LinesPerRow(); ln++ {
-		if err := c.writeLineScalar(base+uint64(ln)*dram.LineBytes, content(ln), now); err != nil {
+	for ln, l := range lines {
+		if err := c.writeLineScalar(base+uint64(ln)*dram.LineBytes, l.Bytes(), now); err != nil {
 			return err
 		}
 	}

@@ -63,9 +63,12 @@ func ParseRule(s string) (Rule, error) {
 	if err != nil {
 		return r, fmt.Errorf("obs: rule %q: bad threshold: %v", s, err)
 	}
-	if math.IsNaN(thr) {
-		// No value compares true against NaN: the rule could never fire.
-		return r, fmt.Errorf("obs: rule %q: threshold is NaN", s)
+	if math.IsNaN(thr) || math.IsInf(thr, 0) {
+		// No value compares true against NaN, none exceeds +Inf and none
+		// falls below -Inf, and every finite value is on the firing side
+		// of the other infinity: the rule could never fire, or always
+		// would.
+		return r, fmt.Errorf("obs: rule %q: threshold %v is not finite", s, thr)
 	}
 	r.Threshold = thr
 	expr := rest[:op]

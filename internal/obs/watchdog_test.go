@@ -55,6 +55,9 @@ func TestParseRuleErrors(t *testing.T) {
 		"x:m~zero>1",        // non-numeric quantile
 		"x:m~NaN>1",         // NaN quantile
 		"x:m>NaN",           // NaN threshold: could never fire
+		"x:m>Inf",           // nothing exceeds +Inf: could never fire
+		"x:m>+Inf",          // the same, signed
+		"x:m<-Inf",          // nothing falls below -Inf: could never fire
 		":m>1",              // empty name
 	} {
 		if _, err := ParseRule(s); err == nil {

@@ -1,10 +1,6 @@
 package transform
 
-import (
-	"encoding/binary"
-
-	"zerorefresh/internal/dram"
-)
+import "zerorefresh/internal/dram"
 
 // Data-rotation stage, Section V-D.
 //
@@ -27,10 +23,12 @@ import (
 // ChipMapping abstracts the choice so the ablation harness can compare all
 // three schemes.
 type ChipMapping interface {
-	// Scatter distributes the 8 words of a line onto the 8 chips for a
-	// line stored in rank-level row rowIdx; result[c] is chip c's word.
-	Scatter(l Line, rowIdx int) [8]uint64
-	// Gather inverts Scatter.
+	// Scatter distributes the 8 words of every line onto the 8 chips, in
+	// place, for lines stored in rank-level row rowIdx: afterwards
+	// lines[i][c] is chip c's word of line i. The controller scatters a
+	// whole page's row at once, and a single line as a one-line row.
+	Scatter(lines []Line, rowIdx int)
+	// Gather inverts Scatter for one line: words[c] is chip c's word.
 	Gather(words [8]uint64, rowIdx int) Line
 	// Name identifies the mapping in reports.
 	Name() string
@@ -54,13 +52,22 @@ func (RotatedMapping) WordClassOf(chip, rowIdx int) int {
 	return ((chip-rowIdx)%dram.LineChips + dram.LineChips) % dram.LineChips
 }
 
-// Scatter implements ChipMapping.
-func (m RotatedMapping) Scatter(l Line, rowIdx int) [8]uint64 {
-	var out [8]uint64
-	for w, v := range l {
-		out[m.ChipForWord(w, rowIdx)] = v
+// Scatter implements ChipMapping: chip c takes word (c - rowIdx) mod 8, so
+// each line rotates by rowIdx mod 8 words, and a row whose index is a
+// multiple of 8 stores its lines as they are. Unsigned indexes wrap
+// modulo 2^64, a multiple of 8, and need no bounds checks.
+func (RotatedMapping) Scatter(lines []Line, rowIdx int) {
+	k := uint(rowIdx) % dram.LineChips
+	if k == 0 {
+		return
 	}
-	return out
+	for i := range lines {
+		l := &lines[i]
+		words := *l
+		for c := range l {
+			l[c] = words[(uint(c)-k)%dram.LineChips]
+		}
+	}
 }
 
 // Gather implements ChipMapping.
@@ -81,8 +88,8 @@ type DirectMapping struct{}
 // Name implements ChipMapping.
 func (DirectMapping) Name() string { return "direct" }
 
-// Scatter implements ChipMapping.
-func (DirectMapping) Scatter(l Line, _ int) [8]uint64 { return [8]uint64(l) }
+// Scatter implements ChipMapping: word w already sits on chip w.
+func (DirectMapping) Scatter([]Line, int) {}
 
 // Gather implements ChipMapping.
 func (DirectMapping) Gather(words [8]uint64, _ int) Line { return Line(words) }
@@ -97,28 +104,29 @@ type ByteScatterMapping struct{}
 func (ByteScatterMapping) Name() string { return "byte-scatter" }
 
 // Scatter implements ChipMapping.
-func (ByteScatterMapping) Scatter(l Line, _ int) [8]uint64 {
-	b := l.Bytes()
-	var out [8]uint64
-	for chip := 0; chip < dram.LineChips; chip++ {
-		var cw [8]byte
-		for beat := 0; beat < 8; beat++ {
-			cw[beat] = b[beat*8+chip]
-		}
-		out[chip] = binary.LittleEndian.Uint64(cw[:])
+func (ByteScatterMapping) Scatter(lines []Line, _ int) {
+	for i := range lines {
+		lines[i] = transposeBytes(lines[i])
 	}
-	return out
 }
 
 // Gather implements ChipMapping.
 func (ByteScatterMapping) Gather(words [8]uint64, _ int) Line {
-	var b [64]byte
-	for chip := 0; chip < dram.LineChips; chip++ {
-		var cw [8]byte
-		binary.LittleEndian.PutUint64(cw[:], words[chip])
-		for beat := 0; beat < 8; beat++ {
-			b[beat*8+chip] = cw[beat]
+	return transposeBytes(Line(words))
+}
+
+// transposeBytes transposes a line as an 8×8 byte matrix: byte b of word w
+// becomes byte w of word b. Burst beat w carries word w, and chip c takes
+// byte c of every beat, so the transpose is the burst mapping, and it is
+// its own inverse.
+func transposeBytes(l Line) Line {
+	var out Line
+	for c := range out {
+		var cw uint64
+		for beat, w := range l {
+			cw |= (w >> (8 * c) & 0xff) << (8 * beat)
 		}
+		out[c] = cw
 	}
-	return LineFromBytes(&b)
+	return out
 }

@@ -23,8 +23,9 @@ func suiteEBDILines(tb testing.TB, n int) []transform.Line {
 		}
 		gen := prof.Lines(1)
 		for i := 0; i < n; i++ {
-			b := gen.Line(uint64(i), 0)
-			lines = append(lines, transform.EBDIEncode(transform.LineFromBytes(&b)))
+			var l transform.Line
+			gen.LineWords(&l, uint64(i), 0)
+			lines = append(lines, transform.EBDIEncode(l))
 		}
 	}
 	return lines

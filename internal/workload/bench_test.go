@@ -1,13 +1,33 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"zerorefresh/internal/transform"
+)
 
 // lineSink keeps the compiler from discarding generated lines.
 var lineSink [64]byte
 
 // pageFixture returns an op that generates the next 64-line page of mcf's
-// image with a fresh generator, as core.System.FillPageFromProfile does.
+// image with a fresh generator, as core.System.FillPageFromProfile does:
+// each line's words straight into the page's row of lines.
 func pageFixture() func() {
+	p, _ := ByName("mcf")
+	page := uint64(0)
+	row := make([]transform.Line, pageLines)
+	return func() {
+		g := p.Lines(1)
+		for ln := range row {
+			g.LineWords(&row[ln], page*pageLines+uint64(ln), 0)
+		}
+		page++
+	}
+}
+
+// pageBytesFixture is pageFixture through the 64-byte Line form, the form
+// a line-by-line caller of Profile.LineAt and the integrity check read.
+func pageBytesFixture() func() {
 	p, _ := ByName("mcf")
 	page := uint64(0)
 	return func() {
@@ -19,16 +39,19 @@ func pageFixture() func() {
 	}
 }
 
-// TestSteadyStateAllocFree pins page generation allocation-free.
+// TestSteadyStateAllocFree pins page generation allocation-free, as words
+// and as 64-byte lines.
 func TestSteadyStateAllocFree(t *testing.T) {
-	op := pageFixture()
-	op()
-	if n := testing.AllocsPerRun(200, op); n != 0 {
-		t.Errorf("generating a 64-line page allocated %.1f times per op", n)
+	for name, op := range map[string]func(){"words": pageFixture(), "bytes": pageBytesFixture()} {
+		op()
+		if n := testing.AllocsPerRun(200, op); n != 0 {
+			t.Errorf("generating a 64-line page as %s allocated %.1f times per op", name, n)
+		}
 	}
 }
 
-// BenchmarkPageLines times one 64-line page, pages in order.
+// BenchmarkPageLines times one 64-line page, pages in order, generated as
+// words into a row of lines.
 func BenchmarkPageLines(b *testing.B) {
 	op := pageFixture()
 	b.ReportAllocs()

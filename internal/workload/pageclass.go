@@ -107,14 +107,12 @@ func (c PageClass) ZeroByteFraction() float64 {
 	}
 }
 
-// Line generates one 64-byte cacheline of this class. rng must be seeded
-// per (benchmark, page, slot) so content is reproducible in any order.
-func (c PageClass) Line(rng *SplitMix) transform.Line {
-	var l transform.Line
+// Fill generates one 64-byte cacheline of this class into l, as the eight
+// little-endian words of its memory image, overwriting every word. rng must
+// be seeded per (benchmark, page, slot) so content is reproducible in any
+// order.
+func (c PageClass) Fill(l *transform.Line, rng *SplitMix) {
 	switch c {
-	case PageZero:
-		// all zeros
-
 	case PageInt8:
 		base := uint64(1000 + rng.Intn(1<<14)) // small values: zero high bytes
 		for i := range l {
@@ -153,11 +151,17 @@ func (c PageClass) Line(rng *SplitMix) transform.Line {
 		}
 
 	case PageText:
-		var b [64]byte
-		for i := range b {
-			b[i] = byte(0x20 + rng.Intn(95))
+		// Printable ASCII bytes in address order: byte b of word i is
+		// the line's byte 8i+b.
+		for i := range l {
+			var w uint64
+			for b := 0; b < 8; b++ {
+				w |= uint64(0x20+rng.Intn(95)) << (8 * b)
+			}
+			l[i] = w
 		}
-		l = transform.LineFromBytes(&b)
+
+	default: // PageZero: all zeros
+		*l = transform.Line{}
 	}
-	return l
 }

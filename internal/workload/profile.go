@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zerorefresh/internal/rng"
+	"zerorefresh/internal/transform"
 )
 
 // Profile describes one benchmark application: its memory-content mix (the
@@ -302,13 +303,22 @@ func (p Profile) Lines(seed uint64) LineGen {
 	return g
 }
 
-// Line generates the content of the cacheline with global line index
-// globalLine (byte address / 64). version selects a value generation;
-// rewriting a line with a new version models a store that changes values
-// while preserving the data structure's class.
-func (g *LineGen) Line(globalLine, version uint64) [64]byte {
+// LineWords generates the content of the cacheline with global line index
+// globalLine (byte address / 64) into l, as the words of its memory image:
+// the form a page fill writes straight into the controller's staging row.
+// version selects a value generation; rewriting a line with a new version
+// models a store that changes values while preserving the data structure's
+// class.
+func (g *LineGen) LineWords(l *transform.Line, globalLine, version uint64) {
 	class := g.classOf(globalLine / ChunkLines)
-	return class.Line(NewSplitMix(g.prefix.Fold(globalLine + 1).Fold(version).Sum())).Bytes()
+	class.Fill(l, NewSplitMix(g.prefix.Fold(globalLine+1).Fold(version).Sum()))
+}
+
+// Line is LineWords as the line's 64-byte memory image.
+func (g *LineGen) Line(globalLine, version uint64) [64]byte {
+	var l transform.Line
+	g.LineWords(&l, globalLine, version)
+	return l.Bytes()
 }
 
 // classOf deterministically assigns a class to the 1 KB chunk with global

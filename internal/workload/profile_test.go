@@ -139,6 +139,13 @@ func TestMixSumsAreDeterministic(t *testing.T) {
 	}
 }
 
+// classLine is one line of class c as a value.
+func classLine(c PageClass, rng *SplitMix) transform.Line {
+	var l transform.Line
+	c.Fill(&l, rng)
+	return l
+}
+
 func TestPageClassSkippableGuarantees(t *testing.T) {
 	// For every class, generate many lines and verify the transformed
 	// line really has at least SkippableClasses() zero words in the
@@ -148,7 +155,7 @@ func TestPageClassSkippableGuarantees(t *testing.T) {
 		minTail := 8
 		for i := 0; i < 200; i++ {
 			rng := NewSplitMix(Hash(uint64(c), uint64(i)))
-			l := c.Line(rng)
+			l := classLine(c, rng)
 			enc := transform.BitPlaneTranspose(transform.EBDIEncode(l))
 			zt := enc.ZeroTailWords()
 			if c == PageZero {
@@ -192,7 +199,7 @@ func TestPageClassGeneratorProperties(t *testing.T) {
 
 		// Pointers: all words within one arena's 2^22 span, in the
 		// canonical user-space range.
-		ptr := PagePointer.Line(rng)
+		ptr := classLine(PagePointer, rng)
 		for _, w := range ptr {
 			d := int64(w - ptr[0])
 			if d < -(1<<22) || d >= 1<<22 {
@@ -204,7 +211,7 @@ func TestPageClassGeneratorProperties(t *testing.T) {
 		}
 
 		// Floats: all words share sign and exponent.
-		flt := PageFloat.Line(rng)
+		flt := classLine(PageFloat, rng)
 		exp := flt[0] >> 52
 		for _, w := range flt {
 			if w>>52 != exp {
@@ -213,7 +220,7 @@ func TestPageClassGeneratorProperties(t *testing.T) {
 		}
 
 		// Small ints: values below 2^15 (six zero high bytes).
-		i8 := PageInt8.Line(rng)
+		i8 := classLine(PageInt8, rng)
 		for _, w := range i8 {
 			if w >= 1<<15 {
 				t.Fatalf("int8-delta word %#x too large", w)
@@ -221,7 +228,7 @@ func TestPageClassGeneratorProperties(t *testing.T) {
 		}
 
 		// Text: printable ASCII only.
-		txt := PageText.Line(rng).Bytes()
+		txt := classLine(PageText, rng).Bytes()
 		for _, b := range txt {
 			if b < 0x20 || b > 0x7e {
 				t.Fatalf("text byte %#x not printable", b)

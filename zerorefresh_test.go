@@ -76,7 +76,9 @@ func TestPublicMappings(t *testing.T) {
 		zerorefresh.RotatedMapping(), zerorefresh.DirectMapping(), zerorefresh.ByteScatterMapping(),
 	} {
 		l := zerorefresh.Line{1, 2, 3, 4, 5, 6, 7, 8}
-		if m.Gather(m.Scatter(l, 5), 5) != l {
+		row := []zerorefresh.Line{l}
+		m.Scatter(row, 5)
+		if m.Gather(row[0], 5) != l {
 			t.Fatalf("mapping %s not lossless", m.Name())
 		}
 	}
