@@ -64,6 +64,44 @@ func TestNewSystemRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// FuzzNewSystem builds systems from adversarial configurations: any row
+// size, cell-group period, rows per auto-refresh and cell-type source, noisy
+// and spared fractions that may be NaN or infinite, and the refresh design
+// switches. Capacity stays at most 64 MB and ranks at most 4, so no input
+// allocates gigabytes or starts many goroutines. Each input must be
+// rejected with an error, or build a system that fills page 0 and runs one
+// retention window without a panic.
+func FuzzNewSystem(f *testing.F) {
+	f.Add(int64(4<<20), 1, 4096, 512, 16, 0, 0.0, 0.0, uint8(0))
+	f.Add(int64(4<<20), 2, 2048, 8, 64, 2, math.NaN(), math.Inf(1), uint8(5))
+	f.Add(int64(1<<20+256<<10), 1, 0, 0, 0, 1, 0.5, 0.1, uint8(10))
+	f.Add(int64(-1), -1, -64, -1, -3, 9, math.Inf(-1), math.NaN(), uint8(31))
+	f.Add(int64(8<<20), 4, 64, 1, 1, 2, 1.0, 1.0, uint8(18))
+	prof, _ := workload.ByName("mcf")
+	f.Fuzz(func(t *testing.T, capacity int64, ranks, rowBytes, cellGroupRows, rowsPerAR, cellTypes int, noisy, spared float64, flags uint8) {
+		if capacity > 64<<20 || ranks > 4 {
+			t.Skip("beyond the fuzzed scale")
+		}
+		cfg := DefaultConfig(capacity)
+		cfg.Ranks, cfg.RowBytes, cfg.CellGroupRows = ranks, rowBytes, cellGroupRows
+		cfg.Refresh.RowsPerAR = rowsPerAR
+		cfg.CellTypes, cfg.NoisyRate, cfg.SparedRowFraction = CellTypeSource(cellTypes), noisy, spared
+		cfg.Refresh.AllBank = flags&1 != 0
+		cfg.Refresh.PerChipStatus = flags&2 != 0
+		cfg.Refresh.StatusInDRAM = flags&4 == 0
+		cfg.Refresh.Stagger = flags&8 == 0
+		cfg.Extended = flags&16 == 0
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			return
+		}
+		if err := sys.FillPageFromProfile(prof, 0, 1, 0); err != nil {
+			t.Fatalf("page 0 of an accepted system: %v", err)
+		}
+		sys.RunWindow()
+	})
+}
+
 func TestNormalTemperatureWindow(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Extended = false
@@ -356,23 +394,36 @@ func TestBeyondCapacityIsAnError(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree pins the write paths of a warmed system with
-// tracing off at 0 allocations per operation: a page fill (one row burst),
-// a single line through WriteLineAt, whose controller write notes the
-// refresh engine's access bit, and a page cleanse. The warm-up fills,
-// cleanses and refills every page once, so the arena's free lists already
-// hold room for the slots a cleanse releases.
+// TestSteadyStateAllocFree pins the write paths of a warmed system at 0
+// allocations per operation: a page fill (one row burst), a single line
+// through WriteLineAt, whose controller write notes the refresh engine's
+// access bit, and a page cleanse. The warm-up fills, cleanses and refills
+// every page once, so the arena's free lists already hold room for the
+// slots a cleanse releases. The paths run with tracing off, and under
+// "traced" into 4096-event rings that the warm-up has wrapped, so every
+// chunk is allocated and emission reuses them.
 func TestSteadyStateAllocFree(t *testing.T) {
-	sys, err := NewSystem(smallConfig())
+	checkSteadyStateAllocFree(t, smallConfig())
+	cfg := smallConfig()
+	cfg.Trace = trace.New(1 << 12)
+	t.Run("traced", func(t *testing.T) { checkSteadyStateAllocFree(t, cfg) })
+}
+
+func checkSteadyStateAllocFree(t *testing.T, cfg Config) {
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof, _ := workload.ByName("mcf")
 	const pages = 16
 	fill := func(p int) error { return sys.FillPageFromProfile(prof, p, 1, 0) }
-	for _, op := range []func(int) error{fill, sys.CleansePage, fill} {
+	warm := []func(int) error{fill, sys.CleansePage, fill}
+	for pass := 0; pass < len(warm) || !ringsWrapped(sys); pass++ {
+		if pass == 64 {
+			t.Fatal("the trace rings have not wrapped after 64 warm-up passes")
+		}
 		for p := 0; p < pages; p++ {
-			if err := op(p); err != nil {
+			if err := warm[min(pass, len(warm)-1)](p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -399,6 +450,17 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ringsWrapped reports whether every trace shard of sys has overwritten an
+// event (true for a system without a tracer).
+func ringsWrapped(sys *System) bool {
+	for _, sh := range sys.shards {
+		if sh.Dropped() == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // lineWriteData is the 64-byte payload of the line-write alloc test and

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"zerorefresh/internal/engine"
@@ -25,8 +26,16 @@ import (
 // load, and a tail fan-out over an empty subscriber list. The
 // TestFlightRecorderDisarmedNoAllocs test and the zrlint hotpath analyzer
 // both pin this.
+//
+// The rings are the one place a trace.Shard is read while its writer runs,
+// so the recorder orders the two with mu: a ring writer holds it shared
+// for its Emit (the rings are disjoint, so writers never wait on each
+// other), and a dump holds it exclusively only while it copies the rings
+// into a fresh tracer, then encodes that copy without it. A slow /flight
+// client therefore never stalls the simulation.
 type FlightRecorder struct {
 	rec      *trace.Tracer
+	mu       sync.RWMutex // shared by ring writers, exclusive for a copy
 	armed    atomic.Bool
 	autoArm  atomic.Bool
 	trips    atomic.Int64
@@ -71,16 +80,35 @@ func (r *FlightRecorder) Trips() int64 { return r.trips.Load() }
 func (r *FlightRecorder) Recorded() int64 { return r.recorded.Load() }
 
 // Dropped returns how many recorded events the bounded rings overwrote.
-func (r *FlightRecorder) Dropped() uint64 { return r.rec.Dropped() }
+func (r *FlightRecorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rec.Dropped()
+}
 
 // Events returns the currently held events merged across shards in the
 // deterministic (Time, Shard, Seq) order.
-func (r *FlightRecorder) Events() []trace.Event { return r.rec.Events() }
+func (r *FlightRecorder) Events() []trace.Event { return r.snapshot().Events() }
 
 // WriteChrome dumps the currently held events as Chrome trace-event JSON
 // (the same format `zrsim -trace-out` writes), loadable in
 // chrome://tracing or Perfetto.
-func (r *FlightRecorder) WriteChrome(w io.Writer) error { return trace.WriteChrome(w, r.rec) }
+func (r *FlightRecorder) WriteChrome(w io.Writer) error { return trace.WriteChrome(w, r.snapshot()) }
+
+// snapshot returns a fresh tracer holding a copy of every ring: the same
+// labels, ids, events and drop counts. It holds mu exclusively only for
+// the copy.
+func (r *FlightRecorder) snapshot() *trace.Tracer {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	snap := trace.New(r.rec.ShardCap())
+	for _, s := range r.rec.Shards() {
+		if err := snap.NewShard(s.Label()).CopyFrom(s); err != nil {
+			panic(err) // both tracers have one capacity
+		}
+	}
+	return snap
+}
 
 // trip notes one retention-violation event, arming the recorder when
 // auto-arm is enabled. It is on the emit hot path.
@@ -123,7 +151,9 @@ func (s *planeSink) Emit(e trace.Event) {
 		s.rec.trip()
 	}
 	if s.rec.armed.Load() {
+		s.rec.mu.RLock()
 		s.ring.Emit(e)
+		s.rec.mu.RUnlock()
 		s.rec.recorded.Add(1)
 	}
 	// Stamp the flight-ring shard id so tail lines identify their shard

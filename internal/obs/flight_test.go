@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zerorefresh/internal/core"
+	"zerorefresh/internal/dram"
 	"zerorefresh/internal/metrics"
 	"zerorefresh/internal/trace"
 )
@@ -27,8 +28,9 @@ func TestFlightRecorderDisarmedNoAllocs(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderArmedNoAllocs checks the armed path too: the flight
-// ring is preallocated, so recording also stays allocation-free.
+// TestFlightRecorderArmedNoAllocs checks the armed path too: the first
+// emission allocates the flight ring's one chunk, and recording stays
+// allocation-free after it.
 func TestFlightRecorderArmedNoAllocs(t *testing.T) {
 	plane := newTestPlane()
 	plane.Recorder.Arm()
@@ -161,6 +163,77 @@ func TestFlightDumpChromeJSON(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("flight dump does not contain the retention violation: %s", b.String())
+	}
+}
+
+// TestFlightDumpWhileEmitting dumps the flight rings while they are
+// written: one goroutine emits through an armed tee and ticks a watchdog
+// whose rule fires every other tick, writing the "obs" ring, until the
+// test goroutine has dumped, merged and counted drops 100 times. Every
+// dump must be valid JSON and the drop count may only grow; under -race,
+// the recorder's lock must order every ring read after the writes it sees.
+func TestFlightDumpWhileEmitting(t *testing.T) {
+	plane := newTestPlane()
+	plane.Recorder.Arm()
+	burst := plane.Registry.Counter("test.burst")
+	rule, err := ParseRule("burst:test.burst>0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd := plane.InstallWatchdog([]Rule{rule}, 1)
+	sink := plane.TraceSink("rank0", nil)
+	stop := make(chan struct{})
+	emitted := make(chan int, 1)
+	go func() {
+		for i := 0; ; i++ {
+			sink.Emit(trace.Event{Kind: trace.KindRefreshSkipped, Time: int64(i), Row: int32(i % 512)})
+			if i%64 != 63 {
+				continue
+			}
+			if i/64%2 == 0 {
+				burst.Inc()
+			}
+			wd.Tick(int64(i/64+1), dram.Time(i))
+			select {
+			case <-stop:
+				if i >= 20000 {
+					emitted <- i + 1
+					return
+				}
+			default:
+			}
+		}
+	}()
+	var dropped uint64
+	dump := func(n int) {
+		var b bytes.Buffer
+		if err := plane.Recorder.WriteChrome(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(b.Bytes()) {
+			t.Fatalf("dump %d is not valid JSON:\n%s", n, b.Bytes())
+		}
+		if evs := plane.Recorder.Events(); len(evs) > 2*64 {
+			t.Fatalf("dump %d merged %d events from two 64-event rings", n, len(evs))
+		}
+		d := plane.Recorder.Dropped()
+		if d < dropped {
+			t.Fatalf("dump %d: dropped count fell from %d to %d", n, dropped, d)
+		}
+		dropped = d
+	}
+	for n := 0; n < 100; n++ {
+		dump(n)
+	}
+	close(stop)
+	events := <-emitted
+	dump(100)
+	fired := wd.Fired()[0]
+	if want := int64(events/64+1) / 2; fired != want {
+		t.Fatalf("the watchdog rule fired %d times over %d events, want %d", fired, events, want)
+	}
+	if want := uint64(int64(events) + fired - 2*64); dropped != want {
+		t.Fatalf("final dropped count %d after %d events and %d alerts, want %d", dropped, events, fired, want)
 	}
 }
 

@@ -91,7 +91,8 @@ func (p *Plane) Done() bool { return p.done.Load() }
 // the "obs" flight ring unconditionally (alerts are always worth keeping)
 // and out to tail subscribers. It is a trace.Sink, so like every sink it
 // keeps the emit discipline (no allocation, no blocking) even though
-// alerts are rare.
+// alerts are rare. Its one writer is the watchdog, whose mutex serializes
+// the ticks that emit.
 type alertSink struct {
 	ring *trace.Shard
 	rec  *FlightRecorder
@@ -99,7 +100,9 @@ type alertSink struct {
 }
 
 func (s *alertSink) Emit(e trace.Event) {
+	s.rec.mu.RLock()
 	s.ring.Emit(e)
+	s.rec.mu.RUnlock()
 	s.rec.recorded.Add(1)
 	e.Shard = s.ring.ID()
 	s.tail.publish(e)

@@ -32,10 +32,10 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 	}
 	// Every event follows its shard's thread_name record, so each one
 	// opens with the separator.
-	events := mergeShards(shards)
+	blocks := mergeShards(shards)
 	tail := strconv.AppendUint([]byte("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"), t.Dropped(), 10)
 	tail = append(tail, "}}\n"...)
-	return writeBlocks(w, head, events, appendChromeRecord, tail)
+	return writeBlocks(w, head, blocks, appendChromeRecord, tail)
 }
 
 // appendChromeRecord appends a record separator and the event's Chrome

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -11,33 +12,52 @@ import (
 // Events merges every shard's held events into one deterministic order:
 // ascending (Time, Shard, Seq). The order is independent of how the rank
 // shards were scheduled, so exports are bit-identical for a fixed seed.
-func (t *Tracer) Events() []Event { return mergeShards(t.Shards()) }
+func (t *Tracer) Events() []Event { return slices.Concat(mergeShards(t.Shards())...) }
 
 // mergeShards returns the events the shards hold, in ascending
-// (Time, Shard, Seq) order. Each shard's held run is copied once, under
-// its lock, into a result sized for all of them, and the copy is sorted
-// only when it is out of order. A single-rank system's trace is in order
-// already: its cpu shard's events all sit at time 0 and its rank shard
-// emits in time order. A trace of several ranks or units, each starting
-// at time 0, is sorted.
-func mergeShards(shards []*Shard) []Event {
-	total := 0
+// (Time, Shard, Seq) order, as export blocks of at most blockEvents events.
+// When the shards are in order already (see inOrder), the blocks are their
+// chunks' held runs, aliasing the rings: nothing is copied or compared. A
+// single-rank system's trace is: its cpu shard's events all sit at time 0
+// and its rank shard emits in time order. Any other trace, such as one of
+// several ranks or units that each start at time 0, is copied once, sorted
+// and cut into blocks.
+func mergeShards(shards []*Shard) [][]Event {
+	var runs [][]Event
 	for _, s := range shards {
-		total += s.Len()
+		runs = s.appendRuns(runs)
 	}
-	// A shard that emits between the count and the copy grows out past
-	// the size; append then reallocates, and the result is still whole.
-	out := make([]Event, 0, total)
+	if inOrder(shards) {
+		return runs
+	}
+	all := slices.Concat(runs...)
+	slices.SortFunc(all, cmpEvent)
+	var blocks [][]Event
+	for len(all) > 0 {
+		n := min(len(all), blockEvents)
+		blocks = append(blocks, all[:n:n])
+		all = all[n:]
+	}
+	return blocks
+}
+
+// inOrder reports whether the shards' held runs, laid end to end, are in
+// (Time, Shard, Seq) order: no shard ever emitted a time below its previous
+// event's, and each non-empty shard's oldest event is no earlier than the
+// previous non-empty shard's newest. A tracer's shards come in id order,
+// so a time shared across two shards is in order too.
+func inOrder(shards []*Shard) bool {
+	newest := int64(math.MinInt64)
 	for _, s := range shards {
-		s.mu.Lock()
-		older, newer := s.held()
-		out = append(append(out, older...), newer...)
-		s.mu.Unlock()
+		if s.Len() == 0 {
+			continue
+		}
+		if s.unordered || s.at(s.oldest()).Time < newest {
+			return false
+		}
+		newest = s.last
 	}
-	if !slices.IsSortedFunc(out, cmpEvent) {
-		slices.SortFunc(out, cmpEvent)
-	}
-	return out
+	return true
 }
 
 // cmpEvent orders events by (Time, Shard, Seq). No two events of a
@@ -63,33 +83,39 @@ const blockEvents = 8192
 // cores there are.
 const maxEncoders = 4
 
-// writeBlocks writes head, every event encoded by enc, and tail to w. The
-// events are cut into blocks of blockEvents; head opens the first block and
-// tail closes the last, so an export of one block (or of no events) is one
-// Write. The blocks are encoded on GOMAXPROCS goroutines, at most
-// maxEncoders, and written here in order. The first write error stops the
-// encoders and is returned once they have exited.
-func writeBlocks(w io.Writer, head []byte, events []Event, enc func([]byte, Event) []byte, tail []byte) error {
-	blocks := max(1, (len(events)+blockEvents-1)/blockEvents)
+// writeBlocks writes head, every event of blocks encoded by enc, and tail
+// to w. head opens the first block and tail closes the last, so an export
+// of one block (or of no events) is one Write. The blocks are encoded on
+// GOMAXPROCS goroutines, at most maxEncoders, and written here in order.
+// The first write error stops the encoders and is returned once they have
+// exited.
+func writeBlocks(w io.Writer, head []byte, blocks [][]Event, enc func([]byte, Event) []byte, tail []byte) error {
+	n := max(1, len(blocks))
 	encode := func(dst []byte, b int) []byte {
 		if b == 0 {
 			dst = append(dst, head...)
 		}
-		for _, e := range events[b*blockEvents : min((b+1)*blockEvents, len(events))] {
-			dst = enc(dst, e)
+		if b < len(blocks) {
+			for _, e := range blocks[b] {
+				dst = enc(dst, e)
+			}
 		}
-		if b == blocks-1 {
+		if b == n-1 {
 			dst = append(dst, tail...)
 		}
 		return dst
 	}
-	// Size a buffer for a block of events as long as the first with room
-	// to spare, so that it seldom grows.
+	// Size a buffer for the longest block of events like the first, with
+	// room to spare, so that it seldom grows.
 	size := len(head) + len(tail)
-	if len(events) > 0 {
-		size += min(len(events), blockEvents) * (len(enc(nil, events[0])) + 16)
+	if len(blocks) > 0 {
+		longest := 0
+		for _, b := range blocks {
+			longest = max(longest, len(b))
+		}
+		size += longest * (len(enc(nil, blocks[0][0])) + 16)
 	}
-	workers := min(runtime.GOMAXPROCS(0), maxEncoders, blocks)
+	workers := min(runtime.GOMAXPROCS(0), maxEncoders, n)
 	// Block b travels through slot b%len(slots): its encoder takes the
 	// slot's buffer from free, fills it and hands it on through full, and
 	// the writer returns it to free once written. Worker k encodes blocks
@@ -108,7 +134,7 @@ func writeBlocks(w io.Writer, head []byte, events []Event, enc func([]byte, Even
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := k; b < blocks; b += workers {
+			for b := k; b < n; b += workers {
 				s := slots[b%len(slots)]
 				var buf []byte
 				select {
@@ -121,7 +147,7 @@ func writeBlocks(w io.Writer, head []byte, events []Event, enc func([]byte, Even
 		}()
 	}
 	var err error
-	for b := range blocks {
+	for b := range n {
 		s := slots[b%len(slots)]
 		buf := <-s.full
 		if _, err = w.Write(buf); err != nil {

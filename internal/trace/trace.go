@@ -1,7 +1,8 @@
-// Package trace is the typed event tracer of the simulator: a lock-light,
-// per-shard ring buffer that the hardware layers (dram, refresh, memctrl,
-// transform) emit structured events into while a simulation runs, and that
-// the exporters drain into Chrome trace-event JSON or reports afterwards.
+// Package trace is the typed event tracer of the simulator: per-shard
+// single-writer ring buffers that the hardware layers (dram, refresh,
+// memctrl, transform) emit structured events into while a simulation runs,
+// and that the exporters drain into Chrome trace-event JSON or reports
+// afterwards.
 //
 // The package is a leaf: it imports only the standard library, so every
 // layer — including internal/dram, which sits below internal/engine — can
@@ -12,22 +13,32 @@
 // allocation-free branch (core's TestSteadyStateAllocFree pins this on the
 // line-write path).
 //
-// Determinism: a Shard is only ever written by the goroutine driving its
-// rank (or the CPU-side driver), so per-shard event order is the execution
-// order of that shard and is reproducible for a fixed seed. Tracer.Events
-// merges shards by (Time, Shard, Seq), which is a total, scheduling-
-// independent order — the golden trace test pins the exported bytes.
+// Single writer: a Shard is only ever written by the goroutine driving its
+// rank (or the CPU-side driver), and it takes no lock. Everything that
+// reads a shard — Len, Dropped, Events, CopyFrom, Tracer.Adopt and the
+// exporters — runs after that writer has stopped or otherwise happens
+// after its emissions; internal/obs's flight recorder, the one ring read
+// while it is written, orders the two with its own lock. Tracer's mutex
+// guards only the shard list.
 //
-// Export: Tracer.Events copies each shard's held run once and sorts the
-// copy only when the runs laid end to end are out of order. WriteNDJSON
-// and WriteChrome encode the merged events in fixed-size blocks on up to
-// GOMAXPROCS goroutines and write the blocks in order from the calling
-// goroutine, so the exported bytes do not depend on GOMAXPROCS (see
-// export.go).
+// Determinism: per-shard event order is the execution order of that
+// shard and is reproducible for a fixed seed. Tracer.Events merges shards
+// by (Time, Shard, Seq), which is a total, scheduling-independent order —
+// the golden trace test pins the exported bytes.
+//
+// Export: when every shard emitted in Time order and the shards' runs laid
+// end to end are in (Time, Shard, Seq) order, as a single-rank system's
+// are, WriteNDJSON and WriteChrome encode straight from the rings' chunks;
+// otherwise they encode one sorted copy. Either way the events go out in
+// fixed-size blocks encoded on up to GOMAXPROCS goroutines and written in
+// order from the calling goroutine, so the exported bytes do not depend on
+// GOMAXPROCS (see export.go).
 package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -142,38 +153,69 @@ type PassiveSink interface {
 	Passive() bool
 }
 
-// Shard is one single-writer ring buffer. When full it overwrites the
-// oldest event, so a long run keeps the most recent window of activity;
-// Dropped reports how many events were overwritten.
+// Shard is one ring buffer with a single writer. When full it overwrites
+// the oldest event, so a long run keeps the most recent window of
+// activity; Dropped reports how many events were overwritten.
+//
+// The ring is a table of chunks of blockEvents events, the last one
+// shorter when the capacity is not a multiple of that (a ring of at most
+// blockEvents events is one chunk of its capacity). A chunk is allocated
+// when the write cursor first enters it, so a shard holds memory only for
+// what it has recorded, and the export blocks of a shard in Time order are
+// its chunks' held runs.
+//
+// Emit takes no lock: one goroutine writes a shard, and every other method
+// may run only after that goroutine's emissions (see the package comment).
 type Shard struct {
 	id    int32
 	label string
 
-	mu   sync.Mutex
-	buf  []Event
-	next int    // ring write cursor
-	n    int    // events currently stored (<= cap)
-	seq  uint64 // total events ever emitted
+	size   int       // ring capacity in events
+	chunk  int       // events per chunk; the last chunk may be shorter
+	chunks [][]Event // chunk c holds ring positions [c*chunk, c*chunk+len)
+	cur    []Event   // chunks[ci], the chunk the write cursor is in
+	ci     int       // index of the cursor's chunk
+	off    int       // cursor's offset in cur; len(cur) once cur is full
+	seq    uint64    // total events ever emitted
+	last   int64     // Time of the newest event
+	// unordered records that some event's Time fell below its
+	// predecessor's, so the ring's runs are not in Time order.
+	unordered bool
 }
 
 // Emit records the event, stamping its shard id and sequence number. It
-// never allocates: the ring is preallocated at construction.
+// allocates only when the cursor enters a chunk for the first time: once
+// per chunk until the ring is full, and never after it wraps.
 //
 //zr:hotpath
 func (s *Shard) Emit(e Event) {
-	s.mu.Lock()
+	if s.off == len(s.cur) {
+		s.advance()
+	}
 	e.Shard = s.id
 	e.Seq = s.seq
 	s.seq++
-	s.buf[s.next] = e
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
+	if e.Time < s.last {
+		s.unordered = true
 	}
-	if s.n < len(s.buf) {
-		s.n++
+	s.last = e.Time
+	s.cur[s.off] = e
+	s.off++
+}
+
+// advance moves the write cursor to the start of the next chunk, wrapping
+// to the first at the end of the ring, and allocates that chunk the first
+// time the cursor enters it. An empty shard's cursor enters chunk 0.
+func (s *Shard) advance() {
+	if s.cur != nil {
+		if s.ci++; s.ci*s.chunk >= s.size {
+			s.ci = 0
+		}
 	}
-	s.mu.Unlock()
+	if s.ci == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]Event, min(s.chunk, s.size-s.ci*s.chunk)))
+	}
+	s.cur, s.off = s.chunks[s.ci], 0
 }
 
 // Label returns the shard's label ("cpu", "rank0", ...).
@@ -185,48 +227,45 @@ func (s *Shard) ID() int32 { return s.id }
 
 // Len returns the number of events currently held.
 func (s *Shard) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
+	if s.seq < uint64(s.size) {
+		return int(s.seq)
+	}
+	return s.size
 }
 
 // Dropped returns how many events the ring overwrote.
-func (s *Shard) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq - uint64(s.n)
-}
+func (s *Shard) Dropped() uint64 { return s.seq - uint64(s.Len()) }
 
 // Events returns the held events oldest-first.
-func (s *Shard) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, s.n)
-	older, newer := s.held()
-	copy(out[copy(out, older):], newer)
-	return out
-}
+func (s *Shard) Events() []Event { return slices.Concat(s.appendRuns(nil)...) }
 
-// oldest returns the ring position of the oldest held event. Callers
-// hold s.mu.
+// oldest returns the ring position of the oldest held event.
 func (s *Shard) oldest() int {
-	start := s.next - s.n
+	start := s.ci*s.chunk + s.off - s.Len()
 	if start < 0 {
-		start += len(s.buf)
+		start += s.size
 	}
 	return start
 }
 
-// held returns the held events oldest-first as the ring's two segments:
-// older runs from the oldest event towards the end of the ring, newer
-// from the ring's start; newer is empty unless the held run wraps.
-// Callers hold s.mu.
-func (s *Shard) held() (older, newer []Event) {
-	start := s.oldest()
-	if end := start + s.n; end > len(s.buf) {
-		return s.buf[start:], s.buf[:end-len(s.buf)]
+// at returns the event at ring position p.
+func (s *Shard) at(p int) Event { return s.chunks[p/s.chunk][p%s.chunk] }
+
+// appendRuns appends the held events to dst oldest-first as runs that each
+// lie in one chunk, and returns the extended slice. Every run is non-empty
+// and aliases the ring.
+func (s *Shard) appendRuns(dst [][]Event) [][]Event {
+	p := s.oldest()
+	for n := s.Len(); n > 0; {
+		c, lo := p/s.chunk, p%s.chunk
+		run := s.chunks[c][lo:min(len(s.chunks[c]), lo+n)]
+		dst = append(dst, run)
+		n -= len(run)
+		if p += len(run); p == s.size {
+			p = 0
+		}
 	}
-	return s.buf[start : start+s.n], nil
+	return dst
 }
 
 // CopyFrom replaces s's ring with src's: the held events, the sequence
@@ -234,29 +273,35 @@ func (s *Shard) held() (older, newer []Event) {
 // Both rings must have the same capacity; CopyFrom returns an error
 // otherwise. core.System.Clone uses it to give a cloned system's shards
 // the history of the original's. Only the held events are copied, to the
-// same ring positions; a sink that wraps s has not seen them.
+// same ring positions, into chunks allocated for them; a sink that wraps s
+// has not seen them.
 func (s *Shard) CopyFrom(src *Shard) error {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.buf) != len(src.buf) {
-		return fmt.Errorf("trace: copy of a %d-event ring into a %d-event ring", len(src.buf), len(s.buf))
+	if s.size != src.size {
+		return fmt.Errorf("trace: copy of a %d-event ring into a %d-event ring", src.size, s.size)
 	}
-	s.next, s.n, s.seq = src.next, src.n, src.seq
-	older, newer := src.held()
-	copy(s.buf[src.oldest():], older)
-	copy(s.buf, newer)
+	s.chunk, s.ci, s.off = src.chunk, src.ci, src.off
+	s.seq, s.last, s.unordered = src.seq, src.last, src.unordered
+	s.chunks = make([][]Event, len(src.chunks))
+	for c := range s.chunks {
+		s.chunks[c] = make([]Event, len(src.chunks[c]))
+	}
+	s.cur = nil
+	if len(s.chunks) > 0 {
+		s.cur = s.chunks[s.ci]
+	}
+	runs := s.appendRuns(nil)
+	for i, run := range src.appendRuns(nil) {
+		copy(runs[i], run)
+	}
 	s.restamp()
 	return nil
 }
 
-// restamp stamps every held event with s's id. Callers hold s.mu.
+// restamp stamps every held event with s's id.
 func (s *Shard) restamp() {
-	older, newer := s.held()
-	for _, seg := range [2][]Event{older, newer} {
-		for i := range seg {
-			seg[i].Shard = s.id
+	for _, run := range s.appendRuns(nil) {
+		for i := range run {
+			run[i].Shard = s.id
 		}
 	}
 }
@@ -268,7 +313,8 @@ const DefaultShardCap = 1 << 14
 // Tracer owns a set of shards. The assembled system (internal/core) builds
 // one shard per rank plus one for the shared CPU-side pipeline; each shard
 // is then only written by the goroutine executing that shard, which is
-// what keeps emission contention-free.
+// what lets emission go without a lock. The tracer's mutex guards its
+// shard list, not the shards.
 type Tracer struct {
 	mu       sync.Mutex
 	shardCap int
@@ -287,14 +333,21 @@ func New(shardCap int) *Tracer {
 // NewShard creates and registers a shard. Shard ids are assigned in
 // creation order, which NewSystem makes deterministic within a system;
 // systems built concurrently create shards on private tracers that Adopt
-// then renumbers in a fixed order.
-func (t *Tracer) NewShard(label string) *Shard {
+// then renumbers in a fixed order. The shard's ring grows as events
+// arrive.
+func (t *Tracer) NewShard(label string) *Shard { return t.newShard(label, blockEvents) }
+
+// newShard is NewShard with the ring's chunk length as a parameter (capped
+// at the capacity), so tests can cross chunk boundaries with a few events.
+func (t *Tracer) newShard(label string, chunk int) *Shard {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &Shard{
 		id:    int32(len(t.shards)),
 		label: label,
-		buf:   make([]Event, t.shardCap),
+		size:  t.shardCap,
+		chunk: min(chunk, t.shardCap),
+		last:  math.MinInt64,
 	}
 	t.shards = append(t.shards, s)
 	return s
@@ -318,10 +371,8 @@ func (t *Tracer) Adopt(src *Tracer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range moved {
-		s.mu.Lock()
 		s.id = int32(len(t.shards))
 		s.restamp()
-		s.mu.Unlock()
 		t.shards = append(t.shards, s)
 	}
 }

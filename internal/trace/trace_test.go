@@ -4,34 +4,62 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// chunkLens are the ring chunk lengths the shard tests run under: short
+// enough that a few events cross several chunks and wrap mid-chunk, longer
+// than the test rings (one chunk of the capacity), and production's.
+var chunkLens = []int{1, 2, 3, 5, blockEvents}
+
 func TestShardRingKeepsNewest(t *testing.T) {
-	tr := New(4)
-	s := tr.NewShard("rank0")
-	for i := 0; i < 10; i++ {
-		s.Emit(Event{Kind: KindRefreshIssued, Time: int64(i)})
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	if s.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", s.Dropped())
-	}
-	evs := s.Events()
-	for i, e := range evs {
-		if want := int64(6 + i); e.Time != want {
-			t.Fatalf("event %d time = %d, want %d (oldest-first, newest kept)", i, e.Time, want)
+	for _, chunk := range chunkLens {
+		s := New(4).newShard("rank0", chunk)
+		for i := 0; i < 10; i++ {
+			s.Emit(Event{Kind: KindRefreshIssued, Time: int64(i)})
 		}
-		if e.Shard != 0 {
-			t.Fatalf("event %d shard = %d, want 0", i, e.Shard)
+		if s.Len() != 4 {
+			t.Fatalf("chunk %d: Len = %d, want 4", chunk, s.Len())
+		}
+		if s.Dropped() != 6 {
+			t.Fatalf("chunk %d: Dropped = %d, want 6", chunk, s.Dropped())
+		}
+		evs := s.Events()
+		for i, e := range evs {
+			if want := int64(6 + i); e.Time != want {
+				t.Fatalf("chunk %d: event %d time = %d, want %d (oldest-first, newest kept)", chunk, i, e.Time, want)
+			}
+			if e.Shard != 0 {
+				t.Fatalf("chunk %d: event %d shard = %d, want 0", chunk, i, e.Shard)
+			}
+		}
+		if evs[0].Seq != 6 {
+			t.Fatalf("chunk %d: first kept seq = %d, want 6", chunk, evs[0].Seq)
 		}
 	}
-	if evs[0].Seq != 6 {
-		t.Fatalf("first kept seq = %d, want 6", evs[0].Seq)
+}
+
+// TestShardMemoryFollowsEvents emits 20,000 events into a shard of a
+// 4M-event tracer: the heap may grow by the chunks those events fill, not
+// by the 224 MiB ring the capacity allows.
+func TestShardMemoryFollowsEvents(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := New(1 << 22).NewShard("rank0")
+	for i := 0; i < 20000; i++ {
+		s.Emit(Event{Kind: KindWriteback, Time: int64(i)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 4<<20 {
+		t.Fatalf("20000 events grew the heap by %d bytes, want under 4 MB", grew)
+	}
+	if s.Len() != 20000 {
+		t.Fatalf("Len = %d, want 20000", s.Len())
 	}
 }
 
@@ -146,43 +174,45 @@ func TestKindStrings(t *testing.T) {
 // events, sequence numbers and drop count, stamped with its own id, and
 // later emissions continue the sequence.
 func TestShardCopyFromRestamps(t *testing.T) {
-	for _, emitted := range []int{6, 2, 4, 0} {
-		src := New(4).NewShard("rank0")
-		for i := 0; i < emitted; i++ {
-			src.Emit(Event{Kind: KindWriteback, Time: int64(i)})
-		}
-		other := New(4)
-		other.NewShard("cpu")
-		dst := other.NewShard("rank0")
-		for i := 0; i < 3; i++ {
-			dst.Emit(Event{Kind: KindRefreshIssued, Time: int64(100 + i)})
-		}
-		if err := dst.CopyFrom(src); err != nil {
-			t.Fatal(err)
-		}
-		if dst.Dropped() != src.Dropped() || dst.Len() != src.Len() {
-			t.Fatalf("%d emitted: copy holds %d (dropped %d), source %d (dropped %d)", emitted, dst.Len(), dst.Dropped(), src.Len(), src.Dropped())
-		}
-		want := src.Events()
-		for i := range want {
-			want[i].Shard = dst.ID()
-		}
-		if got := dst.Events(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d emitted: copied events %+v, want %+v", emitted, got, want)
-		}
-		dst.Emit(Event{Kind: KindWriteback, Time: int64(emitted)})
-		evs := dst.Events()
-		if last := evs[len(evs)-1]; last.Seq != uint64(emitted) || last.Shard != dst.ID() {
-			t.Fatalf("%d emitted: emission after the copy = %+v, want seq %d on shard %d", emitted, last, emitted, dst.ID())
-		}
-		if want = append(want, evs[len(evs)-1]); len(want) > 4 {
-			want = want[1:]
-		}
-		if !reflect.DeepEqual(evs, want) {
-			t.Fatalf("%d emitted: after one more emission the copy holds %+v, want %+v", emitted, evs, want)
-		}
-		if n := min(emitted, 4); src.Len() != n || n > 0 && src.Events()[n-1].Time != int64(emitted-1) {
-			t.Fatalf("%d emitted: emitting into the copy changed the source", emitted)
+	for k, chunk := range chunkLens {
+		for _, emitted := range []int{6, 2, 4, 0, 13} {
+			src := New(4).newShard("rank0", chunk)
+			for i := 0; i < emitted; i++ {
+				src.Emit(Event{Kind: KindWriteback, Time: int64(i)})
+			}
+			other := New(4)
+			other.NewShard("cpu")
+			dst := other.newShard("rank0", chunkLens[(k+1)%len(chunkLens)])
+			for i := 0; i < 3; i++ {
+				dst.Emit(Event{Kind: KindRefreshIssued, Time: int64(100 + i)})
+			}
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Dropped() != src.Dropped() || dst.Len() != src.Len() {
+				t.Fatalf("chunk %d, %d emitted: copy holds %d (dropped %d), source %d (dropped %d)", chunk, emitted, dst.Len(), dst.Dropped(), src.Len(), src.Dropped())
+			}
+			want := src.Events()
+			for i := range want {
+				want[i].Shard = dst.ID()
+			}
+			if got := dst.Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d, %d emitted: copied events %+v, want %+v", chunk, emitted, got, want)
+			}
+			dst.Emit(Event{Kind: KindWriteback, Time: int64(emitted)})
+			evs := dst.Events()
+			if last := evs[len(evs)-1]; last.Seq != uint64(emitted) || last.Shard != dst.ID() {
+				t.Fatalf("chunk %d, %d emitted: emission after the copy = %+v, want seq %d on shard %d", chunk, emitted, last, emitted, dst.ID())
+			}
+			if want = append(want, evs[len(evs)-1]); len(want) > 4 {
+				want = want[1:]
+			}
+			if !reflect.DeepEqual(evs, want) {
+				t.Fatalf("chunk %d, %d emitted: after one more emission the copy holds %+v, want %+v", chunk, emitted, evs, want)
+			}
+			if n := min(emitted, 4); src.Len() != n || n > 0 && src.Events()[n-1].Time != int64(emitted-1) {
+				t.Fatalf("chunk %d, %d emitted: emitting into the copy changed the source", chunk, emitted)
+			}
 		}
 	}
 	src := New(4).NewShard("rank0")
@@ -195,34 +225,74 @@ func TestShardCopyFromRestamps(t *testing.T) {
 // own shards in adoption order, their held events carry the new ids, and
 // the adopted tracers are left empty.
 func TestAdoptRenumbersInOrder(t *testing.T) {
-	tr := New(8)
-	tr.NewShard("own")
-	units := []*Tracer{New(8), New(8)}
-	for u, ut := range units {
-		for _, label := range []string{"cpu", "rank0"} {
-			ut.NewShard(label).Emit(Event{Kind: KindWriteback, A: int64(u)})
+	for _, chunk := range chunkLens {
+		tr := New(8)
+		tr.NewShard("own")
+		units := []*Tracer{New(8), New(8)}
+		for u, ut := range units {
+			for _, label := range []string{"cpu", "rank0"} {
+				s := ut.newShard(label, chunk)
+				for i := 0; i < 11; i++ {
+					s.Emit(Event{Kind: KindWriteback, Time: int64(i), A: int64(u)})
+				}
+			}
 		}
-	}
-	tr.Adopt(units[0])
-	tr.Adopt(units[1])
-	shards := tr.Shards()
-	labels := []string{"own", "cpu", "rank0", "cpu", "rank0"}
-	if len(shards) != len(labels) {
-		t.Fatalf("%d shards, want %d", len(shards), len(labels))
-	}
-	for i, s := range shards {
-		if s.ID() != int32(i) || s.Label() != labels[i] {
-			t.Fatalf("shard %d is %q id %d, want %q", i, s.Label(), s.ID(), labels[i])
+		tr.Adopt(units[0])
+		tr.Adopt(units[1])
+		shards := tr.Shards()
+		labels := []string{"own", "cpu", "rank0", "cpu", "rank0"}
+		if len(shards) != len(labels) {
+			t.Fatalf("chunk %d: %d shards, want %d", chunk, len(shards), len(labels))
 		}
-		for _, e := range s.Events() {
-			if e.Shard != int32(i) || (i > 0 && e.A != int64((i-1)/2)) {
-				t.Fatalf("shard %d holds %+v", i, e)
+		for i, s := range shards {
+			if s.ID() != int32(i) || s.Label() != labels[i] {
+				t.Fatalf("chunk %d: shard %d is %q id %d, want %q", chunk, i, s.Label(), s.ID(), labels[i])
+			}
+			evs := s.Events()
+			if i > 0 && len(evs) != 8 {
+				t.Fatalf("chunk %d: shard %d holds %d events, want 8", chunk, i, len(evs))
+			}
+			for _, e := range evs {
+				if e.Shard != int32(i) || (i > 0 && e.A != int64((i-1)/2)) {
+					t.Fatalf("chunk %d: shard %d holds %+v", chunk, i, e)
+				}
+			}
+		}
+		for _, ut := range units {
+			if len(ut.Shards()) != 0 {
+				t.Fatal("an adopted tracer still holds shards")
 			}
 		}
 	}
-	for _, ut := range units {
-		if len(ut.Shards()) != 0 {
-			t.Fatal("an adopted tracer still holds shards")
+}
+
+// BenchmarkShardEmit times Emit into a ring that has wrapped, the steady
+// state of a long traced run, and into rings that are still allocating
+// their chunks (a fresh 16-chunk ring every 16 chunks of events).
+func BenchmarkShardEmit(b *testing.B) {
+	e := Event{Kind: KindWriteback, Chip: -1, Bank: 2, Row: 7}
+	b.Run("wrapped", func(b *testing.B) {
+		s := New(4 * blockEvents).NewShard("rank0")
+		for range 5 * blockEvents {
+			s.Emit(e)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			e.Time = int64(i)
+			s.Emit(e)
+		}
+	})
+	b.Run("growing", func(b *testing.B) {
+		const ring = 16 * blockEvents
+		b.ReportAllocs()
+		var s *Shard
+		for i := range b.N {
+			if i%ring == 0 {
+				s = New(ring).NewShard("rank0")
+			}
+			e.Time = int64(i)
+			s.Emit(e)
+		}
+	})
 }

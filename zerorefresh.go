@@ -127,8 +127,9 @@ const (
 // Observability (internal/trace, internal/core): typed event tracing and
 // per-window time-series capture.
 type (
-	// Tracer collects typed simulation events in per-shard lock-light
-	// rings; set Config.Trace (or ExperimentOptions.Trace) to enable it.
+	// Tracer collects typed simulation events in per-shard
+	// single-writer rings; set Config.Trace (or ExperimentOptions.Trace)
+	// to enable it.
 	Tracer = trace.Tracer
 	// TraceEvent is one typed simulation event.
 	TraceEvent = trace.Event
