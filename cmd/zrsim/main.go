@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -26,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -38,63 +41,136 @@ import (
 	"zerorefresh/internal/workload"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "fig14", "experiment: "+experimentIDs()+",all")
-		capacity = flag.Int64("capacity", 32, "simulated rank capacity in MB")
-		windows  = flag.Int("windows", 8, "measured retention windows")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 23)")
-		list     = flag.Bool("list", false, "list benchmarks and exit")
-		format   = flag.String("format", "table", "output format: table, csv or json")
-		traceTo  = flag.String("trace", "", "write the run's event trace to this file: NDJSON for a .ndjson path (the /trace/tail line format, zrquery-ready), Chrome trace-event JSON otherwise")
-		traceCap = flag.Int("trace-cap", 0, "per-shard trace ring capacity in events (default trace.DefaultShardCap; raise it when -trace exports of long runs report drops)")
-		metTo    = flag.String("metrics-out", "", "write the per-window metrics time-series to this file (.json for JSON, CSV otherwise)")
-		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
-		rtDump   = flag.Bool("runtime-metrics", false, "dump Go runtime metrics to stderr after the run")
+// cliArgs is what zrsim's command line asks for: the options of the run
+// and the process-level settings around it. parseArgs builds it without
+// starting anything.
+type cliArgs struct {
+	opts       sim.Options
+	ids        []string // the experiments to run, in order
+	list       bool
+	format     string
+	traceTo    string
+	metricsTo  string
+	pprofOn    string
+	rtDump     bool
+	serveAddr  string
+	rules      []obs.Rule
+	watchEvery int64
+	flightOut  string
+}
 
-		serveAddr  = flag.String("serve", "", "serve the live introspection plane on this address (/metrics, /metrics.json, /healthz, /progress, /flight, /alerts, /trace/tail, /debug/pprof, /debug/vars); keeps serving the final state after the run until interrupted")
-		watchRules = flag.String("watch", "", "comma-separated watchdog rules, each name:metric[/denom][~q](>|<)threshold, evaluated over per-window metric deltas (needs -serve or -flight-out)")
-		watchEvery = flag.Int64("watch-every", 1, "evaluate -watch rules every N retention windows")
-		flightOut  = flag.String("flight-out", "", "write the flight-recorder dump (Chrome trace JSON) to this file after the run if anything was recorded")
+// formats are the -format values.
+var formats = []string{"table", "csv", "json"}
+
+// usageError is a command line the flag package rejected; it has already
+// printed the message and the usage.
+type usageError struct{ error }
+
+// parseArgs turns zrsim's arguments (without the program name) into the
+// run's options and settings, or an error naming the bad flag. It starts
+// nothing: no run, no listener, no file. Usage and flag-syntax errors go
+// to stderr and come back as a usageError.
+func parseArgs(args []string, stderr io.Writer) (cliArgs, error) {
+	fs := flag.NewFlagSet("zrsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		a        cliArgs
+		exp      = fs.String("exp", "fig14", "experiment: "+experimentIDs()+",all")
+		capacity = fs.Int64("capacity", 32, "simulated rank capacity in MB")
+		windows  = fs.Int("windows", 8, "measured retention windows")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		benches  = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all 23)")
+		traceCap = fs.Int("trace-cap", 0, "per-shard trace ring capacity in events (default trace.DefaultShardCap; raise it when -trace exports of long runs report drops)")
+		watch    = fs.String("watch", "", "comma-separated watchdog rules, each name:metric[/denom][~q](>|<)threshold, evaluated over per-window metric deltas (needs -serve or -flight-out)")
 	)
-	flag.Parse()
+	fs.BoolVar(&a.list, "list", false, "list benchmarks and exit")
+	fs.StringVar(&a.format, "format", "table", "output format: "+strings.Join(formats, ", "))
+	fs.StringVar(&a.traceTo, "trace", "", "write the run's event trace to this file: NDJSON for a .ndjson path (the /trace/tail line format, zrquery-ready), Chrome trace-event JSON otherwise")
+	fs.StringVar(&a.metricsTo, "metrics-out", "", "write the per-window metrics time-series to this file (.json for JSON, CSV otherwise)")
+	fs.StringVar(&a.pprofOn, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
+	fs.BoolVar(&a.rtDump, "runtime-metrics", false, "dump Go runtime metrics to stderr after the run")
+	fs.StringVar(&a.serveAddr, "serve", "", "serve the live introspection plane on this address (/metrics, /metrics.json, /healthz, /progress, /flight, /alerts, /trace/tail, /debug/pprof, /debug/vars); keeps serving the final state after the run until interrupted")
+	fs.Int64Var(&a.watchEvery, "watch-every", 1, "evaluate -watch rules every N retention windows")
+	fs.StringVar(&a.flightOut, "flight-out", "", "write the flight-recorder dump (Chrome trace JSON) to this file after the run if anything was recorded")
+	if err := fs.Parse(args); err != nil {
+		return cliArgs{}, usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return cliArgs{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if err := checkScale(*capacity, *windows); err != nil {
+		return cliArgs{}, err
+	}
+	if !slices.Contains(formats, a.format) {
+		return cliArgs{}, fmt.Errorf("unknown -format %q (want %s)", a.format, strings.Join(formats, ", "))
+	}
+	a.ids = []string{*exp}
+	if *exp == "all" {
+		a.ids = a.ids[:0]
+		for _, e := range sim.Experiments() {
+			if !e.Demo {
+				a.ids = append(a.ids, e.ID)
+			}
+		}
+	} else if _, ok := sim.ExperimentByID(*exp); !ok {
+		return cliArgs{}, fmt.Errorf("unknown experiment %q", *exp)
+	}
+	a.opts = sim.Options{
+		Capacity: *capacity << 20,
+		Windows:  *windows,
+		Seed:     *seed,
+	}
+	if a.traceTo != "" {
+		a.opts.Trace = trace.New(*traceCap)
+	}
+	if *benches != "" {
+		for _, name := range strings.Split(*benches, ",") {
+			p, ok := workload.ByName(strings.TrimSpace(name))
+			if !ok {
+				return cliArgs{}, fmt.Errorf("unknown benchmark %q (try -list)", name)
+			}
+			a.opts.Benchmarks = append(a.opts.Benchmarks, p)
+		}
+	}
+	if *watch != "" {
+		for _, s := range strings.Split(*watch, ",") {
+			r, err := obs.ParseRule(strings.TrimSpace(s))
+			if err != nil {
+				return cliArgs{}, err
+			}
+			a.rules = append(a.rules, r)
+		}
+	}
+	return a, nil
+}
+
+func main() {
+	a, err := parseArgs(os.Args[1:], os.Stderr)
+	if ue := (usageError{}); errors.As(err, &ue) {
+		if errors.Is(ue.error, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
+	if err != nil {
 		fail(err)
 	}
+	o := a.opts
 
-	if *list {
+	if a.list {
 		for _, b := range workload.Benchmarks() {
 			fmt.Printf("%-12s %-8s reduction~%.2f MPKI=%.1f\n", b.Name, b.Suite, b.ExpectedReduction(), b.MPKI)
 		}
 		return
 	}
 
-	if *pprofOn != "" {
+	if a.pprofOn != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofOn, nil); err != nil {
+			if err := http.ListenAndServe(a.pprofOn, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "zrsim: pprof:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "zrsim: pprof serving on http://%s/debug/pprof/\n", *pprofOn)
-	}
-
-	o := sim.Options{
-		Capacity: *capacity << 20,
-		Windows:  *windows,
-		Seed:     *seed,
-	}
-	if *traceTo != "" {
-		o.Trace = trace.New(*traceCap)
-	}
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			p, ok := workload.ByName(strings.TrimSpace(name))
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q (try -list)", name))
-			}
-			o.Benchmarks = append(o.Benchmarks, p)
-		}
+		fmt.Fprintf(os.Stderr, "zrsim: pprof serving on http://%s/debug/pprof/\n", a.pprofOn)
 	}
 
 	// Assemble the introspection plane when anything observes the run: the
@@ -102,22 +178,14 @@ func main() {
 	// watchdog rules (-watch). One plane observes every system the
 	// experiments build; each system's registry mounts under "sysN/".
 	var plane *obs.Plane
-	if *serveAddr != "" || *flightOut != "" || *watchRules != "" {
+	if a.serveAddr != "" || a.flightOut != "" || a.rules != nil {
 		plane = obs.NewPlane(zrmetrics.NewRegistry(), &core.Progress{}, 0)
-		if *watchRules != "" {
-			var rules []obs.Rule
-			for _, s := range strings.Split(*watchRules, ",") {
-				r, err := obs.ParseRule(strings.TrimSpace(s))
-				if err != nil {
-					fail(err)
-				}
-				rules = append(rules, r)
-			}
-			plane.InstallWatchdog(rules, *watchEvery)
+		if a.rules != nil {
+			plane.InstallWatchdog(a.rules, a.watchEvery)
 		}
 		o.Observer = observer(plane)
-		if *serveAddr != "" {
-			ln, err := net.Listen("tcp", *serveAddr)
+		if a.serveAddr != "" {
+			ln, err := net.Listen("tcp", a.serveAddr)
 			if err != nil {
 				fail(err)
 			}
@@ -131,41 +199,32 @@ func main() {
 		}
 	}
 
-	csvOut = *format == "csv"
-	jsonOut = *format == "json"
-	metricsOut = *metTo
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = ids[:0]
-		for _, e := range sim.Experiments() {
-			if !e.Demo {
-				ids = append(ids, e.ID)
-			}
-		}
-	}
-	for _, id := range ids {
+	csvOut = a.format == "csv"
+	jsonOut = a.format == "json"
+	metricsOut = a.metricsTo
+	for _, id := range a.ids {
 		fmt.Fprintf(os.Stderr, "zrsim: running %s...\n", id)
 		if err := run(id, o); err != nil {
 			fail(err)
 		}
 	}
-	if *traceTo != "" {
-		if err := writeTrace(*traceTo, o.Trace); err != nil {
+	if a.traceTo != "" {
+		if err := writeTrace(a.traceTo, o.Trace); err != nil {
 			fail(err)
 		}
 	}
-	if *rtDump {
+	if a.rtDump {
 		dumpRuntimeMetrics(os.Stderr)
 	}
 	if plane != nil {
 		plane.MarkDone()
-		if *flightOut != "" {
-			if err := writeFlight(*flightOut, plane); err != nil {
+		if a.flightOut != "" {
+			if err := writeFlight(a.flightOut, plane); err != nil {
 				fail(err)
 			}
 		}
 	}
-	if *serveAddr != "" {
+	if a.serveAddr != "" {
 		fmt.Fprintln(os.Stderr, "zrsim: run complete; serving final state until interrupted")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)

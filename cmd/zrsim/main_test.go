@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,4 +214,76 @@ func TestObserverMountsEverySystemOnce(t *testing.T) {
 	if len(mounts) != systems {
 		t.Errorf("%d distinct mounts for %d systems: %v", len(mounts), systems, mounts)
 	}
+}
+
+// TestParseArgs pins the command-line contract: defaults, -exp all, and
+// the values rejected with an error naming the flag — an unknown -format
+// names the accepted ones.
+func TestParseArgs(t *testing.T) {
+	a, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.opts.Capacity != 32<<20 || a.opts.Windows != 8 || a.opts.Seed != 1 || a.format != "table" ||
+		len(a.ids) != 1 || a.ids[0] != "fig14" || a.opts.Trace != nil || a.opts.Benchmarks != nil {
+		t.Fatalf("defaults parsed as %+v", a)
+	}
+	a, err = parseArgs([]string{"-exp", "all", "-benchmarks", "mcf, sphinx3", "-format", "csv"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.ids) < 10 || slices.Contains(a.ids, "violation") || len(a.opts.Benchmarks) != 2 || a.format != "csv" {
+		t.Fatalf("-exp all parsed as ids %v, %d benchmarks, format %q", a.ids, len(a.opts.Benchmarks), a.format)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-format", "xml"}, "table, csv, json"},
+		{[]string{"-exp", "fig99"}, "fig99"},
+		{[]string{"-benchmarks", "mcf,nope"}, "nope"},
+		{[]string{"-capacity", "0"}, "-capacity"},
+		{[]string{"-windows", "-1"}, "-windows"},
+		{[]string{"-watch", "bad"}, "bad"},
+		{[]string{"-exp", "smoke", "extra"}, "extra"},
+		{[]string{"-bogus"}, "-bogus"},
+	} {
+		if _, err := parseArgs(c.args, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parseArgs(%q) = %v, want an error naming %q", c.args, err, c.want)
+		}
+	}
+}
+
+// FuzzParseArgs feeds parseArgs NUL-separated argument lists. Each must
+// parse to options a run accepts or to an error — never a panic — and
+// parsing starts no run: it builds no system, so the options' tracer, if
+// any, holds no shard.
+func FuzzParseArgs(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"-exp\x00smoke\x00-capacity\x004\x00-windows\x001\x00-format\x00xml",
+		"-exp\x00all\x00-benchmarks\x00mcf,sphinx3\x00-format\x00json",
+		"-capacity\x008796093022208",
+		"-trace\x00t.ndjson\x00-trace-cap\x00-5\x00-watch\x00v:dram.decay_events>0",
+		"-list\x00-h",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := parseArgs(strings.Split(s, "\x00"), io.Discard)
+		if err != nil {
+			return
+		}
+		if a.opts.Capacity < 1<<20 || a.opts.Windows < 1 || len(a.ids) == 0 || !slices.Contains(formats, a.format) {
+			t.Fatalf("%q parsed to unusable options %+v", s, a)
+		}
+		for _, id := range a.ids {
+			if _, ok := sim.ExperimentByID(id); !ok {
+				t.Fatalf("%q parsed to unknown experiment %q", s, id)
+			}
+		}
+		if a.opts.Trace != nil && len(a.opts.Trace.Shards()) != 0 {
+			t.Fatalf("%q: parsing opened trace shards", s)
+		}
+	})
 }

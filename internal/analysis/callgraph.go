@@ -336,7 +336,7 @@ func (g *CallGraph) reachableFrom(roots []*CGNode) map[*CGNode]reachEntry {
 }
 
 // chainTo renders the call chain from a BFS root to node n, e.g.
-// "dram.Module.WriteLineWords → dram.row.writeWord".
+// "memctrl.Controller.WriteRow → dram.StoreRange".
 func chainTo(seen map[*CGNode]reachEntry, n *CGNode) string {
 	var names []string
 	for at := n; at != nil; {

@@ -38,21 +38,21 @@ func (Layerpurity) Doc() string {
 }
 
 // dramMutators is the charge-state-mutating slice of the rank contract:
-// the scalar methods, their line- and row-granular batched equivalents
-// (WriteLineWords, BeginRowWrite, RefreshGroup), the bulk
-// idle replay (ReplayRefreshGroup), which perform the same state
-// transitions a cacheline, row burst, refresh diagonal, or idle-window run
-// at a time, and CopyFrom, which overwrites a whole module's cells with
-// another's (core.System.Clone). BeginRowWrite stands for its whole burst:
-// the dram.RowWrite cursor whose Write and End store the row exists only
-// as BeginRowWrite's result, so a layer holds one only if it opened the
-// burst through the interface — or was flagged for opening it on the
-// concrete module.
+// the scalar methods, their row-granular batched equivalents
+// (BeginRowWrite, RefreshGroup), the bulk idle replay
+// (ReplayRefreshGroup), which perform the same state transitions a row
+// burst, refresh diagonal, or idle-window run at a time, and CopyFrom,
+// which overwrites a whole module's cells with another's
+// (core.System.Clone). BeginRowWrite stands for its whole burst: the
+// dram.RowWrite cursor through which dram.StoreRange stores a page or a
+// single line, and whose End closes the burst, exists only as
+// BeginRowWrite's result, so a layer holds one only if it opened the burst
+// through the interface — or was flagged for opening it on the concrete
+// module.
 var dramMutators = map[string]bool{
 	"WriteWord":          true,
 	"Refresh":            true,
 	"MarkSpared":         true,
-	"WriteLineWords":     true,
 	"BeginRowWrite":      true,
 	"RefreshGroup":       true,
 	"ReplayRefreshGroup": true,

@@ -36,6 +36,17 @@ func helperB(m *point) {
 	m.x++
 }
 
+// Store is a generic hot root, as the row store is: its body is checked
+// like any other root's.
+//
+//zr:hotpath
+func Store[L ~[8]uint64](lines []L) int {
+	f := func() int { // want "function literal allocates a closure on the hot path"
+		return len(lines)
+	}
+	return f()
+}
+
 //zr:hotpath
 func Direct(events []int, s boxer) int {
 	defer cleanup()    // want "defer allocates and delays cleanup on the hot path"

@@ -12,7 +12,6 @@ import (
 type backend interface {
 	WriteWord(row int, v uint64)
 	Refresh(row int) bool
-	WriteLineWords(row int, words [8]uint64) bool
 	RefreshGroup(rows [8]int) uint16
 	ReplayRefreshGroup(rows [8]int, windows int64)
 	BeginRowWrite(row int) dram.RowWrite
@@ -23,15 +22,14 @@ func direct(m *dram.Module) bool {
 	return m.Refresh(0) // want "mutates DRAM cell state on concrete"
 }
 
-func directBatched(m *dram.Module) bool {
-	m.RefreshGroup([8]int{})                 // want "mutates DRAM cell state on concrete"
-	m.ReplayRefreshGroup([8]int{}, 4)        // want "mutates DRAM cell state on concrete"
-	return m.WriteLineWords(0, [8]uint64{1}) // want "mutates DRAM cell state on concrete"
+func directBatched(m *dram.Module) {
+	m.RefreshGroup([8]int{})          // want "mutates DRAM cell state on concrete"
+	m.ReplayRefreshGroup([8]int{}, 4) // want "mutates DRAM cell state on concrete"
 }
 
 func directBurst(m *dram.Module) {
 	w := m.BeginRowWrite(0) // want "mutates DRAM cell state on concrete"
-	w.Write(0, 1)
+	dram.StoreRange(&w, 0, []uint64{1})
 	w.End()
 }
 
@@ -45,14 +43,12 @@ func directCopy(dst, src *dram.Module) error {
 // it returns is then the sanctioned handle on the row.
 func throughInterfaceBurst(b backend) {
 	w := b.BeginRowWrite(0)
-	w.Write(0, 1)
-	w.Write(1, 2)
+	dram.StoreRange(&w, 0, []uint64{1, 2})
 	w.End()
 }
 
 func throughInterface(b backend) bool {
 	b.WriteWord(0, 1)
-	b.WriteLineWords(0, [8]uint64{1})
 	b.RefreshGroup([8]int{})
 	b.ReplayRefreshGroup([8]int{}, 4)
 	return b.Refresh(0)

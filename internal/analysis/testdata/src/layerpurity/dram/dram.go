@@ -14,11 +14,6 @@ func (m *Module) Refresh(row int) bool { return m.rows[row] == 0 }
 
 func (m *Module) MarkSpared(row int) { m.rows[row] = ^uint64(0) }
 
-func (m *Module) WriteLineWords(row int, words [8]uint64) bool {
-	m.rows[row] = words[0]
-	return m.rows[row] == 0
-}
-
 func (m *Module) ReadLineWords(row int) [8]uint64 { return [8]uint64{m.rows[row]} }
 
 func (m *Module) RefreshGroup(rows [8]int) uint16 { return 0 }
@@ -34,7 +29,11 @@ type RowWrite struct {
 
 func (m *Module) BeginRowWrite(row int) RowWrite { return RowWrite{m: m, row: row} }
 
-func (w *RowWrite) Write(slot int, v uint64) { w.m.rows[w.row] = v }
+// StoreRange stores a range of slots through an open burst's cursor.
+func StoreRange(w *RowWrite, first int, v []uint64) bool {
+	w.m.rows[w.row] = v[0]
+	return w.m.rows[w.row] == 0
+}
 
 func (w *RowWrite) End() {}
 

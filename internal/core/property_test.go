@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"zerorefresh/internal/dram"
+	"zerorefresh/internal/ostrace"
 	"zerorefresh/internal/refresh"
 	"zerorefresh/internal/transform"
 	"zerorefresh/internal/workload"
@@ -15,11 +17,28 @@ import (
 // cell-type fidelity, refresh granularity, cell-group interleave, rank
 // count and workload, a system that runs windows with skipping enabled
 // never decays a row and always reads back exactly what was written.
+//
+// The fills mix the ways a page is written: random pages filled with one
+// benchmark and refilled with a second one's, cleansed pages, an OS
+// allocator schedule that zero-fills the pages it frees and refills the
+// pages it reallocates, and word-class pages. A benchmark's pages charge
+// nested sets of a row's chip-rows, so a benchmark refill only charges or
+// only discharges chip-rows; a word-class page sets some words of each
+// line, and in them some bytes, so refilling one discharges some chip-rows
+// and charges others in the same burst. The run must see that happen.
 func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 	mappings := []transform.ChipMapping{
 		transform.RotatedMapping{}, transform.DirectMapping{}, transform.ByteScatterMapping{},
 	}
 	benches := workload.Benchmarks()
+	// content is what a page was last written with: a benchmark version,
+	// or word-class lines.
+	type content struct {
+		prof    workload.Profile
+		version uint64
+		lines   []transform.Line
+	}
+	mixed := 0 // refills that discharged some chip-rows and charged others
 
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,50 +69,139 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 			return false
 		}
 
-		prof := benches[rng.Intn(len(benches))]
-		// Fill a random subset of pages, cleanse another.
-		filled := map[int]uint64{}
-		for i := 0; i < 40; i++ {
-			p := rng.Intn(sys.Pages())
-			v := uint64(rng.Intn(3))
-			if err := sys.FillPageFromProfile(prof, p, cfg.Seed, v); err != nil {
-				return false
+		i := rng.Intn(len(benches))
+		prof := benches[i]
+		prof2 := benches[(i+1+rng.Intn(len(benches)-1))%len(benches)]
+		live := map[int]content{}
+		var writeErr error
+		note := func(err error) {
+			if err != nil && writeErr == nil {
+				writeErr = err
 			}
-			filled[p] = v
+		}
+		fill := func(p int, c content) {
+			note(sys.FillPageFromProfile(c.prof, p, cfg.Seed, c.version))
+			live[p] = c
+		}
+		cleanse := func(p int) {
+			note(sys.CleansePage(p))
+			delete(live, p)
+		}
+		// chargedChips is the mask of page p's chip-rows holding charge.
+		chargedChips := func(p int) (mask int) {
+			u, local, err := sys.rankOf(sys.PageAddr(p))
+			note(err)
+			loc, err := u.Controller.AddressMap().Locate(local)
+			note(err)
+			for c := 0; c < dram.LineChips; c++ {
+				if !u.DRAM.SenseDischarged(c, loc.Bank, loc.Row) {
+					mask |= 1 << c
+				}
+			}
+			return mask
+		}
+		writeClasses := func(p int) {
+			words, bytes := 1+rng.Intn(255), 1+rng.Intn(255)
+			var keep uint64
+			for b := 0; b < 8; b++ {
+				if bytes>>b&1 != 0 {
+					keep |= 0xff << (8 * b)
+				}
+			}
+			lines := make([]transform.Line, sys.DRAM.Config().LinesPerRow())
+			for i := range lines {
+				for w := range lines[i] {
+					if words>>w&1 != 0 {
+						lines[i][w] = rng.Uint64() & keep
+					}
+				}
+			}
+			before := chargedChips(p)
+			note(sys.WritePage(p, func(dst []transform.Line) { copy(dst, lines) }))
+			if after := chargedChips(p); before&^after != 0 && after&^before != 0 {
+				mixed++
+			}
+			live[p] = content{lines: lines}
+		}
+		// The allocator hands out and frees a prefix of the pages: freed
+		// pages are cleansed, and each reallocation fills a new version.
+		alloc := ostrace.NewAllocator(sys.Pages())
+		generation := uint64(20)
+		alloc.OnAllocate = func(p int) { fill(p, content{prof: prof2, version: generation}) }
+		alloc.OnFree = cleanse
+		target := 0.1 + rng.Float64()*0.2
+		allocate := func(frac float64) {
+			generation++
+			note(alloc.SetTargetFraction(frac))
+		}
+
+		// Fill a random subset of pages, hand a prefix to the allocator,
+		// refill some filled pages with the second benchmark, cleanse
+		// others, free part of the prefix and reallocate it, and write
+		// word-class pages twice over.
+		for i := 0; i < 40; i++ {
+			fill(rng.Intn(sys.Pages()), content{prof: prof, version: uint64(rng.Intn(3))})
+		}
+		allocate(target)
+		for p := 0; p < sys.Pages(); p++ {
+			if _, ok := live[p]; ok && rng.Intn(3) == 0 {
+				fill(p, content{prof: prof2, version: uint64(rng.Intn(3))})
+			}
 		}
 		for i := 0; i < 10; i++ {
-			p := rng.Intn(sys.Pages())
-			if err := sys.CleansePage(p); err != nil {
-				return false
-			}
-			delete(filled, p)
+			cleanse(rng.Intn(sys.Pages()))
 		}
-		// Several windows with occasional rewrites.
+		allocate(target / 2)
+		allocate(target)
+		for i := 0; i < 8; i++ {
+			p := rng.Intn(sys.Pages())
+			writeClasses(p)
+			writeClasses(p)
+		}
+		// Several windows with occasional rewrites and allocator swings.
 		for w := 0; w < 4; w++ {
 			if rng.Intn(2) == 0 {
-				p := rng.Intn(sys.Pages())
-				v := uint64(10 + w)
-				if err := sys.FillPageFromProfile(prof, p, cfg.Seed, v); err != nil {
-					return false
-				}
-				filled[p] = v
+				fill(rng.Intn(sys.Pages()), content{prof: []workload.Profile{prof, prof2}[w%2], version: uint64(10 + w)})
+			}
+			if rng.Intn(2) == 0 {
+				writeClasses(rng.Intn(sys.Pages()))
+			}
+			if rng.Intn(2) == 0 {
+				allocate(target * rng.Float64())
+				allocate(target)
 			}
 			sys.RunWindow()
+		}
+		if writeErr != nil {
+			t.Logf("seed %d: %v", seed, writeErr)
+			return false
 		}
 		if sys.DecayEvents() != 0 {
 			t.Logf("seed %d: decay events under %+v", seed, cfg)
 			return false
 		}
-		for p, v := range filled {
-			if err := sys.VerifyPage(prof, p, cfg.Seed, v); err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
+		for p, c := range live {
+			if c.lines == nil {
+				if err := sys.VerifyPage(c.prof, p, cfg.Seed, c.version); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				continue
+			}
+			for ln, want := range c.lines {
+				if got, err := sys.ReadPageLine(p, ln); err != nil || got != want.Bytes() {
+					t.Logf("seed %d: page %d line %d reads %x (%v), wrote %x", seed, p, ln, got, err, want.Bytes())
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+	if mixed == 0 {
+		t.Fatal("no refill discharged some chip-rows and charged others in one burst")
 	}
 }
 

@@ -169,8 +169,8 @@ func (s *bankSlab) copyFrom(src *bankSlab) {
 }
 
 // releaseSlot returns one slot to the free list. Slots are not cleared on
-// release; alloc-time materialization rewrites every word, so stale content
-// can never leak into a fresh row.
+// release; whoever claims a slot rewrites every word, so stale content can
+// never leak into a fresh row.
 func (s *bankSlab) releaseSlot(slot int32) {
 	s.free = append(s.free, slot)
 	s.st.noteUsed(-int64(s.wordsPerRow) * WordBytes)

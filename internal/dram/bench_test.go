@@ -1,6 +1,11 @@
 package dram
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"zerorefresh/internal/trace"
+)
 
 // chargedFill is a fill word that is charged for both cell types (neither
 // all-zeros nor all-ones), so the same benchmark body exercises true- and
@@ -99,5 +104,71 @@ func BenchmarkReplayRefreshGroup(b *testing.B) {
 			m.ReplayRefreshGroup(0, diagonalGroup(m, i%rows), now, period, windows)
 			now += Time(windows) * period
 		}
+	})
+}
+
+// benchPage returns a page of scattered lines for the store benchmarks:
+// random words, one in four of them zero.
+func benchPage(m *Module, seed int64) [][LineChips]uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	lines := make([][LineChips]uint64, m.wordsPerRow)
+	for i := range lines {
+		for c := range lines[i] {
+			if rng.Intn(4) != 0 {
+				lines[i][c] = rng.Uint64()
+			}
+		}
+	}
+	return lines
+}
+
+// BenchmarkRowStore measures one full-row StoreRange burst: a page of 64
+// lines stored into one rank-level row.
+//
+//	fresh:       every burst lands on a never-written row, so each chip-row
+//	             claims its arena slot (a fresh module every 2048 rows,
+//	             outside the timer).
+//	overwritten: every burst rewrites a row that holds charged words, in
+//	             place.
+//	traced:      overwritten rows on a traced module, which stores one slot
+//	             per call so its events come out in slot order.
+func BenchmarkRowStore(b *testing.B) {
+	store := func(m *Module, bank, row int, lines [][LineChips]uint64) {
+		w := m.BeginRowWrite(bank, row, 0)
+		StoreRange(&w, 0, lines)
+		w.End()
+	}
+	b.Run("fresh", func(b *testing.B) {
+		m := benchModule()
+		lines := benchPage(m, 1)
+		rows := m.cfg.Banks * m.cfg.RowsPerBank
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%rows == 0 && i > 0 {
+				b.StopTimer()
+				m = benchModule()
+				b.StartTimer()
+			}
+			store(m, i%rows%m.cfg.Banks, i%rows/m.cfg.Banks, lines)
+		}
+	})
+	overwrite := func(b *testing.B, m *Module) {
+		pages := [2][][LineChips]uint64{benchPage(m, 1), benchPage(m, 2)}
+		rows := m.cfg.RowsPerBank
+		for r := 0; r < rows; r++ {
+			store(m, 0, r, pages[0])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store(m, 0, i%rows, pages[i/rows%2^1])
+		}
+	}
+	b.Run("overwritten", func(b *testing.B) { overwrite(b, benchModule()) })
+	b.Run("traced", func(b *testing.B) {
+		m := benchModule()
+		m.SetTracer(trace.New(1 << 16).NewShard("rank"))
+		overwrite(b, m)
 	})
 }

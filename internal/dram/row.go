@@ -49,18 +49,19 @@ func popcountCharged(words []uint64, ct CellType) int {
 	return n
 }
 
-// materialize claims an arena slot initialized to the fully discharged
-// pattern for the row's cell type. Slots are recycled, so every word is
-// rewritten — stale content from a previous tenant must never show through.
-func (r *row) materialize(ct CellType) {
-	ws, slot := r.slab.alloc()
-	d := ct.DischargedWord()
-	for i := range ws {
-		ws[i] = d
-	}
-	r.words = ws
-	r.slot = slot
+// claim takes an arena slot for the row's words without initializing it:
+// slots are recycled, so the caller rewrites every word — stale content
+// from a previous tenant must never show through.
+func (r *row) claim() {
+	r.words, r.slot = r.slab.alloc()
 	r.slab.st.noteMaterialized(1)
+}
+
+// materialize claims an arena slot initialized to the fully discharged
+// pattern for the row's cell type.
+func (r *row) materialize(ct CellType) {
+	r.claim()
+	fillWords(r.words, ct.DischargedWord())
 }
 
 // releaseWords drops a materialized row back to the storage-free fully

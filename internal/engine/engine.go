@@ -23,7 +23,7 @@ type Tracer = trace.Sink
 
 // MemoryBackend is the hardware contract a refresh engine and a
 // memory-controller datapath need from a DRAM rank: line-granular reads and
-// writes (which activate, and therefore recharge, the rows), row bursts,
+// row bursts that write (both activate, and therefore recharge, the rows),
 // refresh of one staggered diagonal group with discharged-row sensing that
 // leaves spared rows (row sparing's remapped rows, which must never skip
 // refresh) out of the status mask, and the idle-window bulk refresh. Every
@@ -38,15 +38,12 @@ type MemoryBackend interface {
 	// discharged.
 	Refresh(chip, bank, rowIdx int, now dram.Time) (discharged bool)
 
-	// WriteLineWords stores words[c] into word slot `slot` of (bank, row)
-	// in chip c for all chips at once — one scattered cacheline — and
-	// reports whether every touched chip-row is fully discharged
-	// afterwards.
-	WriteLineWords(bank, rowIdx, slot int, words [dram.LineChips]uint64, now dram.Time) bool
-	// BeginRowWrite opens a row burst on (bank, row): the returned cursor
-	// stores the row slot by slot, activating each chip-row once, and
-	// leaves exactly the state, counters and per-slot trace events of one
-	// WriteLineWords call per written slot. The caller ends it with End.
+	// BeginRowWrite opens a row burst on (bank, row): dram.StoreRange
+	// stores ranges of the row's slots through the returned cursor — a
+	// whole page, or one scattered cacheline as a one-slot range —
+	// activating each chip-row once, and leaves exactly the state,
+	// counters and per-slot trace events of storing the slots one at a
+	// time in slot order. The caller ends it with End.
 	BeginRowWrite(bank, rowIdx int, now dram.Time) dram.RowWrite
 	// ReadLineWords returns word slot `slot` of (bank, row) in every
 	// chip, applying the retention model as the hardware would.

@@ -78,9 +78,8 @@ func (c *Controller) LinesWritten() int64 { return c.linesWritten.Load() }
 
 // WriteLine stores a 64-byte cacheline at the line-aligned physical
 // address, transforming and rotating it on the way: the line is scattered
-// as a one-line row. The scattered words reach the rank through one
-// batched backend call; the differential tests pin it against a scalar
-// twin that issues one WriteWord per chip.
+// as a one-line row and stored as a one-slot row burst. The differential
+// tests pin it against a scalar twin that issues one WriteWord per chip.
 //
 //zr:hotpath
 func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error {
@@ -91,7 +90,9 @@ func (c *Controller) WriteLine(addr uint64, data [64]byte, now dram.Time) error 
 	line := c.row[:1]
 	line[0] = c.pipe.Encode(transform.LineFromBytes(&data), loc.Row)
 	c.mapping.Scatter(line, loc.Row)
-	c.mod.WriteLineWords(loc.Bank, loc.Row, loc.Slot, line[0], now)
+	w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
+	dram.StoreRange(&w, loc.Slot, line)
+	w.End()
 	c.noteLineWritten(loc, now)
 	return nil
 }
@@ -130,13 +131,14 @@ func writeback(bank, row, slot int, now dram.Time) trace.Event {
 // one row burst that copies no line. fill writes every word of the row's
 // lines, in line order, straight into the controller's staging row; the
 // lines are then encoded in place in one EncodeRow call, scattered in place
-// in one Scatter call, and each slot's chip words are stored through a
-// pointer into the staging row. Each chip-row is activated once, and the
-// bookkeeping is one address translation, one refresh-policy notification
-// and one counter Add per row. Cell state, counters and the per-shard trace
-// order are exactly those of one WriteLine per slot in slot order: each
-// slot's DRAM events are followed by its writeback event. The differential
-// tests pin it against the scalar line loop.
+// in one Scatter call, and stored from the staging row in one
+// dram.StoreRange call, chip-row by chip-row. Each chip-row is activated
+// once, and the bookkeeping is one address translation, one refresh-policy
+// notification and one counter Add per row. Cell state, counters and the
+// per-shard trace order are exactly those of one WriteLine per slot in
+// slot order: a traced controller stores the row one slot per call, so
+// each slot's DRAM events are followed by its writeback event. The
+// differential tests pin it against the scalar line loop.
 //
 //zr:hotpath
 func (c *Controller) WriteRow(addr uint64, fill func(lines []transform.Line), now dram.Time) error {
@@ -149,9 +151,11 @@ func (c *Controller) WriteRow(addr uint64, fill func(lines []transform.Line), no
 	c.pipe.EncodeRow(lines, loc.Row)
 	c.mapping.Scatter(lines, loc.Row)
 	w := c.mod.BeginRowWrite(loc.Bank, loc.Row, now)
-	for slot := range lines {
-		w.Write(slot, (*[dram.LineChips]uint64)(&lines[slot]))
-		if c.tr != nil {
+	if c.tr == nil {
+		dram.StoreRange(&w, 0, lines)
+	} else {
+		for slot := range lines {
+			dram.StoreRange(&w, slot, lines[slot:slot+1])
 			c.tr.Emit(writeback(loc.Bank, loc.Row, slot, now))
 		}
 	}

@@ -1,9 +1,9 @@
 // Package rng is the simulator's only sanctioned source of pseudo-randomness:
 // a splitmix64 generator plus coordinate-hash seeding helpers. It is a leaf
-// package (no imports at all) precisely so that every layer — workload
-// content generators, baseline policies, the cell-type noise model — can
-// draw from the same explicitly seeded stream without creating import
-// cycles.
+// package (it imports only math/bits) precisely so that every layer —
+// workload content generators, baseline policies, the cell-type noise
+// model — can draw from the same explicitly seeded stream without creating
+// import cycles.
 //
 // The determinism invariant the zrlint `determinism` analyzer enforces is
 // stated here: simulation packages must not call time.Now or the global
@@ -12,6 +12,8 @@
 // regenerates identical values in any order, which is what makes the
 // per-rank sharded execution deterministic.
 package rng
+
+import "math/bits"
 
 // SplitMix is a splitmix64 PRNG: tiny, fast, and — unlike math/rand —
 // trivially seedable from hashed coordinates so that any (page, line) pair
@@ -55,15 +57,30 @@ const HashStart HashState = 0xcbf29ce484222325
 // fnvPrime is the 64-bit FNV prime.
 const fnvPrime = 0x100000001b3
 
+// fnvPrimePow[k] is the FNV prime to the k-th power: what k FNV-1a steps
+// over zero bytes multiply the state by.
+var fnvPrimePow = func() (p [9]HashState) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
 // foldByte is one FNV-1a step.
 func (h HashState) foldByte(b byte) HashState { return (h ^ HashState(b)) * fnvPrime }
 
 // Fold mixes one more part into the state, least significant byte first.
+// A zero byte's step is a bare multiply by the prime, so the zero bytes
+// above the part's highest non-zero byte fold as one multiply by a power
+// of the prime: coordinates are small, and most of their bytes are zero.
 func (h HashState) Fold(p uint64) HashState {
-	for i := 0; i < 8; i++ {
-		h = h.foldByte(byte(p >> (8 * i)))
+	n := (bits.Len64(p) + 7) / 8
+	for i := 0; i < n; i++ {
+		h = h.foldByte(byte(p))
+		p >>= 8
 	}
-	return h
+	return h * fnvPrimePow[8-n]
 }
 
 // Sum finishes the hash with a splitmix finalizer: the first draw of a

@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestSplitMixDeterministic(t *testing.T) {
 	a, b := NewSplitMix(42), NewSplitMix(42)
@@ -126,4 +129,52 @@ func TestHashStringDistinct(t *testing.T) {
 	if HashString("x") != HashString("x") {
 		t.Fatal("HashString is not a pure function")
 	}
+}
+
+// foldByteLoop is the eight-step FNV-1a fold Fold shortcuts: one step per
+// byte of the part, least significant first.
+func foldByteLoop(h HashState, p uint64) HashState {
+	for i := 0; i < 8; i++ {
+		h = h.foldByte(byte(p >> (8 * i)))
+	}
+	return h
+}
+
+// TestFoldMatchesByteLoop holds Fold bit-identical to the eight-step loop
+// on 0, every byte value at every position, 2^k-1, MaxUint64 and random
+// parts, from the offset basis and from a folded state.
+func TestFoldMatchesByteLoop(t *testing.T) {
+	parts := []uint64{0, math.MaxUint64}
+	for pos := 0; pos < 8; pos++ {
+		for b := 1; b < 256; b++ {
+			parts = append(parts, uint64(b)<<(8*pos))
+		}
+	}
+	for k := 1; k < 64; k++ {
+		parts = append(parts, 1<<k-1)
+	}
+	s := NewSplitMix(9)
+	for i := 0; i < 1000; i++ {
+		parts = append(parts, s.Uint64()>>(s.Uint64()%64))
+	}
+	for _, h := range []HashState{HashStart, HashStart.Fold(0x1234), HashState(0)} {
+		for _, p := range parts {
+			if got, want := h.Fold(p), foldByteLoop(h, p); got != want {
+				t.Fatalf("%#x.Fold(%#x) = %#x, byte loop %#x", uint64(h), p, uint64(got), uint64(want))
+			}
+		}
+	}
+}
+
+// FuzzFoldMatchesByteLoop checks Fold against the eight-step loop on
+// arbitrary states and parts.
+func FuzzFoldMatchesByteLoop(f *testing.F) {
+	f.Add(uint64(HashStart), uint64(0))
+	f.Add(uint64(HashStart), uint64(0x00ff00))
+	f.Add(uint64(0), uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, h, p uint64) {
+		if got, want := HashState(h).Fold(p), foldByteLoop(HashState(h), p); got != want {
+			t.Fatalf("%#x.Fold(%#x) = %#x, byte loop %#x", h, p, uint64(got), uint64(want))
+		}
+	})
 }
