@@ -125,9 +125,13 @@ func parseArgs(args []string, stderr io.Writer) (cliArgs, error) {
 	}
 	if *benches != "" {
 		for _, name := range strings.Split(*benches, ",") {
-			p, ok := workload.ByName(strings.TrimSpace(name))
+			name = strings.TrimSpace(name)
+			p, ok := workload.ByName(name)
 			if !ok {
 				return cliArgs{}, fmt.Errorf("unknown benchmark %q (try -list)", name)
+			}
+			if slices.ContainsFunc(a.opts.Benchmarks, func(q workload.Profile) bool { return q.Name == name }) {
+				return cliArgs{}, fmt.Errorf("benchmark %q named twice in -benchmarks", name)
 			}
 			a.opts.Benchmarks = append(a.opts.Benchmarks, p)
 		}

@@ -218,7 +218,8 @@ func TestObserverMountsEverySystemOnce(t *testing.T) {
 
 // TestParseArgs pins the command-line contract: defaults, -exp all, and
 // the values rejected with an error naming the flag — an unknown -format
-// names the accepted ones.
+// names the accepted ones, and an unknown or repeated benchmark is named
+// without the spaces around it.
 func TestParseArgs(t *testing.T) {
 	a, err := parseArgs(nil, io.Discard)
 	if err != nil {
@@ -242,6 +243,9 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"-format", "xml"}, "table, csv, json"},
 		{[]string{"-exp", "fig99"}, "fig99"},
 		{[]string{"-benchmarks", "mcf,nope"}, "nope"},
+		{[]string{"-benchmarks", "mcf, nope "}, `"nope"`},
+		{[]string{"-benchmarks", "mcf,mcf,sphinx3"}, `"mcf" named twice`},
+		{[]string{"-benchmarks", "sphinx3, mcf,sphinx3 "}, `"sphinx3" named twice`},
 		{[]string{"-capacity", "0"}, "-capacity"},
 		{[]string{"-windows", "-1"}, "-windows"},
 		{[]string{"-watch", "bad"}, "bad"},
@@ -266,6 +270,7 @@ func FuzzParseArgs(f *testing.F) {
 		"-capacity\x008796093022208",
 		"-trace\x00t.ndjson\x00-trace-cap\x00-5\x00-watch\x00v:dram.decay_events>0",
 		"-list\x00-h",
+		"-benchmarks\x00mcf, sphinx3,mcf",
 	} {
 		f.Add(s)
 	}
@@ -280,6 +285,11 @@ func FuzzParseArgs(f *testing.F) {
 		for _, id := range a.ids {
 			if _, ok := sim.ExperimentByID(id); !ok {
 				t.Fatalf("%q parsed to unknown experiment %q", s, id)
+			}
+		}
+		for i, p := range a.opts.Benchmarks {
+			if slices.ContainsFunc(a.opts.Benchmarks[:i], func(q workload.Profile) bool { return q.Name == p.Name }) {
+				t.Fatalf("%q parsed to benchmark %q twice", s, p.Name)
 			}
 		}
 		if a.opts.Trace != nil && len(a.opts.Trace.Shards()) != 0 {

@@ -16,10 +16,10 @@ package transform
 // The transpose touches no logic on the critical path in hardware — it is
 // wire routing — and is a bijection, inverted by BitPlaneInverse.
 //
-// In software it is a branch-free network over whole words. Writing
-// b = 8k + i (byte lane k, bit i within the byte), the target position is
-// p = 56k + 7i + j: byte lane k of the seven delta words fills the 56-bit
-// field at offset 56k, with bit i of word j's byte at 7i + j inside it. So
+// In software it is a network over whole words. Writing b = 8k + i (byte
+// lane k, bit i within the byte), the target position is p = 56k + 7i + j:
+// byte lane k of the seven delta words fills the 56-bit field at offset
+// 56k, with bit i of word j's byte at 7i + j inside it. So
 //
 //  1. an 8x8 byte transpose of the seven delta words (plus a zero eighth)
 //     gathers byte lane k of every word into lane word k (byte j = word j);
@@ -27,6 +27,17 @@ package transform
 //     j of byte i, leaving bit 7 of every byte zero (there is no word 7);
 //  3. a 7-bit pack squeezes out those zero bits, and lane k is placed at
 //     bit 56k of the region.
+//
+// A lane whose bytes are all zero transposes and packs to zero, and on
+// value-local content EBDI leaves most lanes so: small-integer deltas fold
+// into 9 to 16 bits (two lanes), pointer and 32-bit integer deltas into 23
+// to 31 (three or four), float deltas into 53 (seven). The forward
+// transpose therefore ORs the deltas and runs only the lanes the widest
+// one reaches: none when every delta is zero, two below 2^16, four below
+// 2^32, all eight otherwise. With the words' high halves zero, the byte
+// transpose's first round (32-bit blocks) is one shift-or per pair of
+// words, and below 2^16 so is its second; the lanes come out as the full
+// network's.
 //
 // Every step is a permutation and steps 1 and 2 are involutions, so the
 // inverse unpacks the lanes and runs the same two transposes in reverse
@@ -98,26 +109,57 @@ func BitPlaneTranspose(l Line) Line {
 }
 
 // bitPlaneTranspose is BitPlaneTranspose in place, the form the pipeline
-// runs: it spares the encode path two 64-byte copies per line. The eight
-// lanes are written out one by one so their independent bit transposes and
-// packs overlap.
+// runs: it spares the encode path two 64-byte copies per line. It runs the
+// lanes the widest delta occupies (see the file comment), and writes them
+// out one by one so their independent bit transposes and packs overlap.
 func bitPlaneTranspose(l *Line) {
-	x0, x1, x2, x3, x4, x5, x6, x7 := transposeBytes8(l[1], l[2], l[3], l[4], l[5], l[6], l[7], 0)
-	f0 := pack7(transposeBits8(x0))
-	f1 := pack7(transposeBits8(x1))
-	f2 := pack7(transposeBits8(x2))
-	f3 := pack7(transposeBits8(x3))
-	f4 := pack7(transposeBits8(x4))
-	f5 := pack7(transposeBits8(x5))
-	f6 := pack7(transposeBits8(x6))
-	f7 := pack7(transposeBits8(x7))
-	l[1] = f0 | f1<<56
-	l[2] = f1>>8 | f2<<48
-	l[3] = f2>>16 | f3<<40
-	l[4] = f3>>24 | f4<<32
-	l[5] = f4>>32 | f5<<24
-	l[6] = f5>>40 | f6<<16
-	l[7] = f6>>48 | f7<<8
+	switch w := l[1] | l[2] | l[3] | l[4] | l[5] | l[6] | l[7]; {
+	case w == 0:
+		// Every delta is zero, and so is the region.
+	case w < 1<<16:
+		// Lanes 0 and 1: the first two rounds set the words' low 16
+		// bits side by side in two words, the third splits those
+		// into the lanes.
+		x0, x1 := swapBlocks(l[1]|l[3]<<16|l[5]<<32|l[7]<<48, l[2]|l[4]<<16|l[6]<<32, 8, 0x00ff00ff00ff00ff)
+		f0 := pack7(transposeBits8(x0))
+		f1 := pack7(transposeBits8(x1))
+		l[1] = f0 | f1<<56
+		l[2] = f1 >> 8
+		l[3], l[4], l[5], l[6], l[7] = 0, 0, 0, 0, 0
+	case w < 1<<32:
+		// Lanes 0 to 3: the first round pairs word j with word j+4 in
+		// one word, the last two rounds run as in transposeBytes8.
+		x0, x2 := swapBlocks(l[1]|l[5]<<32, l[3]|l[7]<<32, 16, 0x0000ffff0000ffff)
+		x1, x3 := swapBlocks(l[2]|l[6]<<32, l[4], 16, 0x0000ffff0000ffff)
+		x0, x1 = swapBlocks(x0, x1, 8, 0x00ff00ff00ff00ff)
+		x2, x3 = swapBlocks(x2, x3, 8, 0x00ff00ff00ff00ff)
+		f0 := pack7(transposeBits8(x0))
+		f1 := pack7(transposeBits8(x1))
+		f2 := pack7(transposeBits8(x2))
+		f3 := pack7(transposeBits8(x3))
+		l[1] = f0 | f1<<56
+		l[2] = f1>>8 | f2<<48
+		l[3] = f2>>16 | f3<<40
+		l[4] = f3 >> 24
+		l[5], l[6], l[7] = 0, 0, 0
+	default:
+		x0, x1, x2, x3, x4, x5, x6, x7 := transposeBytes8(l[1], l[2], l[3], l[4], l[5], l[6], l[7], 0)
+		f0 := pack7(transposeBits8(x0))
+		f1 := pack7(transposeBits8(x1))
+		f2 := pack7(transposeBits8(x2))
+		f3 := pack7(transposeBits8(x3))
+		f4 := pack7(transposeBits8(x4))
+		f5 := pack7(transposeBits8(x5))
+		f6 := pack7(transposeBits8(x6))
+		f7 := pack7(transposeBits8(x7))
+		l[1] = f0 | f1<<56
+		l[2] = f1>>8 | f2<<48
+		l[3] = f2>>16 | f3<<40
+		l[4] = f3>>24 | f4<<32
+		l[5] = f4>>32 | f5<<24
+		l[6] = f5>>40 | f6<<16
+		l[7] = f6>>48 | f7<<8
+	}
 }
 
 // BitPlaneInverse undoes BitPlaneTranspose: it cuts the region into its

@@ -154,3 +154,58 @@ func TestQuickBitPlaneMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// maskDeltas keeps the low width bits of each delta word of l (width 64
+// keeps them all); the base word is left as is.
+func maskDeltas(l Line, width uint) Line {
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = 1<<width - 1
+	}
+	for j := 1; j < len(l); j++ {
+		l[j] &= mask
+	}
+	return l
+}
+
+// TestBitPlaneLaneWidths holds the transpose to its bit-by-bit definition,
+// and the inverse to the transpose, at every delta width from 0 to 64 bits:
+// the transpose runs a different set of byte lanes depending on how wide
+// the widest delta is, and each lane count has its own code.
+func TestBitPlaneLaneWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for width := uint(0); width <= 64; width++ {
+		var lines []Line
+		ones := Line{rng.Uint64() | 1}
+		for j := 1; j < len(ones); j++ {
+			ones[j] = ^uint64(0)
+		}
+		lines = append(lines, maskDeltas(ones, width))
+		if width > 0 {
+			for j := 1; j < len(ones); j++ {
+				top := Line{rng.Uint64() | 1}
+				top[j] = 1 << (width - 1)
+				lines = append(lines, top)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			l := Line{rng.Uint64() | 1}
+			for j := 1; j < len(l); j++ {
+				// Every third line zeroes about half its deltas.
+				if i%3 != 0 || rng.Intn(2) == 0 {
+					l[j] = rng.Uint64()
+				}
+			}
+			lines = append(lines, maskDeltas(l, width))
+		}
+		for _, l := range lines {
+			tr := BitPlaneTranspose(l)
+			if want := referenceTranspose(l); tr != want {
+				t.Fatalf("%d-bit deltas %v: transpose %v, reference %v", width, l, tr, want)
+			}
+			if got := BitPlaneInverse(tr); got != l {
+				t.Fatalf("%d-bit deltas %v: inverse gave %v", width, l, got)
+			}
+		}
+	}
+}

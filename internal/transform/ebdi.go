@@ -35,14 +35,19 @@ func unfoldDelta(z uint64) int64 {
 // is the base and is stored unmodified (its delta from itself is always
 // zero, so it is omitted — Section V-B); words 1..7 hold the folded deltas.
 func EBDIEncode(l Line) Line {
-	out := Line{l[0]}
+	ebdiEncode(&l)
+	return l
+}
+
+// ebdiEncode is EBDIEncode in place, the form the pipeline runs: it spares
+// the encode path two 64-byte copies per line, as bitPlaneTranspose does.
+func ebdiEncode(l *Line) {
 	base := l[0]
 	for i := 1; i < len(l); i++ {
 		// Wrap-around subtraction: the delta is the two's-complement
 		// difference, exact for any pair of 64-bit words.
-		out[i] = foldDelta(int64(l[i] - base))
+		l[i] = foldDelta(int64(l[i] - base))
 	}
-	return out
 }
 
 // EBDIDecode inverts EBDIEncode.

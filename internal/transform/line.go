@@ -37,21 +37,20 @@ func (l Line) IsZero() bool {
 	return l == Line{}
 }
 
-// Invert returns the bitwise complement of the line. Anti-cell rows store
+// Invert complements every bit of the line in place. Anti-cell rows store
 // the complemented encoding so that logical content intended to be
 // "refresh-free" lands on discharged cells (Section V-B, Figure 11c).
-func (l Line) Invert() Line {
-	var out Line
-	for i, w := range l {
-		out[i] = ^w
+func (l *Line) Invert() {
+	for i := range l {
+		l[i] = ^l[i]
 	}
-	return out
 }
 
 // ZeroWords returns the number of words of the line that are entirely
 // zero, in any position — the codec's win for the line, since zero words
-// store as fully discharged chip-row words.
-func (l Line) ZeroWords() int {
+// store as fully discharged chip-row words. It takes the line by pointer so
+// the encode path counts the staged line without copying it.
+func (l *Line) ZeroWords() int {
 	n := 0
 	for _, w := range l {
 		if w == 0 {

@@ -121,7 +121,7 @@ func (p *Pipeline) EncodeRow(lines []Line, rowIdx int) {
 // ct, and returns the line's zero-word count and the codec's stage bits.
 func (p *Pipeline) encodeLine(l *Line, ct dram.CellType) (zeros, stages int64) {
 	if p.opts.EBDI {
-		*l = EBDIEncode(*l)
+		ebdiEncode(l)
 		stages |= trace.CodecEBDI
 	}
 	if p.opts.BitPlane {
@@ -133,7 +133,7 @@ func (p *Pipeline) encodeLine(l *Line, ct dram.CellType) (zeros, stages int64) {
 	// as all-ones, which is discharged for anti-cells).
 	zeros = int64(l.ZeroWords())
 	if p.opts.CellAware && ct == dram.AntiCell {
-		*l = l.Invert()
+		l.Invert()
 		stages |= trace.CodecInverted
 	}
 	return zeros, stages
@@ -155,7 +155,7 @@ func codecEvent(rowIdx int, stages, zeros int64) trace.Event {
 func (p *Pipeline) Decode(l Line, rowIdx int) Line {
 	p.ops.Inc()
 	if p.opts.CellAware && p.types.TypeOf(rowIdx) == dram.AntiCell {
-		l = l.Invert()
+		l.Invert()
 	}
 	if p.opts.BitPlane {
 		l = BitPlaneInverse(l)

@@ -31,15 +31,33 @@ func suiteEBDILines(tb testing.TB, n int) []transform.Line {
 	return lines
 }
 
-// BenchmarkBitPlaneTranspose measures the forward transpose network on
-// suite content.
-func BenchmarkBitPlaneTranspose(b *testing.B) {
-	lines := suiteEBDILines(b, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink transform.Line
-	for i := 0; i < b.N; i++ {
-		sink = transform.BitPlaneTranspose(lines[i%len(lines)])
+// classEBDILines returns n EBDI-encoded lines of page class c.
+func classEBDILines(c workload.PageClass, n int) []transform.Line {
+	lines := make([]transform.Line, n)
+	for i := range lines {
+		var l transform.Line
+		c.Fill(&l, workload.NewSplitMix(workload.Hash(uint64(c), uint64(i))))
+		lines[i] = transform.EBDIEncode(l)
 	}
-	_ = sink
+	return lines
+}
+
+// transposeSink keeps the benchmarked transposes live.
+var transposeSink transform.Line
+
+// BenchmarkBitPlaneTranspose measures the forward transpose network on
+// suite content, then on the lines of each page class alone: the class
+// bounds the deltas' width, and so how many byte lanes the transpose runs.
+func BenchmarkBitPlaneTranspose(b *testing.B) {
+	run := func(b *testing.B, lines []transform.Line) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			transposeSink = transform.BitPlaneTranspose(lines[i%len(lines)])
+		}
+	}
+	b.Run("suite", func(b *testing.B) { run(b, suiteEBDILines(b, 1024)) })
+	for c := workload.PageZero; c <= workload.PageText; c++ {
+		b.Run(c.String(), func(b *testing.B) { run(b, classEBDILines(c, 1024)) })
+	}
 }

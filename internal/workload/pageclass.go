@@ -13,12 +13,12 @@ const (
 	// PageZero pages contain only zeros (untouched or cleansed pages,
 	// zero-initialized BSS, sparse matrices' empty regions).
 	PageZero PageClass = iota
-	// PageInt8 pages hold arrays of small integers whose neighbours
-	// differ by less than 2^7 (counters, indices, quantized samples).
+	// PageInt8 pages hold arrays of small integers within 100 of a
+	// line's shared value (counters, indices, quantized samples).
 	PageInt8
-	// PageInt16 pages hold integers with deltas below 2^14.
+	// PageInt16 pages hold integers within 2^14 of a line's shared value.
 	PageInt16
-	// PageInt32 pages hold integers with deltas below 2^30.
+	// PageInt32 pages hold integers within 2^29 of a line's shared value.
 	PageInt32
 	// PagePointer pages hold heap pointers sharing their high 40+ bits
 	// (linked structures within one arena).
@@ -64,15 +64,17 @@ func (c PageClass) String() string {
 //
 // Derivation: a delta of magnitude < 2^k sign-folds into k+1 bits, whose
 // transposed positions span [0, (k+1)*7); they occupy the first
-// ceil((k+1)*7/64) words of the 7-word tail. The base word class is never
-// zero (except on all-zero pages).
+// ceil((k+1)*7/64) words of the 7-word tail. A delta is the difference of
+// two words of the line, each drawn around a shared value, so it spans
+// twice one word's spread. The base word class is never zero (except on
+// all-zero pages).
 func (c PageClass) SkippableClasses() int {
 	switch c {
 	case PageZero:
 		return 8
-	case PageInt8: // |delta| <= 100 < 2^7 -> 8 folded bits -> 1 tail word
+	case PageInt8: // |delta| <= 200 < 2^8 -> 9 folded bits -> 1 tail word
 		return 6
-	case PageInt16: // < 2^14 -> 15 bits -> 2 tail words
+	case PageInt16: // < 2^15 -> 16 bits -> 2 tail words
 		return 5
 	case PageInt32: // < 2^30 -> 31 bits -> 4 tail words
 		return 3

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"zerorefresh/internal/transform"
@@ -147,26 +148,35 @@ func classLine(c PageClass, rng *SplitMix) transform.Line {
 }
 
 func TestPageClassSkippableGuarantees(t *testing.T) {
-	// For every class, generate many lines and verify the transformed
-	// line really has at least SkippableClasses() zero words in the
-	// positions the rotation relies on (the tail), i.e. the analytic
-	// class table is a true lower bound.
+	// For every class, generate many lines and verify that the fewest
+	// zero words any transformed line has in the positions the rotation
+	// relies on (the tail) is exactly SkippableClasses(), i.e. the
+	// analytic class table is a tight lower bound, and that the widest
+	// folded delta has the width the table derives that count from.
+	wantBits := [numPageClasses]int{
+		PageZero: 0, PageInt8: 9, PageInt16: 16, PageInt32: 31,
+		PagePointer: 23, PageFloat: 53, PageRandom: 64, PageText: 64,
+	}
 	for c := PageClass(0); c < numPageClasses; c++ {
-		minTail := 8
+		minTail, widest := 8, 0
 		for i := 0; i < 200; i++ {
 			rng := NewSplitMix(Hash(uint64(c), uint64(i)))
 			l := classLine(c, rng)
-			enc := transform.BitPlaneTranspose(transform.EBDIEncode(l))
-			zt := enc.ZeroTailWords()
+			ebdi := transform.EBDIEncode(l)
+			for _, d := range ebdi[1:] {
+				widest = max(widest, bits.Len64(d))
+			}
+			zt := transform.BitPlaneTranspose(ebdi).ZeroTailWords()
 			if c == PageZero {
 				zt = 8 // all-zero line: every word qualifies
 			}
-			if zt < minTail {
-				minTail = zt
-			}
+			minTail = min(minTail, zt)
 		}
-		if want := c.SkippableClasses(); minTail < want {
-			t.Errorf("class %v: observed min zero tail %d < promised %d", c, minTail, want)
+		if want := c.SkippableClasses(); minTail != want {
+			t.Errorf("class %v: observed min zero tail %d, promised %d", c, minTail, want)
+		}
+		if widest != wantBits[c] {
+			t.Errorf("class %v: widest folded delta %d bits, want %d", c, widest, wantBits[c])
 		}
 	}
 }
