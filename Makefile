@@ -14,7 +14,7 @@
 #                  suppressions are findings too.
 #   make test    - the plain tier-1 suite, as CI runs it.
 #   make reproduce - rerun every experiment (zrsim -exp all at the recorded
-#                  32 MB / 8-window scale, ~45 s on 2 vCPUs) and require
+#                  32 MB / 8-window scale, ~15-20 s on 2 vCPUs) and require
 #                  its output to equal results_full.txt byte for byte.
 #                  Every number EXPERIMENTS.md quotes is a line of it.
 #   make race    - just the race-sensitive packages, under -race.

@@ -11,8 +11,9 @@ import (
 // Hotpath guards the allocation-freedom of the batched datapath. The
 // refresh-reduction result only materializes if the page-fill and
 // per-window inner loops (the row burst — WriteRow, EncodeRow,
-// BeginRowWrite, the generic dram.StoreRange and RowWrite.End —
-// RefreshGroup, ReplayRefreshGroup and the event-queue ops under them)
+// BeginRowWrite, the generic dram.StoreRange and RowWrite.End — the
+// command-sized RefreshGroups and ReplayRefreshGroups, and the event-queue
+// ops under them)
 // never touch the garbage collector, and the benchmark suite can only
 // catch a regression after the fact on the configurations it happens to
 // run. Hotpath turns the contract into a whole-program static guarantee:

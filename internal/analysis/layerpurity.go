@@ -38,10 +38,10 @@ func (Layerpurity) Doc() string {
 }
 
 // dramMutators is the charge-state-mutating slice of the rank contract:
-// the scalar methods, their row-granular batched equivalents
-// (BeginRowWrite, RefreshGroup), the bulk idle replay
-// (ReplayRefreshGroup), which perform the same state transitions a row
-// burst, refresh diagonal, or idle-window run at a time, and CopyFrom,
+// the scalar methods, their batched equivalents (BeginRowWrite,
+// RefreshGroups), the bulk idle replay (ReplayRefreshGroups), which perform
+// the same state transitions a row burst, auto-refresh command, or
+// idle-window run at a time, and CopyFrom,
 // which overwrites a whole module's cells with another's
 // (core.System.Clone). BeginRowWrite stands for its whole burst: the
 // dram.RowWrite cursor through which dram.StoreRange stores a page or a
@@ -50,13 +50,13 @@ func (Layerpurity) Doc() string {
 // through the interface — or was flagged for opening it on the concrete
 // module.
 var dramMutators = map[string]bool{
-	"WriteWord":          true,
-	"Refresh":            true,
-	"MarkSpared":         true,
-	"BeginRowWrite":      true,
-	"RefreshGroup":       true,
-	"ReplayRefreshGroup": true,
-	"CopyFrom":           true,
+	"WriteWord":           true,
+	"Refresh":             true,
+	"MarkSpared":          true,
+	"BeginRowWrite":       true,
+	"RefreshGroups":       true,
+	"ReplayRefreshGroups": true,
+	"CopyFrom":            true,
 }
 
 // metricValueTypes are the types only metrics.Registry may construct.

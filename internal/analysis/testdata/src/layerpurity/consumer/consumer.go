@@ -12,8 +12,8 @@ import (
 type backend interface {
 	WriteWord(row int, v uint64)
 	Refresh(row int) bool
-	RefreshGroup(rows [8]int) uint16
-	ReplayRefreshGroup(rows [8]int, windows int64)
+	RefreshGroups(groups [][8]int, masks []uint16)
+	ReplayRefreshGroups(groups [][8]int, windows int64)
 	BeginRowWrite(row int) dram.RowWrite
 }
 
@@ -23,8 +23,8 @@ func direct(m *dram.Module) bool {
 }
 
 func directBatched(m *dram.Module) {
-	m.RefreshGroup([8]int{})          // want "mutates DRAM cell state on concrete"
-	m.ReplayRefreshGroup([8]int{}, 4) // want "mutates DRAM cell state on concrete"
+	m.RefreshGroups(nil, nil)            // want "mutates DRAM cell state on concrete"
+	m.ReplayRefreshGroups([][8]int{}, 4) // want "mutates DRAM cell state on concrete"
 }
 
 func directBurst(m *dram.Module) {
@@ -49,8 +49,8 @@ func throughInterfaceBurst(b backend) {
 
 func throughInterface(b backend) bool {
 	b.WriteWord(0, 1)
-	b.RefreshGroup([8]int{})
-	b.ReplayRefreshGroup([8]int{}, 4)
+	b.RefreshGroups(nil, nil)
+	b.ReplayRefreshGroups([][8]int{}, 4)
 	return b.Refresh(0)
 }
 

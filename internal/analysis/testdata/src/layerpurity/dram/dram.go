@@ -16,9 +16,9 @@ func (m *Module) MarkSpared(row int) { m.rows[row] = ^uint64(0) }
 
 func (m *Module) ReadLineWords(row int) [8]uint64 { return [8]uint64{m.rows[row]} }
 
-func (m *Module) RefreshGroup(rows [8]int) uint16 { return 0 }
+func (m *Module) RefreshGroups(groups [][8]int, masks []uint16) {}
 
-func (m *Module) ReplayRefreshGroup(rows [8]int, windows int64) {}
+func (m *Module) ReplayRefreshGroups(groups [][8]int, windows int64) {}
 
 // RowWrite is the row-burst cursor: it exists only as BeginRowWrite's
 // result.

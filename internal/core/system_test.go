@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"zerorefresh/internal/refresh"
@@ -77,6 +78,7 @@ func FuzzNewSystem(f *testing.F) {
 	f.Add(int64(1<<20+256<<10), 1, 0, 0, 0, 1, 0.5, 0.1, uint8(10))
 	f.Add(int64(-1), -1, -64, -1, -3, 9, math.Inf(-1), math.NaN(), uint8(31))
 	f.Add(int64(8<<20), 4, 64, 1, 1, 2, 1.0, 1.0, uint8(18))
+	f.Add(int64(64<<20), 1, 4<<20, 512, 0, 0, 0.0, 0.0, uint8(0)) // 65536 words per chip-row: past the charge count
 	prof, _ := workload.ByName("mcf")
 	f.Fuzz(func(t *testing.T, capacity int64, ranks, rowBytes, cellGroupRows, rowsPerAR, cellTypes int, noisy, spared float64, flags uint8) {
 		if capacity > 64<<20 || ranks > 4 {
@@ -100,6 +102,54 @@ func FuzzNewSystem(f *testing.F) {
 		}
 		sys.RunWindow()
 	})
+}
+
+// TestNewSystemRejectsRowPastChargeCount checks that a row whose chip-rows
+// hold more words than a chip-row's 16-bit charge count describes is an
+// error from NewSystem, not a module that miscounts.
+func TestNewSystemRejectsRowPastChargeCount(t *testing.T) {
+	cfg := DefaultConfig(64 << 20)
+	cfg.RowBytes = 4 << 20
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "charge count") {
+		t.Fatalf("NewSystem with %d-byte rows: err = %v, want the charge-count limit", cfg.RowBytes, err)
+	}
+}
+
+// TestMissedRefreshIsDetected withholds refresh from a populated system for
+// three retention windows and requires every layer that watches retention
+// to see it: the integrity probe counts each charged chip-row as overdue
+// before any access, every page reads back corrupted, each of those
+// chip-rows counts one decay event as its read activates it, and the probe
+// still counts them afterwards through their decayed flags.
+func TestMissedRefreshIsDetected(t *testing.T) {
+	sys, err := NewSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := workload.ByName("mcf")
+	const pages = 64
+	for p := 0; p < pages; p++ {
+		if err := sys.FillPageFromProfile(prof, p, 7, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.RunWindow()
+	sys.Clock += 3 * sys.DRAM.Config().Timing.TRET
+	const charged = 251 // chip-rows the 64 mcf pages leave charged
+	if v := sys.DRAM.CheckIntegrity(sys.Clock); v != charged {
+		t.Fatalf("integrity probe before any access = %d, want %d", v, charged)
+	}
+	for p := 0; p < pages; p++ {
+		if err := sys.VerifyPage(prof, p, 7, 0); err == nil {
+			t.Fatalf("page %d verified after three retention windows without refresh", p)
+		}
+	}
+	if n := sys.DecayEvents(); n != charged {
+		t.Fatalf("DecayEvents = %d, want %d", n, charged)
+	}
+	if v := sys.DRAM.CheckIntegrity(sys.Clock); v != charged {
+		t.Fatalf("integrity probe after the reads = %d, want %d", v, charged)
+	}
 }
 
 func TestNormalTemperatureWindow(t *testing.T) {

@@ -19,21 +19,19 @@ import "fmt"
 // observationally identical to the scalar loops they replace — same final
 // cell state, same storage layout, same counter totals, same trace events
 // in the same order — which the differential tests in batch_test.go and
-// internal/memctrl pin against a per-slot reference store. A refresh takes
-// the same loop whether or not a row was ever touched: an untouched row is
-// a nil pointer that senses fully discharged, like the wired-OR detector
-// of Section IV-B on a row that never held charge.
+// internal/memctrl pin against a per-slot reference store. RefreshGroups
+// refreshes every diagonal group of one auto-refresh command in one call,
+// with one ObserveN per run of equal refresh ages and one Add per counter.
+// A refresh takes the same loop whether or not a row was ever touched: an
+// untouched row's zero state senses fully discharged, like the wired-OR
+// detector of Section IV-B on a row that never held charge.
 
 // checkLine bounds-checks one line-granular access. It is the single guard
 // a batched call performs, replacing the per-chip checkAddr/word checks of
 // the scalar path.
 func (m *Module) checkLine(bank, rowIdx, slot int) {
-	if bank < 0 || bank >= m.cfg.Banks {
-		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
-	}
-	if rowIdx < 0 || rowIdx >= m.cfg.RowsPerBank {
-		panic(fmt.Sprintf("dram: row %d out of range [0,%d)", rowIdx, m.cfg.RowsPerBank))
-	}
+	m.checkBank(bank)
+	m.checkRow(rowIdx)
 	if slot < 0 || slot >= m.wordsPerRow {
 		panic(fmt.Sprintf("dram: word %d out of range [0,%d)", slot, m.wordsPerRow))
 	}
@@ -42,12 +40,12 @@ func (m *Module) checkLine(bank, rowIdx, slot int) {
 // RowWrite is an open row burst: the cursor a row-granular store holds
 // while it writes one (bank, row) of all LineChips chips. The burst's first
 // StoreRange activates each chip-row once — the retention model applies
-// there — and later stores reuse the cached row pointers; End adds the
-// burst's counters. A RowWrite comes only from BeginRowWrite (the zero
+// there — and later stores reuse the cached row-state pointers; End adds
+// the burst's counters. A RowWrite comes only from BeginRowWrite (the zero
 // value has no module) and serves one burst.
 type RowWrite struct {
 	m      *Module
-	rows   [LineChips]*row // nil until the first store activates them
+	rows   [LineChips]*row // nil until the first store activates them; point into m.rows
 	bank   int
 	rowIdx int
 	now    Time
@@ -110,35 +108,35 @@ func StoreRange[L ~[LineChips]uint64](w *RowWrite, first int, lines []L) bool {
 		// exactly like the scalar activate, with the counters left to End.
 		// A row that lost its charge keeps its slot until the slab
 		// operations below return it, and the store emits its
-		// retention-violation event in chip order. The bank slices of
-		// consecutive chips sit cfg.Banks apart.
+		// retention-violation event in chip order. The states of
+		// consecutive chips sit chipStride apart.
 		tret := m.cfg.Timing.TRET
+		idx := m.tableIndex(0, w.bank, w.rowIdx)
 		for chip := 0; chip < LineChips; chip++ {
-			b := m.banks[chip*m.cfg.Banks+w.bank]
-			r := b[w.rowIdx]
-			if r == nil {
-				r = m.slabs[w.bank].newRow(chip, w.rowIdx, w.now)
-				b[w.rowIdx] = r
-			} else if r.chargedWords > 0 && w.now-r.lastRecharge > tret {
-				r.chargedWords = 0
-				r.everDecayed = true
+			r := &m.rows[idx]
+			idx += m.chipStride
+			if r.overdue(w.now, tret) {
+				r.charged = 0
+				r.flags |= rowDecayed
 				w.decays++
 				ev[ne] = int32(chip * 2)
 				ne++
 			}
+			r.flags |= rowTouched
 			r.lastRecharge = w.now
 			w.rows[chip] = r
 		}
 	}
+	s := &m.slabs[w.bank]
 	d := w.ct.DischargedWord()
 	all := true
 	for chip := 0; chip < LineChips; chip++ {
 		r := w.rows[chip]
-		count, at := r.chargedWords, 0
+		count, at := int(r.charged), 0
 		if count > 0 {
 			// The row keeps its slot until the count reaches zero, so the
 			// column is stored in place as it is counted.
-			ws := r.words[first : first+n]
+			ws := s.slotWords(r.slot - 1)[first : first+n]
 			at = n
 			for i := range lines {
 				v := lines[i][chip]
@@ -169,7 +167,7 @@ func StoreRange[L ~[LineChips]uint64](w *RowWrite, first int, lines []L) bool {
 				}
 			}
 		}
-		r.chargedWords = count
+		r.charged = uint16(count)
 		if count != 0 {
 			all = false
 		}
@@ -187,7 +185,7 @@ func StoreRange[L ~[LineChips]uint64](w *RowWrite, first int, lines []L) bool {
 			if k%2 == 0 {
 				m.tr.Emit(traceRetentionViolation(w.now, chip, w.bank, w.rowIdx))
 			} else {
-				m.tr.Emit(traceChargeTransition(w.now, chip, w.bank, w.rowIdx, w.rows[chip].chargedWords == 0))
+				m.tr.Emit(traceChargeTransition(w.now, chip, w.bank, w.rowIdx, w.rows[chip].charged == 0))
 			}
 		}
 	}
@@ -198,11 +196,11 @@ func StoreRange[L ~[LineChips]uint64](w *RowWrite, first int, lines []L) bool {
 	for _, k := range ev[:ne] {
 		chip := k / 2 % LineChips
 		r := w.rows[chip]
-		if r.words != nil {
-			r.releaseWords()
+		if r.slot != 0 {
+			s.release(r)
 			claimed &^= 1 << chip
 		} else {
-			r.claim()
+			s.claim(r)
 			claimed |= 1 << chip
 		}
 	}
@@ -210,7 +208,7 @@ func StoreRange[L ~[LineChips]uint64](w *RowWrite, first int, lines []L) bool {
 		if claimed&(1<<chip) == 0 {
 			continue
 		}
-		ws := w.rows[chip].words
+		ws := s.slotWords(w.rows[chip].slot - 1)
 		fillWords(ws[:first], d)
 		fillWords(ws[first+n:], d)
 		ws = ws[first : first+n]
@@ -280,27 +278,23 @@ func (m *Module) ReadLineWords(bank, rowIdx, slot int, now Time) [LineChips]uint
 	ct := m.cfg.CellTypeOf(rowIdx)
 	tret := m.cfg.Timing.TRET
 	traced := m.tr != nil
+	s := &m.slabs[bank]
 	var out [LineChips]uint64
 	var decays int64
-	banks := m.banks
-	stride := m.cfg.Banks
-	idx := bank
+	idx := m.tableIndex(0, bank, rowIdx)
 	for chip := 0; chip < LineChips; chip++ {
-		b := banks[idx]
-		r := b[rowIdx]
-		if r == nil {
-			r = m.slabs[bank].newRow(chip, rowIdx, now)
-			b[rowIdx] = r
-		} else if r.chargedWords > 0 && now-r.lastRecharge > tret {
-			r.decay()
+		r := &m.rows[idx]
+		idx += m.chipStride
+		if r.overdue(now, tret) {
+			s.decay(r)
 			decays++
 			if traced {
 				m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
 			}
 		}
-		idx += stride
+		r.flags |= rowTouched
 		r.lastRecharge = now
-		out[chip] = r.readWord(slot, ct)
+		out[chip] = s.readWord(r, slot, ct)
 	}
 	m.activations.Add(LineChips)
 	m.wordReads.Add(LineChips)
@@ -310,63 +304,74 @@ func (m *Module) ReadLineWords(bank, rowIdx, slot int, now Time) [LineChips]uint
 	return out
 }
 
-// RefreshGroup recharges one chip-row per chip — rows[c] in chip c, the
-// diagonal group of one staggered refresh step — and returns the renewed
-// status mask: bit c set iff chip c's row was fully discharged and is not
-// remapped by row sparing. It is the batched equivalent of the refresh
-// engine's scalar loop of Refresh + IsSpared per chip.
+// RefreshGroups refreshes diagonal groups in order — each groups[i] one
+// staggered refresh step, row groups[i][c] in chip c — all at time now, as
+// one auto-refresh command does, and stores the renewed status mask of
+// groups[i] in masks[i]: bit c set iff chip c's row was fully discharged
+// and is not remapped by row sparing. masks is nil when the caller does not
+// want them, and otherwise as long as groups. The call is the batched
+// equivalent of the refresh engine's scalar loop of Refresh + IsSpared per
+// chip per group, in group order: same cells, slots, counters, histogram
+// and trace events. The refresh ages are observed in runs of equal ages
+// across the whole call — one ObserveN per run, since a command's rows
+// mostly share their last recharge time — and each counter is added once.
 //
 //zr:hotpath
-func (m *Module) RefreshGroup(bank int, rows [LineChips]int, now Time) uint16 {
-	if bank < 0 || bank >= m.cfg.Banks {
-		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
+func (m *Module) RefreshGroups(bank int, groups [][LineChips]int, now Time, masks []uint16) {
+	m.checkBank(bank)
+	if masks != nil && len(masks) != len(groups) {
+		panic(fmt.Sprintf("dram: %d status masks for %d refresh groups", len(masks), len(groups)))
 	}
 	traced := m.tr != nil
 	tret := m.cfg.Timing.TRET
 	rpb := uint(m.cfg.RowsPerBank)
-	var mask uint16
-	var decays int64
-	// The refresh ages are observed in runs of equal consecutive ages, one
-	// ObserveN per run: a group's rows usually share a recharge time.
-	var age, run int64
-	stride := m.cfg.Banks
-	idx := bank
-	for chip := 0; chip < LineChips; chip++ {
-		rowIdx := rows[chip]
-		if uint(rowIdx) >= rpb {
-			m.checkRow(rowIdx) // out of range: the scalar panic
-		}
-		r := m.banks[idx][rowIdx]
-		idx += stride
-		if r == nil {
-			// Never-touched row: fully discharged; the refresh is still
-			// performed by the hardware when commanded.
-			if !m.sparedRow(rowIdx) {
+	s := &m.slabs[bank]
+	table, stride, spared := m.rows, m.chipStride, m.spared
+	base := m.tableIndex(0, bank, 0)
+	var decays, age, run int64
+	for g := range groups {
+		rows := &groups[g]
+		var mask uint16
+		idx := base
+		for chip := 0; chip < LineChips; chip++ {
+			rowIdx := rows[chip]
+			if uint(rowIdx) >= rpb {
+				m.checkRow(rowIdx) // out of range: the scalar panic
+			}
+			r := &table[idx+rowIdx]
+			idx += stride
+			if r.flags&rowTouched == 0 {
+				// Never-touched row: fully discharged; the refresh is
+				// still performed by the hardware when commanded.
+				if !spared.has(rowIdx) {
+					mask |= 1 << chip
+				}
+				continue
+			}
+			if r.overdue(now, tret) {
+				s.decay(r)
+				decays++
+				if traced {
+					m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
+				}
+			}
+			if a := int64(now - r.lastRecharge); a != age {
+				m.refreshedAge.ObserveN(age, run)
+				age, run = a, 0
+			}
+			run++
+			r.lastRecharge = now
+			if r.charged == 0 && !spared.has(rowIdx) {
 				mask |= 1 << chip
 			}
-			continue
 		}
-		if r.chargedWords > 0 && now-r.lastRecharge > tret {
-			r.decay()
-			decays++
-			if traced {
-				m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
-			}
-		}
-		if a := int64(now - r.lastRecharge); a != age {
-			m.refreshedAge.ObserveN(age, run)
-			age, run = a, 0
-		}
-		run++
-		r.lastRecharge = now
-		if r.chargedWords == 0 && !m.sparedRow(rowIdx) {
-			mask |= 1 << chip
+		if masks != nil {
+			masks[g] = mask
 		}
 	}
 	m.refreshedAge.ObserveN(age, run)
-	m.refreshes.Add(LineChips)
+	m.refreshes.Add(int64(LineChips * len(groups)))
 	if decays != 0 {
 		m.decayEvents.Add(decays)
 	}
-	return mask
 }

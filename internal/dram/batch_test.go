@@ -35,8 +35,8 @@ func twinModules(t *testing.T, cfg Config, sparedEvery int) (a, b *Module, ta, t
 // compareTwins checks that two modules driven through equivalent operation
 // sequences ended in the same observable state: stats, metrics (the
 // dram.storage.* gauges among them), the trace streams when the twins are
-// traced, every row's cells, and the storage layout — each row's slot,
-// each slab's free list, bump cursor and chunk words.
+// traced, every row's state and cells, and the storage layout — each row's
+// slot, each slab's free list, bump cursor and chunk words.
 func compareTwins(t *testing.T, a, b *Module, ta, tb *trace.Tracer) {
 	t.Helper()
 	if sa, sb := a.Stats(), b.Stats(); sa != sb {
@@ -54,25 +54,6 @@ func compareTwins(t *testing.T, a, b *Module, ta, tb *trace.Tracer) {
 			t.Fatalf("bank %d: arena words diverged", i)
 		}
 	}
-	cfg := a.Config()
-	for chip := 0; chip < LineChips; chip++ {
-		for bank := 0; bank < cfg.Banks; bank++ {
-			for row := 0; row < cfg.RowsPerBank; row++ {
-				ra := a.bankOf(chip, bank)[row]
-				rb := b.bankOf(chip, bank)[row]
-				if (ra == nil) != (rb == nil) {
-					t.Fatalf("row (%d,%d,%d) materialization diverged", chip, bank, row)
-				}
-				if ra == nil {
-					continue
-				}
-				if ra.chargedWords != rb.chargedWords || ra.lastRecharge != rb.lastRecharge ||
-					ra.everDecayed != rb.everDecayed || !reflect.DeepEqual(ra.words, rb.words) {
-					t.Fatalf("row (%d,%d,%d) state diverged:\nbatched %+v\nscalar  %+v", chip, bank, row, ra, rb)
-				}
-			}
-		}
-	}
 }
 
 // Write is the per-slot reference store: it stores words[c] into word slot
@@ -88,26 +69,25 @@ func (w *RowWrite) Write(slot int, words *[LineChips]uint64) bool {
 	m.checkLine(w.bank, w.rowIdx, slot)
 	ct := w.ct
 	traced := m.tr != nil
+	s := &m.slabs[w.bank]
 	all := true
 	for chip := 0; chip < LineChips; chip++ {
 		r := w.rows[chip]
 		if r == nil {
-			b := m.bankOf(chip, w.bank)
-			if r = b[w.rowIdx]; r == nil {
-				r = m.slabs[w.bank].newRow(chip, w.rowIdx, w.now)
-				b[w.rowIdx] = r
-			} else if r.chargedWords > 0 && w.now-r.lastRecharge > m.cfg.Timing.TRET {
-				r.decay()
+			r = m.rowAt(chip, w.bank, w.rowIdx)
+			if r.overdue(w.now, m.cfg.Timing.TRET) {
+				s.decay(r)
 				w.decays++
 				if traced {
 					m.tr.Emit(traceRetentionViolation(w.now, chip, w.bank, w.rowIdx))
 				}
 			}
+			r.flags |= rowTouched
 			r.lastRecharge = w.now
 			w.rows[chip] = r
 		}
-		before := r.chargedWords == 0
-		after := r.writeWord(slot, words[chip], ct)
+		before := r.charged == 0
+		after := s.writeWord(r, slot, words[chip], ct)
 		if !after {
 			all = false
 		}
@@ -146,7 +126,7 @@ func scalarWriteLine(m *Module, bank, row, slot int, words [LineChips]uint64, no
 	all := true
 	for chip := 0; chip < LineChips; chip++ {
 		m.WriteWord(chip, bank, row, slot, words[chip], now)
-		if !m.bankOf(chip, bank)[row].discharged() {
+		if m.rowAt(chip, bank, row).charged != 0 {
 			all = false
 		}
 	}
@@ -171,8 +151,8 @@ func burstFill(m *Module, bank, row int, words [LineChips]uint64, now Time) {
 	w.End()
 }
 
-// scalarRefreshGroup is the scalar reference for RefreshGroup: the refresh
-// engine's per-chip Refresh + IsSpared loop.
+// scalarRefreshGroup is the scalar reference for one group of
+// RefreshGroups: the refresh engine's per-chip Refresh + IsSpared loop.
 func scalarRefreshGroup(m *Module, bank int, rows [LineChips]int, now Time) uint16 {
 	var mask uint16
 	for chip := 0; chip < LineChips; chip++ {
@@ -181,6 +161,14 @@ func scalarRefreshGroup(m *Module, bank int, rows [LineChips]int, now Time) uint
 		}
 	}
 	return mask
+}
+
+// refreshGroup refreshes one diagonal group as a one-group RefreshGroups
+// call and returns its status mask.
+func refreshGroup(m *Module, bank int, rows [LineChips]int, now Time) uint16 {
+	var mask [1]uint16
+	m.RefreshGroups(bank, [][LineChips]int{rows}, now, mask[:])
+	return mask[0]
 }
 
 func TestBatchedOpsMatchScalar(t *testing.T) {
@@ -233,10 +221,10 @@ func TestBatchedOpsMatchScalar(t *testing.T) {
 			for c := range rows {
 				rows[c] = base + (c+row)%LineChips
 			}
-			gb := batched.RefreshGroup(bank, rows, now)
+			gb := refreshGroup(batched, bank, rows, now)
 			gs := scalarRefreshGroup(scalar, bank, rows, now)
 			if gb != gs {
-				t.Fatalf("op %d: RefreshGroup mask %#x, scalar %#x", i, gb, gs)
+				t.Fatalf("op %d: RefreshGroups mask %#x, scalar %#x", i, gb, gs)
 			}
 		default: // bulk row fill
 			var words [LineChips]uint64
@@ -436,8 +424,8 @@ func TestRowStoreTransientZeroReleases(t *testing.T) {
 	wa.End()
 	wb.End()
 	compareTwins(t, a, b, nil, nil)
-	if ra, rb := a.bankOf(0, 0)[row], a.bankOf(1, 0)[row]; ra.slot != 0 || rb.slot != 1 {
-		t.Fatalf("chip 0 took slot %d and chip 1 slot %d; want chip 1's old slot 0 reused by chip 0", ra.slot, rb.slot)
+	if ra, rb := a.rowAt(0, 0, row), a.rowAt(1, 0, row); ra.slot-1 != 0 || rb.slot-1 != 1 {
+		t.Fatalf("chip 0 took slot %d and chip 1 slot %d; want chip 1's old slot 0 reused by chip 0", ra.slot-1, rb.slot-1)
 	}
 }
 
@@ -514,7 +502,19 @@ func TestBatchedBoundsPanics(t *testing.T) {
 			StoreRange(&w, 0, [][LineChips]uint64{})
 		},
 		"bad group row": func() {
-			m.RefreshGroup(0, [LineChips]int{0, 1, 2, 3, 4, 5, 6, -1}, 0)
+			m.RefreshGroups(0, [][LineChips]int{{}, {0, 1, 2, 3, 4, 5, 6, -1}}, 0, nil)
+		},
+		"bad group bank": func() {
+			m.RefreshGroups(m.Config().Banks, [][LineChips]int{{}}, 0, nil)
+		},
+		"short status masks": func() {
+			m.RefreshGroups(0, [][LineChips]int{{}, {}}, 0, make([]uint16, 1))
+		},
+		"bad replay row": func() {
+			m.ReplayRefreshGroups(0, [][LineChips]int{{m.Config().RowsPerBank}}, 0, 1000, 4)
+		},
+		"bad replay period": func() {
+			m.ReplayRefreshGroups(0, [][LineChips]int{{}}, 0, 0, 4)
 		},
 	}
 	for name, fn := range cases {

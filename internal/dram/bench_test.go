@@ -28,83 +28,72 @@ func diagonalGroup(m *Module, base int) (rows [LineChips]int) {
 	return rows
 }
 
-// BenchmarkRefreshGroup measures one diagonal group refresh (8 chip-rows)
-// through the dense loop.
-//
-//	discharged: a bank no operation ever touched — each chip-row is a nil
-//	            pointer that senses discharged.
-//	charged:    every group row holds charged data, so the loop recharges
-//	            and observes each chip-row.
-func BenchmarkRefreshGroup(b *testing.B) {
-	b.Run("discharged", func(b *testing.B) {
-		m := benchModule()
-		groups := m.cfg.RowsPerBank
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.RefreshGroup(0, diagonalGroup(m, i%groups), 0)
-		}
-	})
-
-	b.Run("charged", func(b *testing.B) {
-		m := benchModule()
-		var line [LineChips]uint64
-		for i := range line {
-			line[i] = chargedFill
-		}
-		rows := m.cfg.RowsPerBank
-		for r := 0; r < rows; r++ {
-			burstFill(m, 0, r, line, 0)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.RefreshGroup(0, diagonalGroup(m, i%rows), 1)
-		}
-	})
+// commandGroups returns the diagonal groups of one auto-refresh command of
+// the paper's 128 steps, starting at step first.
+func commandGroups(m *Module, first int) [][LineChips]int {
+	groups := make([][LineChips]int, 128)
+	for i := range groups {
+		groups[i] = diagonalGroup(m, first+i)
+	}
+	return groups
 }
 
-// BenchmarkReplayRefreshGroup measures one bulk idle-window replay of 64
-// refresh windows for a diagonal group.
+// chargedBenchModule returns a bench module whose bank 0 holds charged data
+// in every row.
+func chargedBenchModule() *Module {
+	m := benchModule()
+	for r := 0; r < m.cfg.RowsPerBank; r++ {
+		burstFill(m, 0, r, uniformLine(chargedFill), 0)
+	}
+	return m
+}
+
+// BenchmarkRefreshGroups measures one auto-refresh command: 128 diagonal
+// groups (1024 chip-rows) in one RefreshGroups call, cycling over the
+// bank's two commands.
 //
-//	discharged: untouched bank — the per-chip loop finds eight nil rows,
+//	discharged: a bank no operation ever touched — every chip-row's state
+//	            is the zero value and senses discharged.
+//	charged:    every group row holds charged data, so the loop recharges
+//	            and observes each chip-row.
+func BenchmarkRefreshGroups(b *testing.B) {
+	run := func(b *testing.B, m *Module, now Time) {
+		cmds := [][][LineChips]int{commandGroups(m, 0), commandGroups(m, 128)}
+		masks := make([]uint16, 128)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.RefreshGroups(0, cmds[i%2], now, masks)
+		}
+	}
+	b.Run("discharged", func(b *testing.B) { run(b, benchModule(), 0) })
+	b.Run("charged", func(b *testing.B) { run(b, chargedBenchModule(), 1) })
+}
+
+// BenchmarkReplayRefreshGroups measures one bulk idle-window replay of 64
+// refresh windows for the 128 diagonal groups of one auto-refresh command.
+//
+//	discharged: untouched bank — the per-chip loop finds untouched rows,
 //	            so only the refresh counter moves.
 //	charged:    materialized charged rows — the per-chip closed form with
 //	            batched histogram observations.
-func BenchmarkReplayRefreshGroup(b *testing.B) {
+func BenchmarkReplayRefreshGroups(b *testing.B) {
 	const windows = 64
 	const period = Time(1000)
-
-	b.Run("discharged", func(b *testing.B) {
-		m := benchModule()
-		groups := m.cfg.RowsPerBank
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.ReplayRefreshGroup(0, diagonalGroup(m, i%groups), 0, period, windows)
-		}
-	})
-
-	b.Run("charged", func(b *testing.B) {
-		m := benchModule()
-		var line [LineChips]uint64
-		for i := range line {
-			line[i] = chargedFill
-		}
-		rows := m.cfg.RowsPerBank
-		for r := 0; r < rows; r++ {
-			burstFill(m, 0, r, line, 0)
-		}
+	run := func(b *testing.B, m *Module) {
+		cmds := [][][LineChips]int{commandGroups(m, 0), commandGroups(m, 128)}
 		// Advance first monotonically so every replayed window sees a
 		// fresh in-deadline age, never a decay.
 		now := Time(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.ReplayRefreshGroup(0, diagonalGroup(m, i%rows), now, period, windows)
+			m.ReplayRefreshGroups(0, cmds[i%2], now, period, windows)
 			now += Time(windows) * period
 		}
-	})
+	}
+	b.Run("discharged", func(b *testing.B) { run(b, benchModule()) })
+	b.Run("charged", func(b *testing.B) { run(b, chargedBenchModule()) })
 }
 
 // benchPage returns a page of scattered lines for the store benchmarks:

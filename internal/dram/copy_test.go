@@ -2,7 +2,6 @@ package dram
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -38,7 +37,7 @@ func driveOps(m *Module, from, to int) {
 			}
 			m.WriteLineWords(bank, row, rng.Intn(cfg.WordsPerChipRow()), line, now)
 		case 6:
-			m.RefreshGroup(bank, diagonalGroup(m, row), now)
+			m.RefreshGroups(bank, [][LineChips]int{diagonalGroup(m, row)}, now, nil)
 		case 7:
 			m.MarkSpared(row)
 		}
@@ -46,31 +45,25 @@ func driveOps(m *Module, from, to int) {
 }
 
 // requireSameModule fails unless a and b hold the same cells and the same
-// storage layout: every row's words, charge count, recharge time, decay
-// flag, position and slot; every slab's cursor, free list and chunk count;
-// the spared rows and footprint shadows.
+// storage layout: every table entry (charge count, recharge time, flags and
+// slot) and every materialized row's words; every slab's cursor, free list
+// and chunk count; the spared rows and footprint shadows.
 func requireSameModule(t *testing.T, a, b *Module) {
 	t.Helper()
-	for i := range a.banks {
-		for row, ra := range a.banks[i] {
-			rb := b.banks[i][row]
-			if (ra == nil) != (rb == nil) {
-				t.Fatalf("chip-bank %d row %d: struct presence differs", i, row)
-			}
-			if ra == nil {
-				continue
-			}
-			if !reflect.DeepEqual(ra.words, rb.words) || ra.chargedWords != rb.chargedWords ||
-				ra.lastRecharge != rb.lastRecharge || ra.everDecayed != rb.everDecayed ||
-				ra.slot != rb.slot || ra.idx != rb.idx || ra.chip != rb.chip {
-				t.Fatalf("chip-bank %d row %d differs", i, row)
+	cfg := a.Config()
+	for chip := 0; chip < LineChips; chip++ {
+		for bank := 0; bank < cfg.Banks; bank++ {
+			for row := 0; row < cfg.RowsPerBank; row++ {
+				ra, rb := a.rowAt(chip, bank, row), b.rowAt(chip, bank, row)
+				if *ra != *rb || !slices.Equal(a.slabs[bank].words(ra), b.slabs[bank].words(rb)) {
+					t.Fatalf("chip-row (%d,%d,%d) differs:\n%+v\n%+v", chip, bank, row, *ra, *rb)
+				}
 			}
 		}
 	}
 	for i := range a.slabs {
 		sa, sb := &a.slabs[i], &b.slabs[i]
-		if sa.next != sb.next || !slices.Equal(sa.free, sb.free) ||
-			len(sa.chunks) != len(sb.chunks) || sa.structNext != sb.structNext {
+		if sa.next != sb.next || !slices.Equal(sa.free, sb.free) || len(sa.chunks) != len(sb.chunks) {
 			t.Fatalf("bank %d: slab layouts differ", i)
 		}
 	}

@@ -69,6 +69,11 @@ func (c Config) Validate() error {
 		// Whole cachelines also give every chip a whole number of words.
 		return fmt.Errorf("dram: RowBytes (%d) must hold whole %d-byte cachelines", c.RowBytes, LineBytes)
 	}
+	if c.WordsPerChipRow() > maxChargedWords {
+		// A chip-row's charged-word count is 16 bits wide (see row).
+		return fmt.Errorf("dram: RowBytes (%d) gives %d words per chip-row, more than the %d a row's charge count holds",
+			c.RowBytes, c.WordsPerChipRow(), maxChargedWords)
+	}
 	if c.RowsPerBank%LineChips != 0 {
 		// The staggered refresh-counter scheme (Section IV-C) walks rows
 		// in blocks of LineChips rows; requiring divisibility keeps every

@@ -63,6 +63,7 @@ func TestConfigValidateRejectsBadGeometry(t *testing.T) {
 		{"row not divisible by chips", func(c *Config) { c.RowBytes = 4100 }},
 		{"rows not divisible by chips", func(c *Config) { c.RowsPerBank = 1021 }},
 		{"line-unaligned row", func(c *Config) { c.RowBytes = 96 }},
+		{"row wider than the charge count", func(c *Config) { c.RowBytes = 4 << 20 }},
 		{"no retention window", func(c *Config) { c.Timing.TRET = 0 }},
 		{"no AR budget", func(c *Config) { c.Timing.NumAutoRefresh = 0 }},
 	}
@@ -74,6 +75,21 @@ func TestConfigValidateRejectsBadGeometry(t *testing.T) {
 				t.Fatalf("Validate accepted invalid config %+v", cfg)
 			}
 		})
+	}
+}
+
+// TestConfigValidateChargeCountLimit pins the widest row a chip-row's
+// 16-bit charged-word count can describe: 65535 words per chip-row, a
+// RowBytes of 4 MiB less one cacheline.
+func TestConfigValidateChargeCountLimit(t *testing.T) {
+	cfg := DefaultConfig(32 << 20)
+	cfg.RowBytes = 4<<20 - LineBytes
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("RowBytes %d (%d words per chip-row): %v", cfg.RowBytes, cfg.WordsPerChipRow(), err)
+	}
+	cfg.RowBytes = 4 << 20
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("RowBytes %d (%d words per chip-row) accepted", cfg.RowBytes, cfg.WordsPerChipRow())
 	}
 }
 

@@ -26,21 +26,25 @@ type Stats struct {
 }
 
 // Module simulates one DRAM rank: LineChips devices, each with Banks banks of
-// RowsPerBank rows. Storage is sparse; rows that have never held a charged
-// cell consume no memory.
+// RowsPerBank rows. Storage is sparse: every chip-row costs its 16-byte
+// state, and only a row that holds a charged cell owns word storage.
 //
 // The module is deliberately policy-free: it performs reads, writes and
 // refreshes when told to and destroys data whose retention deadline was
 // missed. Deciding *which* rows to refresh is the job of internal/refresh.
 type Module struct {
 	cfg Config
-	// banks[chip*cfg.Banks+bank][row] holds per-row storage; nil until
-	// a row is first activated. The chip-banks' slices share one backing
-	// array. Row structs and word storage come from slabs[bank] (see
-	// arena.go).
-	banks [][]*row
-	// slabs[bank] is the word/struct storage pool shared by all chips of
-	// that rank-level bank; see bankSlab.
+	// rows holds the state of every chip-row: one contiguous run of
+	// RowsPerBank entries per chip-bank, in row order, chip-major (see
+	// tableIndex). It is allocated once and pointer-free, and its zero
+	// value is a never-touched row. Word storage comes from slabs[bank]
+	// (see arena.go).
+	rows []row
+	// chipStride is the table distance between one chip's row and the
+	// next chip's row of the same (bank, row): Banks*RowsPerBank.
+	chipStride int
+	// slabs[bank] is the word storage shared by all chips of that
+	// rank-level bank; see bankSlab.
 	slabs []bankSlab
 	// wordsPerRow caches cfg.WordsPerChipRow() so the per-call hot paths
 	// skip its division chain.
@@ -48,14 +52,13 @@ type Module struct {
 	// storage tracks the memory footprint of the arena representation and
 	// feeds the dram.storage.* metrics.
 	storage storageStats
-	// spared is a bitset over rank-level row indices remapped by row
-	// sparing for fault tolerance; refresh skipping must be disabled for
-	// them (Section IV-B). Word r/64, bit r%64 is set when row r is
-	// spared. A bitset rather than a map keeps the sense path — consulted
-	// for every refresh step — a load and a mask instead of a hashed
-	// lookup; nil until the first MarkSpared, since most ranks spare
-	// nothing.
-	spared []uint64
+	// spared is the set of rank-level row indices remapped by row sparing
+	// for fault tolerance; refresh skipping must be disabled for them
+	// (Section IV-B). A bitset rather than a map keeps the sense path —
+	// consulted for every refresh step — a load and a mask instead of a
+	// hashed lookup; nil until the first MarkSpared, since most ranks
+	// spare nothing.
+	spared rowSet
 
 	// Operation counters live in a metrics registry so a sharded system
 	// can snapshot every rank's activity concurrently and uniformly.
@@ -80,7 +83,8 @@ func New(cfg Config) *Module {
 	reg := metrics.NewRegistry()
 	m := &Module{
 		cfg:          cfg,
-		banks:        make([][]*row, LineChips*cfg.Banks),
+		rows:         make([]row, LineChips*cfg.Banks*cfg.RowsPerBank),
+		chipStride:   cfg.Banks * cfg.RowsPerBank,
 		reg:          reg,
 		activations:  reg.Counter("dram.activations"),
 		refreshes:    reg.Counter("dram.refreshes"),
@@ -94,15 +98,6 @@ func New(cfg Config) *Module {
 	m.slabs = make([]bankSlab, cfg.Banks)
 	for b := range m.slabs {
 		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
-	}
-	// Every chip-bank's row pointers come from one backing array, cut into
-	// full slices of it: one allocation per module, so the collector
-	// paces one large allocation instead of growing its goal through
-	// LineChips*Banks of them.
-	rows := make([]*row, len(m.banks)*cfg.RowsPerBank)
-	for i := range m.banks {
-		lo, hi := i*cfg.RowsPerBank, (i+1)*cfg.RowsPerBank
-		m.banks[i] = rows[lo:hi:hi]
 	}
 	return m
 }
@@ -136,18 +131,18 @@ func (m *Module) Stats() Stats {
 func (m *Module) MarkSpared(rowIdx int) {
 	m.checkRow(rowIdx)
 	if m.spared == nil {
-		m.spared = make([]uint64, (m.cfg.RowsPerBank+63)/64)
+		m.spared = make(rowSet, (m.cfg.RowsPerBank+63)/64)
 	}
 	m.spared[rowIdx/64] |= 1 << (rowIdx % 64)
 }
 
-// sparedRow is the unchecked bitset probe behind IsSpared, for callers that
-// have already bounds-checked rowIdx.
-func (m *Module) sparedRow(rowIdx int) bool {
-	if m.spared == nil {
-		return false
-	}
-	return m.spared[rowIdx/64]&(1<<(rowIdx%64)) != 0
+// rowSet is a bitset over rank-level row indices: row r is bit r%64 of
+// word r/64. The nil set is empty.
+type rowSet []uint64
+
+// has reports whether row r, already bounds-checked, is in the set.
+func (s rowSet) has(r int) bool {
+	return s != nil && s[uint(r)/64]&(1<<(uint(r)%64)) != 0
 }
 
 // IsSpared reports whether the row index is remapped by row sparing. Out of
@@ -156,17 +151,22 @@ func (m *Module) IsSpared(rowIdx int) bool {
 	if rowIdx < 0 || rowIdx >= m.cfg.RowsPerBank {
 		return false
 	}
-	return m.sparedRow(rowIdx)
+	return m.spared.has(rowIdx)
 }
 
 func (m *Module) checkAddr(chip, bank, rowIdx int) {
 	if chip < 0 || chip >= LineChips {
 		panic(fmt.Sprintf("dram: chip %d out of range [0,%d)", chip, LineChips))
 	}
+	m.checkBank(bank)
+	m.checkRow(rowIdx)
+}
+
+// checkBank panics for a bank outside the geometry.
+func (m *Module) checkBank(bank int) {
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
 	}
-	m.checkRow(rowIdx)
 }
 
 func (m *Module) checkRow(rowIdx int) {
@@ -175,8 +175,14 @@ func (m *Module) checkRow(rowIdx int) {
 	}
 }
 
-func (m *Module) bankOf(chip, bank int) []*row {
-	return m.banks[chip*m.cfg.Banks+bank]
+// tableIndex returns the index of chip-row (chip, bank, rowIdx) in m.rows.
+func (m *Module) tableIndex(chip, bank, rowIdx int) int {
+	return chip*m.chipStride + bank*m.cfg.RowsPerBank + rowIdx
+}
+
+// rowAt returns the state of chip-row (chip, bank, rowIdx).
+func (m *Module) rowAt(chip, bank, rowIdx int) *row {
+	return &m.rows[m.tableIndex(chip, bank, rowIdx)]
 }
 
 // activate brings the chip-row into the sense amplifiers, enforcing the
@@ -185,13 +191,9 @@ func (m *Module) bankOf(chip, bank int) []*row {
 // observes it. On successful activation the write-back through the sense
 // amplifiers fully recharges the row.
 func (m *Module) activate(chip, bank, rowIdx int, now Time) *row {
-	b := m.bankOf(chip, bank)
-	r := b[rowIdx]
-	if r == nil {
-		r = m.slabs[bank].newRow(chip, rowIdx, now)
-		b[rowIdx] = r
-	}
+	r := m.rowAt(chip, bank, rowIdx)
 	m.expire(r, chip, bank, rowIdx, now)
+	r.flags |= rowTouched
 	r.lastRecharge = now
 	m.activations.Inc()
 	return r
@@ -199,8 +201,8 @@ func (m *Module) activate(chip, bank, rowIdx int, now Time) *row {
 
 // expire applies retention loss to a row if its deadline has passed.
 func (m *Module) expire(r *row, chip, bank, rowIdx int, now Time) {
-	if r.chargedWords > 0 && now-r.lastRecharge > m.cfg.Timing.TRET {
-		r.decay()
+	if r.overdue(now, m.cfg.Timing.TRET) {
+		m.slabs[bank].decay(r)
 		m.decayEvents.Inc()
 		if m.tr != nil {
 			m.tr.Emit(traceRetentionViolation(now, chip, bank, rowIdx))
@@ -238,8 +240,8 @@ func (m *Module) WriteWord(chip, bank, rowIdx, wordIdx int, v uint64, now Time) 
 		panic(fmt.Sprintf("dram: word %d out of range [0,%d)", wordIdx, m.wordsPerRow))
 	}
 	r := m.activate(chip, bank, rowIdx, now)
-	before := r.discharged()
-	after := r.writeWord(wordIdx, v, m.cfg.CellTypeOf(rowIdx))
+	before := r.charged == 0
+	after := m.slabs[bank].writeWord(r, wordIdx, v, m.cfg.CellTypeOf(rowIdx))
 	m.wordWrites.Inc()
 	if m.tr != nil && before != after {
 		m.tr.Emit(traceChargeTransition(now, chip, bank, rowIdx, after))
@@ -256,7 +258,7 @@ func (m *Module) ReadWord(chip, bank, rowIdx, wordIdx int, now Time) uint64 {
 	}
 	r := m.activate(chip, bank, rowIdx, now)
 	m.wordReads.Inc()
-	return r.readWord(wordIdx, m.cfg.CellTypeOf(rowIdx))
+	return m.slabs[bank].readWord(r, wordIdx, m.cfg.CellTypeOf(rowIdx))
 }
 
 // Refresh recharges one chip-row and reports whether the row was fully
@@ -265,19 +267,17 @@ func (m *Module) ReadWord(chip, bank, rowIdx, wordIdx int, now Time) uint64 {
 // the row status with negligible area (Section IV-B).
 func (m *Module) Refresh(chip, bank, rowIdx int, now Time) (discharged bool) {
 	m.checkAddr(chip, bank, rowIdx)
-	b := m.bankOf(chip, bank)
-	r := b[rowIdx]
-	if r == nil {
+	r := m.rowAt(chip, bank, rowIdx)
+	m.refreshes.Inc()
+	if r.flags&rowTouched == 0 {
 		// Never-touched row: fully discharged; the refresh is still
 		// performed by the hardware when commanded.
-		m.refreshes.Inc()
 		return true
 	}
 	m.expire(r, chip, bank, rowIdx, now)
 	m.refreshedAge.Observe(int64(now - r.lastRecharge))
 	r.lastRecharge = now
-	m.refreshes.Inc()
-	return r.discharged()
+	return r.charged == 0
 }
 
 // SenseDischarged reports whether a chip-row currently contains no charged
@@ -287,10 +287,10 @@ func (m *Module) Refresh(chip, bank, rowIdx int, now Time) (discharged bool) {
 // refresh engine cannot skip them.
 func (m *Module) SenseDischarged(chip, bank, rowIdx int) bool {
 	m.checkAddr(chip, bank, rowIdx)
-	if m.sparedRow(rowIdx) {
+	if m.spared.has(rowIdx) {
 		return false
 	}
-	return m.bankOf(chip, bank)[rowIdx].discharged()
+	return m.rowAt(chip, bank, rowIdx).charged == 0
 }
 
 // RowDischargedAllChips reports whether the rank-level row (same index in
@@ -309,11 +309,7 @@ func (m *Module) RowDischargedAllChips(bank, rowIdx int) bool {
 // used by diagnostics and tests.
 func (m *Module) ChargedCellCount(chip, bank, rowIdx int) int {
 	m.checkAddr(chip, bank, rowIdx)
-	r := m.bankOf(chip, bank)[rowIdx]
-	if r == nil || r.words == nil {
-		return 0
-	}
-	return popcountCharged(r.words, m.cfg.CellTypeOf(rowIdx))
+	return popcountCharged(m.slabs[bank].words(m.rowAt(chip, bank, rowIdx)), m.cfg.CellTypeOf(rowIdx))
 }
 
 // EverDecayed reports whether the chip-row lost data to retention failure at
@@ -321,26 +317,18 @@ func (m *Module) ChargedCellCount(chip, bank, rowIdx int) int {
 // correct refresh policy.
 func (m *Module) EverDecayed(chip, bank, rowIdx int) bool {
 	m.checkAddr(chip, bank, rowIdx)
-	r := m.bankOf(chip, bank)[rowIdx]
-	return r != nil && r.everDecayed
+	return m.rowAt(chip, bank, rowIdx).flags&rowDecayed != 0
 }
 
-// CheckIntegrity scans all materialized rows and returns the number of rows
-// that (a) have already lost data, or (b) hold charged cells whose deadline
-// has passed as of now and would lose data on their next activation.
+// CheckIntegrity scans every chip-row and returns the number of rows that
+// (a) have already lost data, or (b) hold charged cells whose deadline has
+// passed as of now and would lose data on their next activation.
 func (m *Module) CheckIntegrity(now Time) (violations int) {
-	for _, b := range m.banks {
-		for _, r := range b {
-			if r == nil {
-				continue
-			}
-			if r.everDecayed {
-				violations++
-				continue
-			}
-			if r.chargedWords > 0 && now-r.lastRecharge > m.cfg.Timing.TRET {
-				violations++
-			}
+	tret := m.cfg.Timing.TRET
+	for i := range m.rows {
+		r := &m.rows[i]
+		if r.flags&rowDecayed != 0 || r.overdue(now, tret) {
+			violations++
 		}
 	}
 	return violations
@@ -350,11 +338,9 @@ func (m *Module) CheckIntegrity(now Time) (violations int) {
 // storage; useful for validating the sparse representation.
 func (m *Module) MaterializedRows() int {
 	n := 0
-	for _, b := range m.banks {
-		for _, r := range b {
-			if r != nil && r.words != nil {
-				n++
-			}
+	for i := range m.rows {
+		if m.rows[i].slot != 0 {
+			n++
 		}
 	}
 	return n

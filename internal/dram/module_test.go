@@ -35,7 +35,7 @@ func TestUnwrittenRowsAreDischargedAndFree(t *testing.T) {
 	if m.MaterializedRows() != 0 {
 		t.Fatal("fresh module should hold no storage")
 	}
-	// Reading materializes a row struct but no data array.
+	// Reading touches the row state but claims no words.
 	_ = m.ReadWord(0, 0, 0, 0, 0)
 	if m.MaterializedRows() != 0 {
 		t.Fatal("reads must not materialize row data")
@@ -214,7 +214,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 // recountCharged recomputes a row's charged-word count from scratch, the
-// reference the incremental chargedWords bookkeeping is checked against.
+// reference the incremental row.charged bookkeeping is checked against.
 func recountCharged(words []uint64, ct CellType) int {
 	n := 0
 	for _, w := range words {
@@ -254,21 +254,22 @@ func TestQuickWriteReadConsistency(t *testing.T) {
 				return false
 			}
 		}
-		// Bookkeeping invariant: chargedWords matches a full recount.
-		for _, b := range m.banks {
-			for rowIdx, r := range b {
-				if r == nil {
-					continue
-				}
-				ct := cfg.CellTypeOf(rowIdx)
-				if r.words == nil {
-					if r.chargedWords != 0 {
+		// Bookkeeping invariant: the charged-word count matches a full
+		// recount.
+		for chip := 0; chip < LineChips; chip++ {
+			for bank := 0; bank < cfg.Banks; bank++ {
+				for rowIdx := 0; rowIdx < cfg.RowsPerBank; rowIdx++ {
+					r := m.rowAt(chip, bank, rowIdx)
+					ws := m.slabs[bank].words(r)
+					if ws == nil {
+						if r.charged != 0 {
+							return false
+						}
+						continue
+					}
+					if recountCharged(ws, cfg.CellTypeOf(rowIdx)) != int(r.charged) {
 						return false
 					}
-					continue
-				}
-				if recountCharged(r.words, ct) != r.chargedWords {
-					return false
 				}
 			}
 		}

@@ -24,13 +24,15 @@ type Tracer = trace.Sink
 // MemoryBackend is the hardware contract a refresh engine and a
 // memory-controller datapath need from a DRAM rank: line-granular reads and
 // row bursts that write (both activate, and therefore recharge, the rows),
-// refresh of one staggered diagonal group with discharged-row sensing that
-// leaves spared rows (row sparing's remapped rows, which must never skip
-// refresh) out of the status mask, and the idle-window bulk refresh. Every
-// method acts on all dram.LineChips chips of the rank at once, except
-// Refresh, which the per-chip-status design variant issues chip by chip.
-// *dram.Module is the one production implementation; the differential
-// tests put a per-chip scalar twin behind the same contract.
+// refresh of one auto-refresh command's staggered diagonal groups in one
+// call, with discharged-row sensing that leaves spared rows (row sparing's
+// remapped rows, which must never skip refresh) out of the status masks,
+// and the idle-window bulk refresh of a command's groups. Every method acts
+// on all dram.LineChips chips of the rank at once, except Refresh, which
+// the per-chip-status design variant issues chip by chip.
+// *dram.Module is the one production implementation, keeping every
+// chip-row's state in one dense table; the differential tests put a
+// per-chip scalar twin behind the same contract.
 type MemoryBackend interface {
 	// Config returns the rank geometry.
 	Config() dram.Config
@@ -48,18 +50,21 @@ type MemoryBackend interface {
 	// ReadLineWords returns word slot `slot` of (bank, row) in every
 	// chip, applying the retention model as the hardware would.
 	ReadLineWords(bank, rowIdx, slot int, now dram.Time) [dram.LineChips]uint64
-	// RefreshGroup refreshes rows[c] in chip c — one staggered refresh
-	// diagonal — and returns the status mask: bit c set iff chip c's row
-	// was fully discharged and not remapped by row sparing. Equivalent to
-	// a loop over the chips of Refresh and dram.Module.IsSpared.
-	RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16
-	// ReplayRefreshGroup fast-forwards refresh across idle windows: one
-	// call applies `windows` evenly spaced RefreshGroup calls of a
-	// diagonal group — first at time `first`, then every `period` — with
-	// exactly the cell state, counters, histogram observations and
-	// (absent) trace events they would produce, provided nothing else
-	// touches the rows in between.
-	ReplayRefreshGroup(bank int, rows [dram.LineChips]int, first, period dram.Time, windows int64)
+	// RefreshGroups refreshes diagonal groups in order at time now —
+	// groups[i][c] in chip c, each group one staggered refresh step — and,
+	// unless masks is nil, stores group i's status mask in masks[i]: bit
+	// c set iff chip c's row was fully discharged and not remapped by row
+	// sparing. Equivalent to a loop over the groups and their chips of
+	// Refresh and dram.Module.IsSpared; the counters and the refresh-age
+	// histogram see one update per call.
+	RefreshGroups(bank int, groups [][dram.LineChips]int, now dram.Time, masks []uint16)
+	// ReplayRefreshGroups fast-forwards refresh across idle windows: one
+	// call applies `windows` evenly spaced RefreshGroups calls of a
+	// command's diagonal groups, whose chip-rows are distinct — first at
+	// time `first`, then every `period` — with exactly the cell state,
+	// counters, histogram observations and trace events they would
+	// produce, provided nothing else touches the rows in between.
+	ReplayRefreshGroups(bank int, groups [][dram.LineChips]int, first, period dram.Time, windows int64)
 }
 
 // WriteNotifier receives write notifications from the controller datapath.

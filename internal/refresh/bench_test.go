@@ -24,7 +24,7 @@ func benchEngine(m *dram.Module, mode string) *Engine {
 // charged the module is pre-seeded with 2000 random charged words;
 // otherwise no operation ever touched it. The "scalar" mode drives the
 // per-chip Refresh + IsSpared oracle (scalarBackend), "batched" the
-// module's RefreshGroup call.
+// module's one RefreshGroups call per command.
 func autoRefreshFixture(mode string, charged bool) func() {
 	m := testModule()
 	cfg := m.Config()
@@ -51,7 +51,7 @@ func autoRefreshFixture(mode string, charged bool) func() {
 
 // BenchmarkAutoRefreshSetDischarged measures one auto-refresh command over
 // a module no operation ever touched: every step runs the dense per-group
-// loop over rows that are nil pointers and sense discharged, without
+// loop over chip-rows whose zero state senses discharged, without
 // materializing a single row.
 func BenchmarkAutoRefreshSetDischarged(b *testing.B) {
 	for _, mode := range []string{"scalar", "batched"} {
@@ -81,7 +81,8 @@ func BenchmarkAutoRefreshSet(b *testing.B) {
 
 // TestSteadyStateAllocFree pins AutoRefreshSet allocation-free on charged
 // and discharged modules, batched and through the scalar oracle, once every
-// (bank, set) has been visited.
+// (bank, set) has been visited, and the bulk idle replay of several windows
+// on a quiet engine.
 func TestSteadyStateAllocFree(t *testing.T) {
 	for _, mode := range []string{"scalar", "batched"} {
 		for _, charged := range []bool{true, false} {
@@ -92,6 +93,25 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			if n := testing.AllocsPerRun(200, op); n != 0 {
 				t.Errorf("AutoRefreshSet %s charged=%v allocated %.1f times per op", mode, charged, n)
 			}
+		}
+	}
+	for _, charged := range []bool{true, false} {
+		m := testModule()
+		if charged {
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < 2000; i++ {
+				m.WriteWord(rng.Intn(dram.LineChips), rng.Intn(m.Config().Banks), rng.Intn(m.Config().RowsPerBank),
+					rng.Intn(m.Config().WordsPerChipRow()), rng.Uint64()|1, 0)
+			}
+		}
+		e := testEngine(m)
+		now := e.RunCycle(0).End
+		if !e.CanReplayIdle() {
+			t.Fatal("quiet engine cannot replay")
+		}
+		replay := func() { now = e.ReplayIdleCycles(now, 4).End }
+		if n := testing.AllocsPerRun(20, replay); n != 0 {
+			t.Errorf("ReplayIdleCycles k=4 charged=%v allocated %.1f times per op", charged, n)
 		}
 	}
 }

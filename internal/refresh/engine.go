@@ -135,6 +135,10 @@ type Engine struct {
 	// the step has been skipped; a refresh terminates the run and feeds
 	// its length into the discharged-run-length histogram.
 	skipRun [][]int32
+	// groups holds the diagonal groups of the steps one AR command
+	// refreshes, passed to the backend in one RefreshGroups or
+	// ReplayRefreshGroups call; RowsPerAR long.
+	groups [][dram.LineChips]int
 
 	// Activity counters live in a metrics registry so a sharded system
 	// can snapshot every rank's engine concurrently and uniformly.
@@ -190,6 +194,7 @@ func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 		rowsPerBank: dcfg.RowsPerBank,
 		numARs:      dcfg.RowsPerBank / cfg.RowsPerAR,
 		arCursor:    make([]int, dcfg.Banks),
+		groups:      make([][dram.LineChips]int, cfg.RowsPerAR),
 
 		reg:               reg,
 		arCommands:        reg.Counter("refresh.ar_commands"),
@@ -338,13 +343,6 @@ func (e *Engine) NoteWrite(bank, row int) {
 	e.setAccessBit(bank, hi/e.cfg.RowsPerAR)
 }
 
-// refreshStep refreshes the diagonal group of step n in a bank in one
-// RefreshGroup backend call and returns the renewed status mask: bit c set
-// iff chip c's row was discharged and not backed by a spare row.
-func (e *Engine) refreshStep(bank, n int, now dram.Time) uint16 {
-	return e.mod.RefreshGroup(bank, e.stepRows(n), now)
-}
-
 // noteSkip records one skipped step: its consecutive-skip run grows and the
 // event stream (when enabled) sees the step with its current run length.
 func (e *Engine) noteSkip(bank, n int, now dram.Time) {
@@ -386,6 +384,13 @@ func (e *Engine) noteRefresh(bank, n, chipRows int, now dram.Time) {
 //     rows were discharged at their last full refresh (no write occurred
 //     since, so the status is still exact).
 //
+// The steps the command refreshes are queued in e.groups and go to the
+// backend in one RefreshGroups call. A traced engine refreshes each step
+// at once instead, so the step's refresh-issued event, which noteRefresh
+// emits next, follows the module events of its own refresh; untraced,
+// noteRefresh moves only engine state, so the refresh may wait for the
+// command's call.
+//
 //zr:hotpath
 func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 	if set < 0 || set >= e.numARs {
@@ -393,13 +398,23 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 	}
 	var res ARResult
 	first := set * e.cfg.RowsPerAR
+	last := first + e.cfg.RowsPerAR
+	queued := 0
 	if e.accessBit(bank, set) {
-		for n := first; n < first+e.cfg.RowsPerAR; n++ {
-			e.status[bank][n] = e.refreshStep(bank, n, now)
+		for n := first; n < last; n++ {
+			e.groups[queued] = e.stepRows(n)
+			queued++
+			if e.tr != nil {
+				e.mod.RefreshGroups(bank, e.groups[:1], now, e.status[bank][n:n+1])
+				queued = 0
+			}
 			e.noteRefresh(bank, n, dram.LineChips, now)
-			res.Refreshed++
-			res.ChipRefreshed += dram.LineChips
 		}
+		if queued > 0 {
+			e.mod.RefreshGroups(bank, e.groups[:queued], now, e.status[bank][first:last])
+		}
+		res.Refreshed = e.cfg.RowsPerAR
+		res.ChipRefreshed = e.cfg.RowsPerAR * dram.LineChips
 		e.clearAccessBit(bank, set)
 		if e.cfg.StatusInDRAM {
 			res.StatusWrite = true
@@ -410,7 +425,7 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 			res.StatusRead = true
 			e.statusReads.Inc()
 		}
-		for n := first; n < first+e.cfg.RowsPerAR; n++ {
+		for n := first; n < last; n++ {
 			mask := e.status[bank][n]
 			switch {
 			case e.cfg.Skip && e.cfg.PerChipStatus:
@@ -441,11 +456,19 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 			default:
 				// Refresh normally; the status cannot have improved
 				// without a write, so no table update is needed.
-				e.refreshStep(bank, n, now)
+				e.groups[queued] = e.stepRows(n)
+				queued++
+				if e.tr != nil {
+					e.mod.RefreshGroups(bank, e.groups[:1], now, nil)
+					queued = 0
+				}
 				e.noteRefresh(bank, n, dram.LineChips, now)
 				res.Refreshed++
 				res.ChipRefreshed += dram.LineChips
 			}
+		}
+		if queued > 0 {
+			e.mod.RefreshGroups(bank, e.groups[:queued], now, nil)
 		}
 	}
 	res.FullySkipped = res.Refreshed == 0

@@ -108,17 +108,20 @@ func (e *Engine) ReplayIdleCycles(start dram.Time, k int64) CycleStats {
 				// terminates any accumulated skip run (as dense noteRefresh
 				// would); the k-1 after it see a zero run and observe
 				// nothing.
+				e.groups[refreshed] = e.stepRows(n)
 				refreshed++
 				if run := e.skipRun[bank][n]; run > 0 {
 					e.dischargedRunLen.Observe(int64(run))
 					e.skipRun[bank][n] = 0
 				}
-				e.mod.ReplayRefreshGroup(bank, e.stepRows(n), now, tret, k)
 			}
-			refreshedPerCycle += int64(refreshed)
-			if refreshed == 0 {
+			// The command's refreshed steps replay in one backend call.
+			if refreshed > 0 {
+				e.mod.ReplayRefreshGroups(bank, e.groups[:refreshed], now, tret, k)
+			} else {
 				fullySkippedARsPerCycle++
 			}
+			refreshedPerCycle += int64(refreshed)
 			e.lastSetRefreshed[bank][set] = refreshed
 		}
 	}
