@@ -22,6 +22,9 @@
 #                  a nested module the root ./... skips): its traced
 #                  mirrors must match the sim entry points bit for bit and
 #                  every output must match the per-seed goldens.
+#   make examples - run every examples/ program and require its stdout to
+#                  equal the examples/<name>/output.txt beside it byte for
+#                  byte (a non-zero exit fails too).
 #
 # The benchmark of record is `bash bench/run.sh`, declared in
 # BENCHMARK.json: whole experiments timed end to end, with a per-layer
@@ -31,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race reproduce benchtest
+.PHONY: check vet lint build test race reproduce benchtest examples
 
 check: vet lint build
 	$(GO) test -race -short ./...
@@ -56,3 +59,9 @@ reproduce:
 
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+examples:
+	@for ex in examples/*/; do \
+		echo "== $$ex"; \
+		{ $(GO) run "./$$ex" || echo "exit status $$?"; } | cmp - "$${ex}output.txt" || exit 1; \
+	done

@@ -26,6 +26,8 @@ import (
 // only discharges chip-rows; a word-class page sets some words of each
 // line, and in them some bytes, so refilling one discharges some chip-rows
 // and charges others in the same burst. The run must see that happen.
+// Between windows, single lines are stored through the line path into
+// pages of any kind.
 func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 	mappings := []transform.ChipMapping{
 		transform.RotatedMapping{}, transform.DirectMapping{}, transform.ByteScatterMapping{},
@@ -123,6 +125,37 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 			}
 			live[p] = content{lines: lines}
 		}
+		// storeLine writes one random line of page p through the line
+		// path. Memory never written holds undefined content, so a page
+		// that is not live is cleansed first; a benchmark page turns into
+		// its lines. linePages lists the pages stored to.
+		linesPerRow := sys.DRAM.Config().LinesPerRow()
+		var linePages []int
+		storeLine := func(p int) {
+			c, ok := live[p]
+			if !ok {
+				cleanse(p)
+				c = content{lines: make([]transform.Line, linesPerRow)}
+			} else if c.lines == nil {
+				gen := c.prof.Lines(cfg.Seed)
+				lines := make([]transform.Line, linesPerRow)
+				for i := range lines {
+					gen.LineWords(&lines[i], uint64(p*linesPerRow+i), c.version)
+				}
+				c = content{lines: lines}
+			}
+			var line transform.Line
+			for w := range line {
+				if rng.Intn(2) == 0 {
+					line[w] = rng.Uint64() >> rng.Intn(64)
+				}
+			}
+			ln := rng.Intn(linesPerRow)
+			note(sys.WriteLineAt(sys.PageAddr(p)+uint64(ln)*dram.LineBytes, line.Bytes()))
+			c.lines[ln] = line
+			live[p] = c
+			linePages = append(linePages, p)
+		}
 		// The allocator hands out and frees a prefix of the pages: freed
 		// pages are cleansed, and each reallocation fills a new version.
 		alloc := ostrace.NewAllocator(sys.Pages())
@@ -158,8 +191,19 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 			writeClasses(p)
 			writeClasses(p)
 		}
-		// Several windows with occasional rewrites and allocator swings.
+		// Several windows with occasional rewrites, allocator swings and
+		// up to 15 line stores. Half the stores go back to a page an
+		// earlier store wrote: that page is mostly discharged, so a later
+		// window's store charges chip-rows an earlier window sensed as
+		// discharged, which refresh may skip only if the store went unseen.
 		for w := 0; w < 4; w++ {
+			for i, n := 0, rng.Intn(16); i < n; i++ {
+				p := rng.Intn(sys.Pages())
+				if len(linePages) > 0 && rng.Intn(2) == 0 {
+					p = linePages[rng.Intn(len(linePages))]
+				}
+				storeLine(p)
+			}
 			if rng.Intn(2) == 0 {
 				fill(rng.Intn(sys.Pages()), content{prof: []workload.Profile{prof, prof2}[w%2], version: uint64(10 + w)})
 			}

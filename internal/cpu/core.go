@@ -1,22 +1,17 @@
-// Package cpu models the processor cores of the simulated system (Table II:
-// four 4 GHz out-of-order x86 cores). The model is deliberately first-order:
-// each core has a base CPI covering all on-chip work (computation plus L1/L2
-// hits) and stalls for LLC misses, whose latency is partially overlapped by
-// the core's memory-level parallelism. This captures what the ZERO-REFRESH
-// evaluation needs from the core — how much refresh-induced memory latency
-// translates into lost IPC (Figure 17) — without a full pipeline model.
+// Package cpu holds the processor-core parameters of the simulated system
+// (Table II: four 4 GHz out-of-order x86 cores). The core model itself is
+// Figure 17's closed loop (sim's closedLoopConfig over
+// memctrl.SimulateClosedLoop): each core overlaps MLP outstanding LLC
+// misses and spends the benchmark profile's own base CPI on everything
+// else. This captures what the ZERO-REFRESH evaluation needs from the core
+// — how much refresh-induced memory latency translates into lost IPC —
+// without a full pipeline model.
 package cpu
-
-import "fmt"
 
 // CoreConfig holds the per-core performance parameters.
 type CoreConfig struct {
 	// FreqGHz is the core clock (4 GHz in Table II).
 	FreqGHz float64
-	// BaseCPI is the cycles per instruction with a perfect memory
-	// system (all LLC misses free). A 4-way out-of-order core sustains
-	// well under 1.
-	BaseCPI float64
 	// MLP is the average number of outstanding LLC misses the core
 	// overlaps; the effective stall per miss is latency/MLP.
 	MLP float64
@@ -24,57 +19,5 @@ type CoreConfig struct {
 
 // DefaultCoreConfig matches the Table II processor.
 func DefaultCoreConfig() CoreConfig {
-	return CoreConfig{FreqGHz: 4.0, BaseCPI: 0.5, MLP: 4.0}
-}
-
-// Validate checks the configuration.
-func (c CoreConfig) Validate() error {
-	if c.FreqGHz <= 0 || c.BaseCPI <= 0 || c.MLP <= 0 {
-		return fmt.Errorf("cpu: all core parameters must be positive: %+v", c)
-	}
-	return nil
-}
-
-// MemoryStats is the memory-system feedback for one core's execution.
-type MemoryStats struct {
-	// Misses is the number of LLC misses (demand fills).
-	Misses int64
-	// AvgLatencyNs is the mean DRAM access latency observed, including
-	// queueing and refresh interference.
-	AvgLatencyNs float64
-}
-
-// Cycles returns the total core cycles to retire the given instruction
-// count under the memory statistics.
-func (c CoreConfig) Cycles(instructions int64, mem MemoryStats) float64 {
-	compute := float64(instructions) * c.BaseCPI
-	stallPerMiss := mem.AvgLatencyNs * c.FreqGHz / c.MLP // ns -> cycles, overlapped
-	return compute + float64(mem.Misses)*stallPerMiss
-}
-
-// IPC returns instructions per cycle for the execution.
-func (c CoreConfig) IPC(instructions int64, mem MemoryStats) float64 {
-	cy := c.Cycles(instructions, mem)
-	if cy == 0 {
-		return 0
-	}
-	return float64(instructions) / cy
-}
-
-// Speedup returns the relative IPC of an improved memory system versus a
-// baseline for the same instruction stream.
-func (c CoreConfig) Speedup(instructions int64, baseline, improved MemoryStats) float64 {
-	b := c.IPC(instructions, baseline)
-	if b == 0 {
-		return 1
-	}
-	return c.IPC(instructions, improved) / b
-}
-
-// InstructionsIn returns how many instructions a core retires in the given
-// wall-clock nanoseconds at the achieved IPC — used to size request streams
-// that must span a fixed number of retention windows (the paper executes
-// >256 ms to cover 8 refresh cycles).
-func (c CoreConfig) InstructionsIn(ns float64, ipc float64) int64 {
-	return int64(ns * c.FreqGHz * ipc)
+	return CoreConfig{FreqGHz: 4.0, MLP: 4.0}
 }

@@ -17,7 +17,9 @@ import "fmt"
 // real kernels leave free memory.
 type Allocator struct {
 	totalPages int
-	allocated  []bool
+	// nAllocated is the allocated page count. First-fit placement and
+	// LIFO release keep the allocated set equal to the prefix
+	// [0, nAllocated).
 	nAllocated int
 
 	// OnAllocate is called when a page is handed to the application
@@ -39,10 +41,7 @@ func NewAllocator(totalPages int) *Allocator {
 	if totalPages <= 0 {
 		panic("ostrace: totalPages must be positive")
 	}
-	return &Allocator{
-		totalPages: totalPages,
-		allocated:  make([]bool, totalPages),
-	}
+	return &Allocator{totalPages: totalPages}
 }
 
 // AllocatedPages returns how many pages are currently allocated.
@@ -56,12 +55,9 @@ func (a *Allocator) AllocatedFraction() float64 {
 // Stats returns cumulative allocation and deallocation counts.
 func (a *Allocator) Stats() (allocs, frees int64) { return a.allocations, a.deallocations }
 
-// IsAllocated reports whether a page is currently allocated.
-func (a *Allocator) IsAllocated(page int) bool { return a.allocated[page] }
-
-// SetTargetFraction allocates or frees randomly chosen pages until the
-// utilization reaches the target (rounded to whole pages), invoking the
-// fill/cleanse callbacks along the way.
+// SetTargetFraction allocates the lowest free pages or frees the highest
+// allocated ones until the utilization reaches the target (rounded to whole
+// pages), invoking the fill/cleanse callbacks along the way.
 func (a *Allocator) SetTargetFraction(target float64) error {
 	if target < 0 || target > 1 {
 		return fmt.Errorf("ostrace: target fraction %v out of [0,1]", target)
@@ -77,10 +73,7 @@ func (a *Allocator) SetTargetFraction(target float64) error {
 }
 
 func (a *Allocator) allocateOne() {
-	// First fit + LIFO release keep the allocated set equal to the
-	// prefix [0, nAllocated), so the lowest free page is nAllocated.
-	p := a.nAllocated
-	a.allocated[p] = true
+	p := a.nAllocated // the lowest free page
 	a.nAllocated++
 	a.allocations++
 	if a.OnAllocate != nil {
@@ -90,7 +83,6 @@ func (a *Allocator) allocateOne() {
 
 func (a *Allocator) freeOne() {
 	p := a.nAllocated - 1
-	a.allocated[p] = false
 	a.nAllocated--
 	a.deallocations++
 	if a.OnFree != nil {
@@ -101,11 +93,9 @@ func (a *Allocator) freeOne() {
 // AllocatedPageIndices returns the currently allocated pages in ascending
 // order (for iterating application content).
 func (a *Allocator) AllocatedPageIndices() []int {
-	out := make([]int, 0, a.nAllocated)
-	for p, ok := range a.allocated {
-		if ok {
-			out = append(out, p)
-		}
+	out := make([]int, a.nAllocated)
+	for p := range out {
+		out[p] = p
 	}
 	return out
 }

@@ -105,21 +105,30 @@ func TestAllocatorCallbacks(t *testing.T) {
 	}
 }
 
+// TestAllocatorIndices checks AllocatedPageIndices against the pages the
+// callbacks handed out and took back, through growth and shrinkage.
 func TestAllocatorIndices(t *testing.T) {
 	a := NewAllocator(50)
-	a.SetTargetFraction(0.3)
-	idx := a.AllocatedPageIndices()
-	if len(idx) != 15 {
-		t.Fatalf("indices = %d, want 15", len(idx))
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatal("indices not ascending")
+	held := map[int]bool{}
+	a.OnAllocate = func(p int) {
+		if held[p] {
+			t.Fatalf("page %d allocated twice", p)
 		}
+		held[p] = true
 	}
-	for _, p := range idx {
-		if !a.IsAllocated(p) {
-			t.Fatalf("page %d not allocated", p)
+	a.OnFree = func(p int) { delete(held, p) }
+	for _, target := range []float64{0.3, 0.1, 0.5, 0.5, 0.2, 0} {
+		if err := a.SetTargetFraction(target); err != nil {
+			t.Fatal(err)
+		}
+		idx := a.AllocatedPageIndices()
+		if want := int(target*50 + 0.5); len(idx) != want || len(held) != want {
+			t.Fatalf("target %v: %d indices, %d held, want %d", target, len(idx), len(held), want)
+		}
+		for i, p := range idx {
+			if !held[p] || (i > 0 && p <= idx[i-1]) {
+				t.Fatalf("target %v: indices %v do not list the held pages in order", target, idx)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"zerorefresh/internal/cache"
 	"zerorefresh/internal/cpu"
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
@@ -260,6 +259,17 @@ func RunFig6(o Options) *Table {
 	return t
 }
 
+// Table II's private caches per core: a 32 KB, 8-way L1 data cache and a
+// 2 MB, 32-way L2, the last-level cache. Table II prints them; no
+// experiment simulates a cache, since every figure writes whole pages and
+// Figure 17 models the core's misses analytically.
+const (
+	l1DBytes = 32 << 10
+	l1DWays  = 8
+	l2Bytes  = 2 << 20
+	l2Ways   = 32
+)
+
 // RunTable2 renders the simulated system configuration (Table II): the
 // cores and caches, the rank geometry at paper scale, the DDR4 timings
 // with the retention windows, and the IDD currents of the power model.
@@ -275,10 +285,10 @@ func RunTable2() *Table {
 	}
 	t.AddRow("cores", fig17Cores)
 	t.AddRow("core GHz", cpu.DefaultCoreConfig().FreqGHz)
-	t.AddRow("L1-D KB", float64(cache.L1Config.SizeBytes>>10))
-	t.AddRow("L1-D ways", float64(cache.L1Config.Ways))
-	t.AddRow("L2 MB per core", float64(cache.L2Config.SizeBytes>>20))
-	t.AddRow("L2 ways", float64(cache.L2Config.Ways))
+	t.AddRow("L1-D KB", l1DBytes>>10)
+	t.AddRow("L1-D ways", l1DWays)
+	t.AddRow("L2 MB per core", l2Bytes>>20)
+	t.AddRow("L2 ways", l2Ways)
 	t.AddRow("memory GB", defaultCapacity>>20) // MB simulated, GB modeled
 	t.AddRow("chips", dram.LineChips)
 	t.AddRow("banks", float64(geo.Banks))

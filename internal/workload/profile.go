@@ -13,9 +13,9 @@ import (
 //
 // The real applications are not redistributable and the paper's PIN traces
 // are unavailable, so each profile is a synthetic stand-in calibrated to
-// the published aggregate statistics. WorkingSetBytes and write rates are
-// expressed at the simulator's default 1/1024 capacity scale (32 MB rank
-// standing in for the paper's 32 GB).
+// the published aggregate statistics. The per-window touched and written
+// byte counts are expressed at the simulator's default 1/1024 capacity
+// scale (32 MB rank standing in for the paper's 32 GB).
 type Profile struct {
 	// Name identifies the benchmark (paper's Figure 14 x-axis).
 	Name string
@@ -33,8 +33,6 @@ type Profile struct {
 	RowHitRate float64
 	// BaseCPI is the core CPI with a perfect memory system.
 	BaseCPI float64
-	// WorkingSetBytes is the resident working set (scaled).
-	WorkingSetBytes int64
 	// TouchedBytesPerWindow is the amount of distinct row-memory
 	// accessed (read or written) per 32 ms retention window (scaled) —
 	// what Smart Refresh can skip.
@@ -86,16 +84,13 @@ func (p Profile) Validate() error {
 	if p.MPKI < 0 || p.WriteFrac < 0 || p.WriteFrac > 1 || p.RowHitRate < 0 || p.RowHitRate > 1 {
 		return fmt.Errorf("workload %s: rate parameters out of range", p.Name)
 	}
-	if p.BaseCPI <= 0 || p.WorkingSetBytes <= 0 {
-		return fmt.Errorf("workload %s: BaseCPI and WorkingSetBytes must be positive", p.Name)
+	if p.BaseCPI <= 0 {
+		return fmt.Errorf("workload %s: BaseCPI must be positive", p.Name)
 	}
 	return nil
 }
 
-const (
-	kib = 1 << 10
-	mib = 1 << 20
-)
+const kib = 1 << 10
 
 // benchmarks is the evaluation suite: 17 SPEC CPU2006 + 2 NPB + 4 TPC-H
 // (Section VI-A). Mixes are chosen so the analytic reduction reproduces
@@ -105,95 +100,95 @@ var benchmarks = []Profile{
 	{Name: "perlbench", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PagePointer: .12, PageInt16: .05, PageInt32: .05, PageRandom: .55, PageText: .20},
 		MPKI: 1.5, WriteFrac: .35, RowHitRate: .55, BaseCPI: .55,
-		WorkingSetBytes: 1200 * kib, TouchedBytesPerWindow: 700 * kib, WrittenBytesPerWindow: 140 * kib},
+		TouchedBytesPerWindow: 700 * kib, WrittenBytesPerWindow: 140 * kib},
 	{Name: "bzip2", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .18, PageInt16: .21, PageInt32: .20, PageRandom: .26, PageText: .12},
 		MPKI: 3.5, WriteFrac: .40, RowHitRate: .60, BaseCPI: .60,
-		WorkingSetBytes: 1600 * kib, TouchedBytesPerWindow: 900 * kib, WrittenBytesPerWindow: 190 * kib},
+		TouchedBytesPerWindow: 900 * kib, WrittenBytesPerWindow: 190 * kib},
 	{Name: "gcc", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .06, PageInt8: .28, PageInt16: .20, PagePointer: .20, PageInt32: .10, PageRandom: .16},
 		MPKI: 6.0, WriteFrac: .45, RowHitRate: .50, BaseCPI: .65,
-		WorkingSetBytes: 1800 * kib, TouchedBytesPerWindow: 1100 * kib, WrittenBytesPerWindow: 250 * kib},
+		TouchedBytesPerWindow: 1100 * kib, WrittenBytesPerWindow: 250 * kib},
 	{Name: "mcf", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .04, PageInt8: .33, PageInt16: .15, PageInt32: .20, PagePointer: .25, PageRandom: .03},
 		MPKI: 55, WriteFrac: .30, RowHitRate: .30, BaseCPI: .80,
-		WorkingSetBytes: 1700 * kib, TouchedBytesPerWindow: 1900 * kib, WrittenBytesPerWindow: 150 * kib},
+		TouchedBytesPerWindow: 1900 * kib, WrittenBytesPerWindow: 150 * kib},
 	{Name: "gobmk", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .16, PageInt16: .10, PageInt32: .12, PagePointer: .10, PageRandom: .37, PageText: .12},
 		MPKI: 1.0, WriteFrac: .30, RowHitRate: .55, BaseCPI: .70,
-		WorkingSetBytes: 600 * kib, TouchedBytesPerWindow: 300 * kib, WrittenBytesPerWindow: 50 * kib},
+		TouchedBytesPerWindow: 300 * kib, WrittenBytesPerWindow: 50 * kib},
 	{Name: "hmmer", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .20, PageInt16: .33, PageInt32: .18, PageRandom: .27},
 		MPKI: 2.5, WriteFrac: .40, RowHitRate: .70, BaseCPI: .50,
-		WorkingSetBytes: 500 * kib, TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 75 * kib},
+		TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 75 * kib},
 	{Name: "sjeng", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .18, PageInt16: .12, PageInt32: .15, PagePointer: .08, PageRandom: .45},
 		MPKI: 1.2, WriteFrac: .30, RowHitRate: .55, BaseCPI: .60,
-		WorkingSetBytes: 400 * kib, TouchedBytesPerWindow: 250 * kib, WrittenBytesPerWindow: 45 * kib},
+		TouchedBytesPerWindow: 250 * kib, WrittenBytesPerWindow: 45 * kib},
 	{Name: "libquantum", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .48, PageInt16: .32, PageInt32: .15, PageRandom: .02},
 		MPKI: 25, WriteFrac: .35, RowHitRate: .85, BaseCPI: .55,
-		WorkingSetBytes: 256 * kib, TouchedBytesPerWindow: 256 * kib, WrittenBytesPerWindow: 60 * kib},
+		TouchedBytesPerWindow: 256 * kib, WrittenBytesPerWindow: 60 * kib},
 	{Name: "h264ref", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .23, PageInt16: .25, PageInt32: .12, PagePointer: .05, PageRandom: .33},
 		MPKI: 2.0, WriteFrac: .40, RowHitRate: .65, BaseCPI: .55,
-		WorkingSetBytes: 500 * kib, TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 80 * kib},
+		TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 80 * kib},
 	{Name: "omnetpp", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PagePointer: .12, PageInt32: .10, PageRandom: .76},
 		MPKI: 20, WriteFrac: .40, RowHitRate: .35, BaseCPI: .75,
-		WorkingSetBytes: 400 * kib, TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 85 * kib},
+		TouchedBytesPerWindow: 350 * kib, WrittenBytesPerWindow: 85 * kib},
 	{Name: "astar", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .31, PageInt16: .15, PageInt32: .15, PagePointer: .15, PageRandom: .21},
 		MPKI: 9.0, WriteFrac: .35, RowHitRate: .45, BaseCPI: .70,
-		WorkingSetBytes: 600 * kib, TouchedBytesPerWindow: 450 * kib, WrittenBytesPerWindow: 90 * kib},
+		TouchedBytesPerWindow: 450 * kib, WrittenBytesPerWindow: 90 * kib},
 	{Name: "xalancbmk", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .04, PagePointer: .20, PageInt16: .30, PageInt32: .10, PageRandom: .16, PageText: .20},
 		MPKI: 12, WriteFrac: .35, RowHitRate: .40, BaseCPI: .70,
-		WorkingSetBytes: 800 * kib, TouchedBytesPerWindow: 600 * kib, WrittenBytesPerWindow: 120 * kib},
+		TouchedBytesPerWindow: 600 * kib, WrittenBytesPerWindow: 120 * kib},
 	{Name: "bwaves", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .45, PageInt16: .25, PageFloat: .20, PageRandom: .08},
 		MPKI: 18, WriteFrac: .40, RowHitRate: .80, BaseCPI: .55,
-		WorkingSetBytes: 1800 * kib, TouchedBytesPerWindow: 1400 * kib, WrittenBytesPerWindow: 300 * kib},
+		TouchedBytesPerWindow: 1400 * kib, WrittenBytesPerWindow: 300 * kib},
 	{Name: "gemsFDTD", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .05, PageInt8: .62, PageInt16: .25, PageFloat: .06, PageRandom: .02},
 		MPKI: 25, WriteFrac: .45, RowHitRate: .75, BaseCPI: .60,
-		WorkingSetBytes: 1600 * kib, TouchedBytesPerWindow: 1300 * kib, WrittenBytesPerWindow: 300 * kib},
+		TouchedBytesPerWindow: 1300 * kib, WrittenBytesPerWindow: 300 * kib},
 	{Name: "milc", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .40, PageInt16: .22, PageFloat: .25, PageRandom: .11},
 		MPKI: 22, WriteFrac: .40, RowHitRate: .70, BaseCPI: .60,
-		WorkingSetBytes: 1400 * kib, TouchedBytesPerWindow: 1100 * kib, WrittenBytesPerWindow: 225 * kib},
+		TouchedBytesPerWindow: 1100 * kib, WrittenBytesPerWindow: 225 * kib},
 	{Name: "zeusmp", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .39, PageInt16: .25, PageInt32: .10, PageFloat: .15, PageRandom: .08},
 		MPKI: 8.0, WriteFrac: .40, RowHitRate: .70, BaseCPI: .55,
-		WorkingSetBytes: 1000 * kib, TouchedBytesPerWindow: 700 * kib, WrittenBytesPerWindow: 140 * kib},
+		TouchedBytesPerWindow: 700 * kib, WrittenBytesPerWindow: 140 * kib},
 	{Name: "sphinx3", Suite: "SPEC2006",
 		Mix:  map[PageClass]float64{PageZero: .04, PageInt8: .60, PageInt16: .30, PageFloat: .06, PageRandom: .00},
 		MPKI: 12, WriteFrac: .30, RowHitRate: .65, BaseCPI: .60,
-		WorkingSetBytes: 400 * kib, TouchedBytesPerWindow: 300 * kib, WrittenBytesPerWindow: 50 * kib},
+		TouchedBytesPerWindow: 300 * kib, WrittenBytesPerWindow: 50 * kib},
 	{Name: "sp.C", Suite: "NPB",
 		Mix:  map[PageClass]float64{PageZero: .01, PageFloat: .60, PageRandom: .35, PageInt32: .04},
 		MPKI: 15, WriteFrac: .45, RowHitRate: .75, BaseCPI: .60,
-		WorkingSetBytes: 1200 * kib, TouchedBytesPerWindow: 900 * kib, WrittenBytesPerWindow: 200 * kib},
+		TouchedBytesPerWindow: 900 * kib, WrittenBytesPerWindow: 200 * kib},
 	{Name: "bt.C", Suite: "NPB",
 		Mix:  map[PageClass]float64{PageZero: .02, PageInt8: .34, PageInt16: .22, PageFloat: .25, PageRandom: .17},
 		MPKI: 10, WriteFrac: .45, RowHitRate: .75, BaseCPI: .55,
-		WorkingSetBytes: 1400 * kib, TouchedBytesPerWindow: 1000 * kib, WrittenBytesPerWindow: 225 * kib},
+		TouchedBytesPerWindow: 1000 * kib, WrittenBytesPerWindow: 225 * kib},
 	{Name: "tpch-q1", Suite: "TPC-H",
 		Mix:  map[PageClass]float64{PageZero: .04, PageInt8: .40, PageInt16: .20, PageInt32: .15, PageRandom: .11, PageText: .10},
 		MPKI: 8.0, WriteFrac: .25, RowHitRate: .80, BaseCPI: .50,
-		WorkingSetBytes: 2 * mib, TouchedBytesPerWindow: 1600 * kib, WrittenBytesPerWindow: 200 * kib},
+		TouchedBytesPerWindow: 1600 * kib, WrittenBytesPerWindow: 200 * kib},
 	{Name: "tpch-q5", Suite: "TPC-H",
 		Mix:  map[PageClass]float64{PageZero: .04, PageInt8: .35, PageInt16: .18, PageInt32: .15, PagePointer: .08, PageRandom: .10, PageText: .10},
 		MPKI: 10, WriteFrac: .25, RowHitRate: .70, BaseCPI: .55,
-		WorkingSetBytes: 2400 * kib, TouchedBytesPerWindow: 1800 * kib, WrittenBytesPerWindow: 225 * kib},
+		TouchedBytesPerWindow: 1800 * kib, WrittenBytesPerWindow: 225 * kib},
 	{Name: "tpch-q13", Suite: "TPC-H",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .33, PageInt16: .18, PageInt32: .12, PageRandom: .16, PageText: .18},
 		MPKI: 6.0, WriteFrac: .25, RowHitRate: .75, BaseCPI: .55,
-		WorkingSetBytes: 1600 * kib, TouchedBytesPerWindow: 1200 * kib, WrittenBytesPerWindow: 150 * kib},
+		TouchedBytesPerWindow: 1200 * kib, WrittenBytesPerWindow: 150 * kib},
 	{Name: "tpch-q17", Suite: "TPC-H",
 		Mix:  map[PageClass]float64{PageZero: .03, PageInt8: .36, PageInt16: .20, PageInt32: .12, PageRandom: .14, PageText: .15},
 		MPKI: 9.0, WriteFrac: .25, RowHitRate: .70, BaseCPI: .55,
-		WorkingSetBytes: 2 * mib, TouchedBytesPerWindow: 1500 * kib, WrittenBytesPerWindow: 190 * kib},
+		TouchedBytesPerWindow: 1500 * kib, WrittenBytesPerWindow: 190 * kib},
 }
 
 // Benchmarks returns the full evaluation suite in a stable order.

@@ -3,7 +3,7 @@
 // memory-content generators whose value distributions are calibrated to the
 // paper's published statistics (Figure 6: ~2.3% zero 1 KB blocks and ~43%
 // zero bytes on average; Figure 14: per-benchmark refresh-reduction
-// ordering), plus access- and write-traffic generators. Everything is
+// ordering), plus write-set and DRAM request generators. Everything is
 // deterministic given a seed.
 package workload
 

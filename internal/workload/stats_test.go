@@ -115,31 +115,6 @@ func TestPickRows(t *testing.T) {
 	}
 }
 
-func TestAccessGenStaysInWorkingSet(t *testing.T) {
-	p, _ := ByName("astar")
-	g := NewAccessGen(p, 9, 1<<20)
-	writes := 0
-	for i := 0; i < 50000; i++ {
-		a := g.Next()
-		if a.Addr < 1<<20 || a.Addr >= 1<<20+uint64(p.WorkingSetBytes) {
-			t.Fatalf("address %#x outside working set", a.Addr)
-		}
-		if a.Addr%dram.LineBytes != 0 {
-			t.Fatalf("address %#x not line aligned", a.Addr)
-		}
-		if a.Write {
-			writes++
-		}
-	}
-	wf := float64(writes) / 50000
-	if math.Abs(wf-p.WriteFrac) > 0.05 {
-		t.Fatalf("write fraction %.3f, want %.3f", wf, p.WriteFrac)
-	}
-	if g.Generated() != 50000 {
-		t.Fatalf("Generated = %d", g.Generated())
-	}
-}
-
 func TestSplitMixDeterminism(t *testing.T) {
 	a, b := NewSplitMix(5), NewSplitMix(5)
 	for i := 0; i < 100; i++ {

@@ -12,7 +12,6 @@
 //   - internal/transform — the CPU-side value transformation pipeline
 //   - internal/refresh   — the DRAM-side charge-aware refresh engine
 //   - internal/memctrl   — controller datapath and performance models
-//   - internal/cache     — L1/L2 write-back hierarchy
 //   - internal/cpu       — first-order core model
 //   - internal/workload  — synthetic benchmark suite (SPEC/NPB/TPC-H)
 //   - internal/ostrace   — OS allocator and datacenter utilization traces
@@ -145,14 +144,3 @@ func NewTracer(shardCap int) *Tracer { return trace.New(shardCap) }
 // WriteChromeTrace exports a tracer's merged events as Chrome trace-event
 // JSON, loadable in chrome://tracing or Perfetto.
 func WriteChromeTrace(w io.Writer, t *Tracer) error { return trace.WriteChrome(w, t) }
-
-// ExecutionDriver runs a core's access stream through an L1/L2 hierarchy
-// into the system's memory datapath with real, continuously verified
-// content.
-type ExecutionDriver = core.ExecutionDriver
-
-// NewExecutionDriver builds a driver for one core running prof with its
-// working set based at byte address base.
-func NewExecutionDriver(sys *System, prof Profile, seed uint64, base uint64) (*ExecutionDriver, error) {
-	return core.NewExecutionDriver(sys, prof, seed, base)
-}
