@@ -17,7 +17,14 @@
 #                  32 MB / 8-window scale, ~15-20 s on 2 vCPUs) and require
 #                  its output to equal results_full.txt byte for byte.
 #                  Every number EXPERIMENTS.md quotes is a line of it.
-#   make race    - just the race-sensitive packages, under -race.
+#   make race    - just the race-sensitive packages, under -race: the
+#                  sharded system, the DRAM storage pool and the
+#                  experiment fan-outs that share it, among others.
+#   make quickseeds - rerun the test suites of every package with
+#                  testing/quick properties at ten more case seeds
+#                  (-quickseed=2..11; tier-1 runs use seed 1, see
+#                  internal/proptest), so the properties keep exploring
+#                  new cases.
 #   make benchtest - vet and test the end-to-end benchmark module (bench/,
 #                  a nested module the root ./... skips): its traced
 #                  mirrors must match the sim entry points bit for bit and
@@ -34,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race reproduce benchtest examples
+.PHONY: check vet lint build test race quickseeds reproduce benchtest examples
 
 check: vet lint build
 	$(GO) test -race -short ./...
@@ -52,7 +59,17 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/transform ./internal/core ./internal/metrics ./internal/engine ./internal/obs
+	$(GO) test -race ./internal/transform ./internal/core ./internal/metrics ./internal/engine ./internal/obs ./internal/dram ./internal/sim
+
+# The packages whose tests take their quick.Config from internal/proptest:
+# only their test binaries define -quickseed.
+QUICK_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | awk '/ zerorefresh\/internal\/proptest( |$$)/ {print $$1}')
+
+quickseeds:
+	@for seed in 2 3 4 5 6 7 8 9 10 11; do \
+		echo "== -quickseed=$$seed"; \
+		$(GO) test -count=1 $(QUICK_PKGS) -quickseed=$$seed || exit 1; \
+	done
 
 reproduce:
 	$(GO) run ./cmd/zrsim -exp all -capacity 32 -windows 8 | cmp - results_full.txt

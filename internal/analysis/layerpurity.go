@@ -41,14 +41,14 @@ func (Layerpurity) Doc() string {
 // the scalar methods, their batched equivalents (BeginRowWrite,
 // RefreshGroups), the bulk idle replay (ReplayRefreshGroups), which perform
 // the same state transitions a row burst, auto-refresh command, or
-// idle-window run at a time, and CopyFrom,
-// which overwrites a whole module's cells with another's
-// (core.System.Clone). BeginRowWrite stands for its whole burst: the
-// dram.RowWrite cursor through which dram.StoreRange stores a page or a
-// single line, and whose End closes the burst, exists only as
-// BeginRowWrite's result, so a layer holds one only if it opened the burst
-// through the interface — or was flagged for opening it on the concrete
-// module.
+// idle-window run at a time, CopyFrom, which overwrites a whole module's
+// cells with another's (core.System.Clone), and Recycle, which gives a
+// module's storage away (core.System.Recycle). BeginRowWrite stands for
+// its whole burst: the dram.RowWrite cursor through which dram.StoreRange
+// stores a page or a single line, and whose End closes the burst, exists
+// only as BeginRowWrite's result, so a layer holds one only if it opened
+// the burst through the interface — or was flagged for opening it on the
+// concrete module.
 var dramMutators = map[string]bool{
 	"WriteWord":           true,
 	"Refresh":             true,
@@ -57,6 +57,7 @@ var dramMutators = map[string]bool{
 	"RefreshGroups":       true,
 	"ReplayRefreshGroups": true,
 	"CopyFrom":            true,
+	"Recycle":             true,
 }
 
 // metricValueTypes are the types only metrics.Registry may construct.

@@ -39,6 +39,12 @@ func directCopy(dst, src *dram.Module) error {
 	return dst.CopyFrom(src) // want "mutates DRAM cell state on concrete"
 }
 
+// directRecycle gives a concrete module's storage away outside the
+// composition root.
+func directRecycle(m *dram.Module) {
+	m.Recycle() // want "mutates DRAM cell state on concrete"
+}
+
 // throughInterfaceBurst opens the burst through the interface; the cursor
 // it returns is then the sanctioned handle on the row.
 func throughInterfaceBurst(b backend) {

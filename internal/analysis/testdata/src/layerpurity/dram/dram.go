@@ -42,3 +42,6 @@ func (m *Module) CopyFrom(src *Module) error {
 	copy(m.rows, src.rows)
 	return nil
 }
+
+// Recycle gives the module's storage away.
+func (m *Module) Recycle() { m.rows = nil }

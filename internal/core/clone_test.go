@@ -38,6 +38,12 @@ func cloneCases() []cloneCase {
 // to wrap, so copied rings must carry their drop counts.
 func (c cloneCase) build(t *testing.T) *System {
 	t.Helper()
+	return c.buildFrom(t, nil)
+}
+
+// buildFrom is build with the system's DRAM storage taken from pool.
+func (c cloneCase) buildFrom(t *testing.T, pool *dram.Pool) *System {
+	t.Helper()
 	cfg := DefaultConfig(2 << 20)
 	cfg.Ranks = c.ranks
 	cfg.CellGroupRows = 8
@@ -50,7 +56,7 @@ func (c cloneCase) build(t *testing.T) *System {
 	if c.traced {
 		cfg.Trace = trace.New(1 << 12)
 	}
-	sys, err := NewSystem(cfg)
+	sys, err := NewPooledSystem(cfg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +231,55 @@ func TestCloneIsIndependent(t *testing.T) {
 	requireSameState(t, y, fy)
 }
 
+// TestRecycledStorageMatchesFresh builds systems from a pool that holds
+// the recycled storage of a populated system, clones one and recycles it,
+// and drives the clone next to an unpooled twin: the two must stay
+// identical in every observable. A recycled system keeps its metrics,
+// timeline and trace shards as they were, and cannot be cloned.
+func TestRecycledStorageMatchesFresh(t *testing.T) {
+	prof, _ := workload.ByName("mcf")
+	for _, c := range cloneCases() {
+		pool := dram.NewPool()
+		first := c.buildFrom(t, pool)
+		populateForClone(t, first, prof)
+		driveWindow(t, first, prof, 0)
+		snap, timeline := first.MetricsSnapshot(), first.Timeline()
+		var events [][]trace.Event
+		for _, sh := range first.shards {
+			events = append(events, sh.Events())
+		}
+		first.Recycle()
+		if !reflect.DeepEqual(first.MetricsSnapshot(), snap) || !reflect.DeepEqual(first.Timeline(), timeline) {
+			t.Fatalf("%s: Recycle moved the metrics or the timeline", c.name)
+		}
+		for i, sh := range first.shards {
+			if !reflect.DeepEqual(sh.Events(), events[i]) {
+				t.Fatalf("%s: Recycle moved trace shard %s", c.name, sh.Label())
+			}
+		}
+		if _, err := first.Clone(); err == nil {
+			t.Fatalf("%s: clone of a recycled system succeeded", c.name)
+		}
+
+		base, twin := c.buildFrom(t, pool), c.build(t)
+		for _, sys := range []*System{base, twin} {
+			populateForClone(t, sys, prof)
+			driveWindow(t, sys, prof, 0)
+		}
+		clone, err := base.Clone()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		base.Recycle()
+		for w := 1; w < 4; w++ {
+			if a, b := driveWindow(t, clone, prof, w), driveWindow(t, twin, prof, w); a != b {
+				t.Fatalf("%s: window %d stats diverged:\n%+v\n%+v", c.name, w, a, b)
+			}
+		}
+		requireSameState(t, clone, twin)
+	}
+}
+
 // TestCloneRejectsArmedEventLoop: pending events are closures over the
 // original system, so a system whose event loop is armed cannot be cloned.
 func TestCloneRejectsArmedEventLoop(t *testing.T) {
@@ -292,24 +347,39 @@ func (s countingSink) Emit(e trace.Event) {
 
 // BenchmarkSystemClone clones a fully populated 16 MB system, the unit of
 // work the Figure 14/15 matrix repeats at every allocation fraction.
+//
+//	fresh:  each clone allocates its storage.
+//	pooled: the system's storage comes from a pool, and each clone is
+//	        recycled into it, as a fan-out's units recycle theirs.
 func BenchmarkSystemClone(b *testing.B) {
-	sys, err := NewSystem(DefaultConfig(16 << 20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof, _ := workload.ByName("mcf")
-	gen := prof.Lines(1)
-	for p := 0; p < sys.Pages(); p++ {
-		if err := sys.FillPage(&gen, p, 0); err != nil {
-			b.Fatal(err)
+	for _, pooled := range []bool{false, true} {
+		name, pool := "fresh", (*dram.Pool)(nil)
+		if pooled {
+			name, pool = "pooled", dram.NewPool()
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cloneSink, err = sys.Clone(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			sys, err := NewPooledSystem(DefaultConfig(16<<20), pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, _ := workload.ByName("mcf")
+			gen := prof.Lines(1)
+			for p := 0; p < sys.Pages(); p++ {
+				if err := sys.FillPage(&gen, p, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cloneSink, err = sys.Clone(); err != nil {
+					b.Fatal(err)
+				}
+				if pooled {
+					cloneSink.Recycle()
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"zerorefresh/internal/dram"
 	"zerorefresh/internal/ostrace"
+	"zerorefresh/internal/proptest"
 	"zerorefresh/internal/refresh"
 	"zerorefresh/internal/transform"
 	"zerorefresh/internal/workload"
@@ -28,6 +29,12 @@ import (
 // and charges others in the same burst. The run must see that happen.
 // Between windows, single lines are stored through the line path into
 // pages of any kind.
+//
+// Half the systems, those of even seeds, take their DRAM storage from a
+// pool that holds the recycled row tables and chunks of a system full of
+// random charged words. They also go on, after the fills, as a clone of
+// themselves, and the original's storage goes back to the pool for the
+// clone's arena growth.
 func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 	mappings := []transform.ChipMapping{
 		transform.RotatedMapping{}, transform.DirectMapping{}, transform.ByteScatterMapping{},
@@ -40,7 +47,8 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 		version uint64
 		lines   []transform.Line
 	}
-	mixed := 0 // refills that discharged some chip-rows and charged others
+	mixed := 0  // refills that discharged some chip-rows and charged others
+	pooled := 0 // systems built from a poisoned pool
 
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,7 +73,12 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 			cfg.CellTypes = CellTypesNoisy
 			cfg.NoisyRate = rng.Float64() * 0.5
 		}
-		sys, err := NewSystem(cfg)
+		var pool *dram.Pool
+		if seed%2 == 0 {
+			pool = poisonedPool(t, cfg)
+			pooled++
+		}
+		sys, err := NewPooledSystem(cfg, pool)
 		if err != nil {
 			t.Logf("config rejected: %v", err)
 			return false
@@ -191,6 +204,15 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 			writeClasses(p)
 			writeClasses(p)
 		}
+		if pool != nil {
+			c, err := sys.Clone()
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			sys.Recycle()
+			sys = c
+		}
 		// Several windows with occasional rewrites, allocator swings and
 		// up to 15 line stores. Half the stores go back to a page an
 		// earlier store wrote: that page is mostly discharged, so a later
@@ -241,12 +263,41 @@ func TestQuickNoConfigurationEverLosesData(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 25)); err != nil {
 		t.Fatal(err)
 	}
 	if mixed == 0 {
 		t.Fatal("no refill discharged some chip-rows and charged others in one burst")
 	}
+	if pooled == 0 {
+		t.Fatal("no system was built from a poisoned pool")
+	}
+}
+
+// poisonedPool returns a pool that holds the recycled storage of a system
+// of cfg whose every page was written with random words, which charge
+// nearly every chip-row: row tables of charged, touched rows that own
+// slots, and chunks of stale charged words.
+func poisonedPool(t *testing.T, cfg Config) *dram.Pool {
+	pool := dram.NewPool()
+	sys, err := NewPooledSystem(cfg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
+	for p := 0; p < sys.Pages(); p++ {
+		if err := sys.WritePage(p, func(lines []transform.Line) {
+			for i := range lines {
+				for w := range lines[i] {
+					lines[i][w] = rng.Uint64()
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Recycle()
+	return pool
 }
 
 func TestSparedRowsReduceSkipping(t *testing.T) {

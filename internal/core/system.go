@@ -170,7 +170,19 @@ type System struct {
 }
 
 // NewSystem builds and wires a system.
-func NewSystem(cfg Config) (*System, error) {
+func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil, nil) }
+
+// NewPooledSystem is NewSystem with every rank's DRAM storage taken from
+// pool (see dram.Pool). The system's clones take theirs from pool too, and
+// Recycle gives it back. A nil pool makes it NewSystem.
+func NewPooledSystem(cfg Config, pool *dram.Pool) (*System, error) {
+	return newSystem(cfg, pool, nil)
+}
+
+// newSystem builds and wires a system. Each rank's module is new, with its
+// storage from pool and cfg's spared rows, or, when src is set, a clone of
+// src's module of that rank.
+func newSystem(cfg Config, pool *dram.Pool, src *System) (*System, error) {
 	if cfg.Mapping == nil {
 		cfg.Mapping = transform.RotatedMapping{}
 	}
@@ -239,12 +251,20 @@ func NewSystem(cfg Config) (*System, error) {
 		pipe.SetTracer(s)
 	}
 	for rank := 0; rank < cfg.Ranks; rank++ {
-		mod := dram.New(dcfg)
-		if cfg.SparedRowFraction > 0 {
-			rng := workload.NewSplitMix(workload.Hash(cfg.Seed, uint64(rank), 0x5a7ed))
-			for r := 0; r < dcfg.RowsPerBank; r++ {
-				if rng.Float64() < cfg.SparedRowFraction {
-					mod.MarkSpared(r)
+		var mod *dram.Module
+		if src != nil {
+			var err error
+			if mod, err = src.Ranks[rank].DRAM.Clone(); err != nil {
+				return nil, fmt.Errorf("core: rank %d: %w", rank, err)
+			}
+		} else {
+			mod = dram.NewPooled(dcfg, pool)
+			if cfg.SparedRowFraction > 0 {
+				rng := workload.NewSplitMix(workload.Hash(cfg.Seed, uint64(rank), 0x5a7ed))
+				for r := 0; r < dcfg.RowsPerBank; r++ {
+					if rng.Float64() < cfg.SparedRowFraction {
+						mod.MarkSpared(r)
+					}
 				}
 			}
 		}
@@ -273,28 +293,26 @@ func NewSystem(cfg Config) (*System, error) {
 // Clone returns an independent system whose simulated state equals s's:
 // every rank's DRAM cells and arena layout and refresh tables, every
 // counter and histogram, the clock, the timeline and the trace shards. It
-// is built by NewSystem(s.Config) and filled by per-layer copies, so it
-// allocates what a fresh system brought to the same state would and shares
-// no storage with s.
+// is wired as NewSystem(s.Config) wires a system, around clones of s's
+// modules (dram.Module.Clone), and filled by per-layer copies, so it holds
+// what a fresh system brought to the same state would and shares no
+// storage with s. Its DRAM storage comes from s's pool.
 //
 // The clone's tracer shards are new shards of Config.Trace, each holding a
 // copy of the matching original shard's ring restamped with its own id. A
 // Config.TraceSink tee wraps the clone's shards as NewSystem wires them,
 // so it sees only the events emitted after the clone. The SetWatch hook is
-// not carried over. Clone returns an error when the event loop is armed:
-// its pending events are closures over s.
+// not carried over. Clone returns an error when the event loop is armed
+// (its pending events are closures over s) and when s was recycled.
 func (s *System) Clone() (*System, error) {
 	if s.ev.q != nil {
 		return nil, fmt.Errorf("core: cannot clone a system whose event loop is armed")
 	}
-	c, err := NewSystem(s.Config)
+	c, err := newSystem(s.Config, nil, s)
 	if err != nil {
 		return nil, err
 	}
 	for i, u := range s.Ranks {
-		if err := c.Ranks[i].DRAM.CopyFrom(u.DRAM); err != nil {
-			return nil, fmt.Errorf("core: rank %d: %w", i, err)
-		}
 		if err := c.Ranks[i].Engine.CopyFrom(u.Engine); err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", i, err)
 		}
@@ -311,6 +329,20 @@ func (s *System) Clone() (*System, error) {
 	c.timeline = append([]Epoch(nil), s.timeline...)
 	c.lastSnap = s.lastSnap
 	return c, nil
+}
+
+// Recycle gives every rank's DRAM storage, arena chunks and row table, back
+// to the pool the system was built from, for the systems built or cloned
+// after it; an unpooled system's goes to the garbage collector. It ends
+// the life of the system's cells: the system must not write, read or run
+// windows again, and Clone returns an error. Everything an observer reads
+// keeps its final value: the metrics registry with its gauges, the trace
+// shards, the timeline, the clock and the configurations. Recycling twice
+// does nothing the second time.
+func (s *System) Recycle() {
+	for _, u := range s.Ranks {
+		u.DRAM.Recycle()
+	}
 }
 
 // SetWatch installs the per-window observation hook: fn is invoked after

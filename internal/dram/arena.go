@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"fmt"
 
 	"zerorefresh/internal/metrics"
@@ -75,6 +76,7 @@ func (s *storageStats) noteUsed(d int64) {
 // per line op instead of one per chip.
 type bankSlab struct {
 	st          *storageStats
+	pool        *Pool // where chunks come from; nil allocates each one
 	wordsPerRow int
 	chunkRows   int
 
@@ -87,8 +89,9 @@ type bankSlab struct {
 	free   []int32 // released slots, reused LIFO
 }
 
-func (s *bankSlab) init(st *storageStats, wordsPerRow, maxSlots int) {
+func (s *bankSlab) init(st *storageStats, pool *Pool, wordsPerRow, maxSlots int) {
 	s.st = st
+	s.pool = pool
 	s.wordsPerRow = wordsPerRow
 	s.chunkRows = arenaChunkRows
 	if maxSlots < s.chunkRows {
@@ -97,9 +100,10 @@ func (s *bankSlab) init(st *storageStats, wordsPerRow, maxSlots int) {
 }
 
 // alloc hands out one row-sized word slice from the slab, growing it by a
-// chunk when both the free list and the bump region are exhausted. The
-// returned slice is capacity-capped so appends can never spill into the
-// neighbouring slot.
+// chunk from the pool when both the free list and the bump region are
+// exhausted. The chunk is not cleared: claim rewrites every word of a slot
+// it hands out. The returned slice is capacity-capped so appends can never
+// spill into the neighbouring slot.
 func (s *bankSlab) alloc() ([]uint64, int32) {
 	var slot int32
 	if n := len(s.free); n > 0 {
@@ -107,7 +111,7 @@ func (s *bankSlab) alloc() ([]uint64, int32) {
 		s.free = s.free[:n-1]
 	} else {
 		if int(s.next) == len(s.chunks)*s.chunkRows {
-			s.chunks = append(s.chunks, make([]uint64, s.chunkRows*s.wordsPerRow))
+			s.chunks = append(s.chunks, s.pool.chunk(s.chunkRows*s.wordsPerRow))
 			s.st.noteReserved(int64(s.chunkRows*s.wordsPerRow) * WordBytes)
 		}
 		slot = s.next
@@ -124,14 +128,29 @@ func (s *bankSlab) slotWords(slot int32) []uint64 {
 }
 
 // copyFrom makes s's chunks, bump cursor and free list a slot-for-slot
-// copy of src's.
+// copy of src's, with new chunks from the pool, and gives s's old chunks
+// back to it. Only the slots below the cursor are copied: a slot at or
+// past it is rewritten by claim before it is read, like every word of a
+// pooled chunk.
 func (s *bankSlab) copyFrom(src *bankSlab) {
-	s.chunks = make([][]uint64, len(src.chunks))
+	chunks := make([][]uint64, len(src.chunks))
+	used := int(src.next) * s.wordsPerRow
 	for i, c := range src.chunks {
-		s.chunks[i] = append([]uint64(nil), c...)
+		n := min(len(c), used)
+		chunks[i] = s.pool.chunk(len(c))
+		copy(chunks[i], c[:n])
+		used -= n
 	}
+	s.pool.putChunks(s.chunks)
+	s.chunks = chunks
 	s.next = src.next
 	s.free = append([]int32(nil), src.free...)
+}
+
+// recycle gives every chunk back to the pool and empties the slab.
+func (s *bankSlab) recycle() {
+	s.pool.putChunks(s.chunks)
+	s.chunks, s.next, s.free = nil, 0, nil
 }
 
 // releaseSlot returns one slot to the free list. Slots are not cleared on
@@ -143,11 +162,13 @@ func (s *bankSlab) releaseSlot(slot int32) {
 }
 
 // CopyFrom makes m's cell state and storage layout equal to src's,
-// replacing whatever m held. m must be a module of src's Config; CopyFrom
-// returns an error otherwise. The row table is copied whole, and every
-// bank's word chunks, bump cursor and free list slot for slot, so m reports
-// the same dram.storage.* footprint and reuses slots in the same order src
-// would. The spared rows are copied too, so m shares no storage with src.
+// replacing whatever m held. m must be a module of src's Config, and
+// neither may be recycled; CopyFrom returns an error otherwise. The row
+// table is copied whole, and every bank's word chunks, bump cursor and
+// free list slot for slot, so m reports the same dram.storage.* footprint
+// and reuses slots in the same order src would. m's chunks come from m's
+// pool, and the ones it held go back to it. The spared rows are copied
+// too, so m shares no storage with src.
 //
 // The operation counters live in m's registry (Metrics) and are not
 // touched: the composition root copies them with metrics.Registry.CopyFrom.
@@ -155,6 +176,9 @@ func (s *bankSlab) releaseSlot(slot int32) {
 func (m *Module) CopyFrom(src *Module) error {
 	if m.cfg != src.cfg {
 		return fmt.Errorf("dram: copy of a %+v module into a %+v module", src.cfg, m.cfg)
+	}
+	if m.recycled() || src.recycled() {
+		return errRecycled
 	}
 	copy(m.rows, src.rows)
 	for b := range m.slabs {
@@ -166,3 +190,41 @@ func (m *Module) CopyFrom(src *Module) error {
 	m.storage.usedBytes = src.storage.usedBytes
 	return nil
 }
+
+// errRecycled rejects a copy or clone involving a recycled module.
+var errRecycled = errors.New("dram: module storage was recycled")
+
+// Clone returns a new module of m's Config and pool whose cell state and
+// storage layout equal m's, as CopyFrom makes them. Its row table is
+// overwritten whole by the copy, so a recycled one is not cleared first.
+// Its counters start at zero and it has no tracer, as with New. Cloning a
+// recycled module is an error.
+func (m *Module) Clone() (*Module, error) {
+	if m.recycled() {
+		return nil, errRecycled
+	}
+	c := newModule(m.cfg, m.pool, false)
+	if err := c.CopyFrom(m); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Recycle gives m's row table and arena chunks back to its pool (a nil
+// pool lets the garbage collector take them) and ends the life of m's
+// cells: m must not be stored to, refreshed or read again, and CopyFrom
+// and Clone reject it. Its registry, gauges included, keeps the values it
+// had. Recycling a recycled module does nothing.
+func (m *Module) Recycle() {
+	if m.recycled() {
+		return
+	}
+	m.pool.putTable(m.rows)
+	m.rows = nil
+	for b := range m.slabs {
+		m.slabs[b].recycle()
+	}
+}
+
+// recycled reports whether Recycle has taken m's storage.
+func (m *Module) recycled() bool { return m.rows == nil }

@@ -46,6 +46,9 @@ type Module struct {
 	// slabs[bank] is the word storage shared by all chips of that
 	// rank-level bank; see bankSlab.
 	slabs []bankSlab
+	// pool supplies the row table and arena chunks and takes them back at
+	// Recycle; nil allocates them. Clones share it.
+	pool *Pool
 	// wordsPerRow caches cfg.WordsPerChipRow() so the per-call hot paths
 	// skip its division chain.
 	wordsPerRow int
@@ -76,15 +79,31 @@ type Module struct {
 
 // New constructs a Module. It panics if the configuration is invalid, as a
 // bad geometry is a programming error rather than a runtime condition.
-func New(cfg Config) *Module {
+func New(cfg Config) *Module { return NewPooled(cfg, nil) }
+
+// NewPooled is New with the module's storage taken from p (see Pool): a
+// recycled row table, cleared, or a new one, and arena chunks as its slabs
+// grow. The module's clones take theirs from p too, and Recycle gives it
+// back. A nil p makes it New.
+func NewPooled(cfg Config, p *Pool) *Module { return newModule(cfg, p, true) }
+
+// newModule builds a module with storage from p. A recycled row table is
+// cleared when clean is set; a clone, whose table CopyFrom overwrites
+// whole, passes false.
+func newModule(cfg Config, p *Pool, clean bool) *Module {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	rows, recycled := p.table(LineChips * cfg.Banks * cfg.RowsPerBank)
+	if recycled && clean {
+		clear(rows)
 	}
 	reg := metrics.NewRegistry()
 	m := &Module{
 		cfg:          cfg,
-		rows:         make([]row, LineChips*cfg.Banks*cfg.RowsPerBank),
+		rows:         rows,
 		chipStride:   cfg.Banks * cfg.RowsPerBank,
+		pool:         p,
 		reg:          reg,
 		activations:  reg.Counter("dram.activations"),
 		refreshes:    reg.Counter("dram.refreshes"),
@@ -97,7 +116,7 @@ func New(cfg Config) *Module {
 	m.wordsPerRow = cfg.WordsPerChipRow()
 	m.slabs = make([]bankSlab, cfg.Banks)
 	for b := range m.slabs {
-		m.slabs[b].init(&m.storage, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
+		m.slabs[b].init(&m.storage, p, cfg.WordsPerChipRow(), LineChips*cfg.RowsPerBank)
 	}
 	return m
 }

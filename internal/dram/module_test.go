@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zerorefresh/internal/proptest"
 )
 
 func testConfig() Config {
@@ -275,7 +277,7 @@ func TestQuickWriteReadConsistency(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,7 +302,7 @@ func TestQuickDischargedIffPattern(t *testing.T) {
 		}
 		return m.SenseDischarged(0, 0, r) == allPattern
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

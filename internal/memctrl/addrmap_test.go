@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/proptest"
 )
 
 // addrMapGeometries covers the mapping's corner cases: the default
@@ -84,7 +85,7 @@ func TestAddressMapRoundTripProperty(t *testing.T) {
 			got, err := a.Locate(addr)
 			return err == nil && got == loc
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		if err := quick.Check(f, proptest.Config(t, 2000)); err != nil {
 			t.Fatalf("rowsPerBank=%d: %v", cfg.RowsPerBank, err)
 		}
 	}

@@ -239,3 +239,22 @@ func TestCmdRefreshPausingPreservesLaterWork(t *testing.T) {
 		t.Fatal("second request should feel the resumed refresh")
 	}
 }
+
+// TestCmdRefreshPauseQuantum pins the pause granularity: a request that
+// lands mid-REF with pausing on waits exactly one row-segment quantum,
+// TRFCpb/8, and is then served as a row miss (the REF closed the bank).
+func TestCmdRefreshPauseQuantum(t *testing.T) {
+	cfg := cmdConfig()
+	cfg.ARInterval = 1000
+	cfg.Sched = ConstantSchedule{Busy: 440}
+	cfg.PauseRefresh = true
+	st := NewCmdScheduler(cfg).Run([]CmdRequest{{Arrive: 1100, Bank: 0, Row: 7}})
+	quantum := cfg.TRFCpb / 8
+	if st.RefreshPauses != 1 || st.RefreshStall != quantum {
+		t.Fatalf("paused %d times for %d ns, want once for TRFCpb/8 = %d ns", st.RefreshPauses, st.RefreshStall, quantum)
+	}
+	// Then ACT + tRCD + tCAS + tBurst = 26 ns.
+	if want := int64(quantum) + 26; int64(st.TotalLatency) != want {
+		t.Fatalf("TotalLatency = %d, want %d", st.TotalLatency, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/proptest"
 	"zerorefresh/internal/refresh"
 	"zerorefresh/internal/transform"
 )
@@ -33,7 +34,7 @@ func TestAddressMapRoundTrip(t *testing.T) {
 		}
 		return amap.Address(loc) == addr
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +93,7 @@ func TestControllerRoundTrip(t *testing.T) {
 		got, err := ctrl.ReadLine(addr, 0)
 		return err == nil && got == data
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/proptest"
 )
 
 func testModule() *dram.Module {
@@ -325,7 +326,7 @@ func TestQuickEngineIntegrity(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }

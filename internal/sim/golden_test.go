@@ -79,6 +79,10 @@ func TestExperimentGolden(t *testing.T) {
 		{"golden_longhorizon.txt", false, func() (*Table, error) { return RunLongHorizon(horizon) }},
 		{"golden_comparison.txt", true, func() (*Table, error) { return RunComparison(quickOptions()) }},
 		{"golden_ablation.txt", false, func() (*Table, error) { return RunAblations(quickOptions()) }},
+		{"golden_power.txt", false, func() (*Table, error) { return RunPowerBreakdown(pair) }},
+		{"golden_cmdlevel.txt", false, func() (*Table, error) { return RunCmdLevelTable(pair) }},
+		{"golden_fig5.txt", false, func() (*Table, error) { return RunFig5(), nil }},
+		{"golden_metrics.txt", false, func() (*Table, error) { return RunMetricsDump(pair) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -59,7 +59,7 @@ const fig17Cores = 4
 // with write traffic (whatever o.Warmup and o.Windows say), and converts
 // the per-set refreshed counts into per-AR busy times scaled from
 // PerfTRFCns. The returned system supplies the geometry and refresh
-// configuration.
+// configuration; its DRAM storage is already recycled.
 func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctrl.SliceSchedule, error) {
 	sys, err := o.newSystem()
 	if err != nil {
@@ -82,6 +82,7 @@ func steadyStateSchedule(o Options, prof workload.Profile) (*core.System, memctr
 			busy[b][i] = dram.Time(PerfTRFCns * float64(refreshed) / float64(rowsPerAR))
 		}
 	}
+	sys.Recycle()
 	return sys, memctrl.SliceSchedule{Busy: busy}, nil
 }
 

@@ -96,6 +96,7 @@ func runLongHorizon(o Options, prof workload.Profile, horizon, burstEvery int) (
 		return nil, fmt.Errorf("sim: %d retention failures at burst spacing %d", d, burstEvery)
 	}
 	st := sys.EventStats()
+	sys.Recycle()
 	return []float64{
 		float64(st.Windows),
 		float64(st.Replayed) / float64(st.Windows),

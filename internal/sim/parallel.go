@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"zerorefresh/internal/dram"
 	"zerorefresh/internal/engine"
 	"zerorefresh/internal/trace"
 )
@@ -11,11 +12,14 @@ import (
 // so parallel execution is bit-identical to sequential — results are
 // written into index i of preallocated slices, never shared.
 //
-// uo is the unit's copy of o. When o traces, it carries a private tracer
-// with o.Trace's shard capacity instead, and after the fan-out o.Trace
-// adopts the units' shards in unit order. Shard ids, and with them the
-// exported (Time, Shard, Seq) order, so follow the units rather than the
-// order in which the scheduler happened to start them.
+// uo is the unit's copy of o. It carries the fan-out's DRAM storage pool
+// (o's own when o has one), so the storage of a system one unit recycles
+// goes to the systems units build or clone after it. When o traces, uo
+// carries a private tracer with o.Trace's shard capacity instead, and
+// after the fan-out o.Trace adopts the units' shards in unit order. Shard
+// ids, and with them the exported (Time, Shard, Seq) order, so follow the
+// units rather than the order in which the scheduler happened to start
+// them.
 //
 // It delegates to engine.ForEach, the one worker pool the repository uses
 // for both experiment fan-out and rank sharding. A panic inside fn does
@@ -24,6 +28,9 @@ import (
 // benchmark run names the unit that caused it instead of taking down the
 // whole sweep.
 func forEach(o Options, n int, fn func(i int, uo Options) error) error {
+	if o.pool == nil {
+		o.pool = dram.NewPool()
+	}
 	if o.Trace == nil {
 		return engine.ForEach(n, func(i int) error { return fn(i, o) })
 	}

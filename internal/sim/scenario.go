@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"zerorefresh/internal/core"
+	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/engine"
 	"zerorefresh/internal/metrics"
@@ -55,6 +56,9 @@ type Options struct {
 	// ablation rows. It is set per unit, so the configuration it edits
 	// still carries the unit's own tracer.
 	edit func(*core.Config)
+	// pool, set by forEach, recycles DRAM storage across the systems the
+	// fan-out's units build, clone and recycle; nil allocates it.
+	pool *dram.Pool
 }
 
 // defaultCapacity is the default simulated rank: 32 MB standing in for the
@@ -125,10 +129,11 @@ type Observer struct {
 	OnSystem func(sys *core.System)
 }
 
-// newSystem builds a system for this run and applies the observer's
-// OnSystem hook. All sim runners build their systems through it.
+// newSystem builds a system for this run, with its DRAM storage from the
+// fan-out's pool, and applies the observer's OnSystem hook. All sim
+// runners build their systems through it.
 func (o Options) newSystem() (*core.System, error) {
-	sys, err := core.NewSystem(o.coreConfig())
+	sys, err := core.NewPooledSystem(o.coreConfig(), o.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -195,8 +200,9 @@ func RunScenario(o Options, prof workload.Profile, allocFrac float64) (ScenarioR
 // next smaller fraction's plus the pages between them. Every fraction but
 // the largest is measured on a clone of the system populated to it, the
 // largest on the system itself, so each result equals that of a system
-// populated from empty to its fraction alone. On an error the results
-// measured so far are returned with it.
+// populated from empty to its fraction alone. Each clone is recycled once
+// measured, and the system after the largest fraction. On an error the
+// results measured so far are returned with it.
 func runScenarios(o Options, prof workload.Profile, fracs []float64) ([]ScenarioResult, error) {
 	results := make([]ScenarioResult, len(fracs))
 	order := make([]int, len(fracs))
@@ -225,6 +231,7 @@ func runScenarios(o Options, prof workload.Profile, fracs []float64) ([]Scenario
 		if err := measure(o, run, prof, &gen, allocated, &results[i]); err != nil {
 			return results, err
 		}
+		run.Recycle()
 	}
 	return results, nil
 }

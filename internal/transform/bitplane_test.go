@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zerorefresh/internal/proptest"
 )
 
 func TestBitPlaneSingleBitPositions(t *testing.T) {
@@ -75,7 +77,7 @@ func TestBitPlaneConcentratesSmallDeltas(t *testing.T) {
 func TestQuickBitPlaneRoundTrip(t *testing.T) {
 	f := func(l Line) bool { return BitPlaneInverse(BitPlaneTranspose(l)) == l }
 	g := func(l Line) bool { return BitPlaneTranspose(BitPlaneInverse(l)) == l }
-	cfg := &quick.Config{MaxCount: 2000}
+	cfg := proptest.Config(t, 2000)
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestQuickBitPlanePreservesPopcount(t *testing.T) {
 		return n
 	}
 	f := func(l Line) bool { return popcount(BitPlaneTranspose(l)) == popcount(l) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,7 +141,7 @@ func referenceTranspose(l Line) Line {
 
 func TestQuickBitPlaneMatchesReference(t *testing.T) {
 	f := func(l Line) bool { return BitPlaneTranspose(l) == referenceTranspose(l) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	// Dense and boundary patterns explicitly.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zerorefresh/internal/proptest"
 )
 
 func TestFoldDeltaSmallValues(t *testing.T) {
@@ -42,10 +44,10 @@ func TestFoldDeltaHighBitsZero(t *testing.T) {
 func TestQuickFoldRoundTrip(t *testing.T) {
 	f := func(d int64) bool { return unfoldDelta(foldDelta(d)) == d }
 	g := func(z uint64) bool { return foldDelta(unfoldDelta(z)) == z }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := quick.Check(g, nil); err != nil {
+	if err := quick.Check(g, proptest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +93,7 @@ func TestEBDISmallDeltasProduceZeroHighBytes(t *testing.T) {
 
 func TestQuickEBDIRoundTrip(t *testing.T) {
 	f := func(l Line) bool { return EBDIDecode(EBDIEncode(l)) == l }
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,7 +116,7 @@ func TestQuickEBDIValueLocalityCreatesZeroTails(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

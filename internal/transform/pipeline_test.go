@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/proptest"
 )
 
 func pipelineConfig() dram.Config {
@@ -22,7 +23,7 @@ func TestPipelineRoundTripBothCellTypes(t *testing.T) {
 		return p.Decode(p.Encode(l, trueRow), trueRow) == l &&
 			p.Decode(p.Encode(l, antiRow), antiRow) == l
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +84,7 @@ func TestPipelineMispredictionIsLossless(t *testing.T) {
 		r := int(row) % cfg.RowsPerBank
 		return p.Decode(p.Encode(l, r), r) == l
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

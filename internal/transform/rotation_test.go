@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zerorefresh/internal/proptest"
 )
 
 // The by-value scatters the in-place Scatter replaced, kept as the
@@ -86,7 +88,7 @@ func TestRotatedMappingScatterGather(t *testing.T) {
 		r := int(row)
 		return m.Gather(scatterOne(m, l, r), r) == l
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +138,7 @@ func TestDirectMappingIsIdentity(t *testing.T) {
 func TestByteScatterMappingRoundTrip(t *testing.T) {
 	m := ByteScatterMapping{}
 	f := func(l Line) bool { return m.Gather(scatterOne(m, l, 0), 0) == l }
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, proptest.Config(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 }
